@@ -1,0 +1,346 @@
+"""Command line interface.
+
+Subcommands:
+
+  gen              write a built-in system to a CSV file (plus sidecar)
+  nikolskii        print the concentration constant of a system
+  select           equal-weight point selection, certificate to JSON
+  select-weighted  weighted point selection, certificate to JSON
+  verify           recompute a certificate's constants from scratch
+  sweep            run select over a grid of sizes, CSV summary
+
+Exit codes: 0 success, 1 usage or runtime error, 2 verification failed.
+All outputs are deterministic: same command, same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from dataclasses import dataclass
+from typing import Optional
+
+from .discretize import (
+    condition_e_constant,
+    discretize_equal_weight,
+    discretize_weighted,
+    reorthonormalize,
+)
+from .errors import DiscretizationError
+from .partition_oracle import OracleConfig
+from .systems_io import (
+    SystemDescriptor,
+    load_certificate,
+    load_system,
+    make_system,
+    save_certificate,
+    save_system,
+)
+from .verify import verify_certificate
+
+
+class UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+@dataclass
+class CliConfig:
+    strategy: str = "randomized"
+    seed: Optional[int] = None
+    budget: int = 10_000
+
+    def oracle(self) -> OracleConfig:
+        if self.strategy == "randomized" and self.seed is None:
+            raise UsageError("--seed is required with the randomized strategy")
+        return OracleConfig(
+            strategy=self.strategy,
+            budget=self.budget,
+            seed=0 if self.seed is None else self.seed,
+        )
+
+
+def _add_source_args(sub, needs_out=False):
+    src = sub.add_argument_group("system source")
+    src.add_argument("--system", help="load a system from this CSV file")
+    src.add_argument(
+        "--kind",
+        choices=("trig", "dft", "walsh", "random_orthonormal"),
+        help="generate a built-in system instead of loading one",
+    )
+    src.add_argument("--n", type=int, help="number of functions")
+    src.add_argument("--m", type=int, help="number of points")
+    src.add_argument("--field", choices=("real", "complex"), default="real")
+    src.add_argument("--gen-seed", type=int, help="seed for random_orthonormal")
+    if needs_out:
+        sub.add_argument("--out", required=True, help="output path")
+
+
+def _add_search_args(sub):
+    sub.add_argument(
+        "--strategy", choices=("exhaustive", "randomized"), default="randomized"
+    )
+    sub.add_argument("--seed", type=int, help="search seed (randomized strategy)")
+    sub.add_argument("--budget", type=int, default=10_000)
+
+
+def _resolve_system(args):
+    if args.system:
+        return load_system(args.system)
+    if not args.kind:
+        raise UsageError("pass --system FILE or --kind with --n and --m")
+    if args.n is None or args.m is None:
+        raise UsageError(f"--kind {args.kind} needs --n and --m")
+    desc = SystemDescriptor(
+        kind=args.kind, n=args.n, m=args.m, seed=args.gen_seed
+    )
+    return make_system(desc, field=args.field)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(
+        prog="sampdisc",
+        description="Two-sided discretization of L2 norms by point selection.",
+    )
+    subs = parser.add_subparsers(dest="command")
+
+    gen = subs.add_parser("gen", help="write a built-in system to disk")
+    _add_source_args(gen, needs_out=True)
+
+    nik = subs.add_parser("nikolskii", help="concentration constant of a system")
+    _add_source_args(nik)
+
+    sel = subs.add_parser("select", help="equal-weight point selection")
+    _add_source_args(sel, needs_out=True)
+    _add_search_args(sel)
+    sel.add_argument(
+        "--theta",
+        type=float,
+        help="norm level; defaults to the measured concentration constant",
+    )
+    sel.add_argument(
+        "--delta",
+        type=float,
+        default=1e-8,
+        help="largest orthonormality residual accepted without re-basing",
+    )
+    sel.add_argument(
+        "--out-system",
+        help="where to save the re-orthonormalized system if re-basing is needed",
+    )
+
+    selw = subs.add_parser("select-weighted", help="weighted point selection")
+    _add_source_args(selw, needs_out=True)
+    _add_search_args(selw)
+    selw.add_argument("--cap", type=int, default=1_000_000)
+
+    ver = subs.add_parser("verify", help="recompute certificate constants")
+    ver.add_argument("--system", required=True)
+    ver.add_argument("--certificate", required=True)
+    ver.add_argument("--tol", type=float, default=1e-10)
+
+    swp = subs.add_parser("sweep", help="select over a grid of sizes")
+    swp.add_argument(
+        "--kind",
+        required=True,
+        choices=("trig", "dft", "walsh", "random_orthonormal"),
+    )
+    swp.add_argument("--n-list", required=True, help="comma-separated dimensions")
+    swp.add_argument("--m-list", required=True, help="comma-separated point counts")
+    swp.add_argument("--field", choices=("real", "complex"), default="real")
+    swp.add_argument("--gen-seed", type=int, default=0)
+    _add_search_args(swp)
+    swp.add_argument("--out", required=True, help="summary CSV path")
+
+    return parser
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def _settings(args, extra=None) -> dict:
+    settings = {
+        "strategy": args.strategy,
+        "seed": args.seed,
+        "budget": args.budget,
+    }
+    if args.system:
+        settings["system"] = "file"
+    else:
+        settings["system"] = {
+            "kind": args.kind,
+            "n": args.n,
+            "m": args.m,
+            "field": args.field,
+            "gen_seed": args.gen_seed,
+        }
+    if extra:
+        settings.update(extra)
+    return settings
+
+
+def _cmd_gen(args) -> int:
+    if args.system:
+        raise UsageError("gen builds a system, pass --kind rather than --system")
+    system = _resolve_system(args)
+    save_system(system, args.out)
+    print(
+        f"wrote {args.out} (n={system.n} m={system.m} field={system.field} "
+        f"residual={_fmt(system.orthonormality_residual())})"
+    )
+    return 0
+
+
+def _cmd_nikolskii(args) -> int:
+    system = _resolve_system(args)
+    report = condition_e_constant(system)
+    print(f"n={system.n} m={system.m} field={system.field}")
+    print(
+        f"t={_fmt(report.t)} t_squared={_fmt(report.t_squared)} "
+        f"argmax_index={report.argmax_index}"
+    )
+    return 0
+
+
+def _print_certificate(cert) -> None:
+    c, C = cert.constants
+    print(
+        f"kind={cert.kind} selected={cert.m} c={_fmt(c)} C={_fmt(C)} "
+        f"ratio={_fmt(C / c)}"
+    )
+
+
+def _cmd_select(args) -> int:
+    system = _resolve_system(args)
+    config = CliConfig(args.strategy, args.seed, args.budget).oracle()
+    resid = system.orthonormality_residual()
+    if resid > args.delta:
+        if not args.out_system:
+            raise UsageError(
+                f"orthonormality residual {resid:.3e} exceeds --delta {args.delta}; "
+                "pass --out-system to save the re-based system the certificate "
+                "will refer to"
+            )
+        system = reorthonormalize(system)
+        save_system(system, args.out_system)
+        print(f"re-based system written to {args.out_system} (rank {system.n})")
+    cert = discretize_equal_weight(system, config, theta=args.theta)
+    save_certificate(
+        cert, args.out, settings=_settings(args, {"delta": args.delta})
+    )
+    _print_certificate(cert)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def _cmd_select_weighted(args) -> int:
+    system = _resolve_system(args)
+    config = CliConfig(args.strategy, args.seed, args.budget).oracle()
+    cert = discretize_weighted(system, config, cap=args.cap)
+    save_certificate(
+        cert, args.out, settings=_settings(args, {"cap": args.cap})
+    )
+    _print_certificate(cert)
+    print(f"wrote {args.out}")
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    system = load_system(args.system)
+    document = load_certificate(args.certificate)
+    report = verify_certificate(system, document, tol=args.tol)
+    stored = report.stored
+    if stored is not None:
+        print(f"stored:     c={_fmt(stored.lower)} C={_fmt(stored.upper)}")
+    if report.recomputed is not None:
+        print(
+            f"recomputed: c={_fmt(report.recomputed.lower)} "
+            f"C={_fmt(report.recomputed.upper)}"
+        )
+    for message in report.messages:
+        print(f"mismatch: {message}")
+    if report.passed:
+        print("verification passed")
+        return 0
+    print("verification FAILED")
+    return 2
+
+
+def _parse_int_list(text: str, flag: str) -> list:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+    if not values:
+        raise UsageError(f"{flag} is empty")
+    return values
+
+
+def _cmd_sweep(args) -> int:
+    ns = _parse_int_list(args.n_list, "--n-list")
+    ms = _parse_int_list(args.m_list, "--m-list")
+    config = CliConfig(args.strategy, args.seed, args.budget).oracle()
+    rows = ["N,M,t,m,m_over_N,c,C,ratio,seed"]
+    for n in ns:
+        for m in ms:
+            if m < n:
+                continue
+            desc = SystemDescriptor(kind=args.kind, n=n, m=m, seed=args.gen_seed)
+            system = make_system(desc, field=args.field)
+            report = condition_e_constant(system)
+            cert = discretize_equal_weight(system, config)
+            c, C = cert.constants
+            rows.append(
+                ",".join(
+                    [
+                        str(n),
+                        str(m),
+                        _fmt(report.t),
+                        str(cert.m),
+                        _fmt(cert.m / n),
+                        _fmt(c),
+                        _fmt(C),
+                        _fmt(C / c),
+                        str(config.seed),
+                    ]
+                )
+            )
+    with open(args.out, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    print(f"wrote {args.out} ({len(rows) - 1} rows)")
+    return 0
+
+
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "nikolskii": _cmd_nikolskii,
+    "select": _cmd_select,
+    "select-weighted": _cmd_select_weighted,
+    "verify": _cmd_verify,
+    "sweep": _cmd_sweep,
+}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if not args.command:
+            raise UsageError("a subcommand is required")
+        return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        sys.stderr.write(parser.format_usage())
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except DiscretizationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

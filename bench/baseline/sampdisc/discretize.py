@@ -1,0 +1,685 @@
+"""Two-sided discretization of L2 norms from sampled function systems.
+
+A sampled system records the values of n basis functions at m points of
+a discrete probability space.  When the basis is orthonormal in the
+discrete inner product, the squared norm of any f in its span equals
+the squared coefficient norm, and selecting points so that the reduced
+quadratic mean stays within verified constants of the full one is a
+frame problem: point j corresponds to the vector
+sqrt(w_j) * (u_1(x_j), ..., u_n(x_j)).
+
+This module provides that bridge, the per-point concentration constant
+(the sharp uniform-norm inequality of the span), the equal-weight and
+weighted selection pipelines, random refinement for systems given only
+through a sampler, re-orthonormalization, and the complex-to-real
+transfer that reuses one set of points and weights for a complex span.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+import numpy as np
+
+from .errors import (
+    DiscretizationError,
+    MappingMismatchError,
+    PreconditionError,
+    RefinementError,
+    StageError,
+)
+from .frame_core import FrameBounds, FrameSystem, extreme_eigenvalues, hermitian_part
+from .halving_select import HalvingCertificate, halving_select
+from .partition_oracle import OracleConfig
+from .weighted_sparsify import COPY_CAP, weighted_select
+
+ORTHONORMALITY_TOL = 1e-8
+CONDITION_TOL = 1e-6
+RANK_RTOL = 1e-10
+
+
+def _weighted_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Hermitian matrix whose form in coefficients c gives
+    sum_j w_j |f(x_j)|^2 for f = sum_i c_i u_i (up to transposition,
+    which preserves the spectrum)."""
+    return hermitian_part((values * weights) @ values.conj().T)
+
+
+@dataclass(frozen=True)
+class BasisChange:
+    """Row transform T with source_values = T @ new_values."""
+
+    matrix: np.ndarray
+    source_fingerprint: str
+
+
+@dataclass(frozen=True)
+class SampledSystem:
+    """Values of n functions at m weighted points.
+
+    ``values`` has shape (n, m): row i holds u_i at all points.
+    ``points`` stores the point coordinates, shape (m,) or (m, d).
+    ``point_weights`` is a probability vector (positive, sums to 1);
+    uniform 1/m when omitted.
+    """
+
+    values: np.ndarray
+    points: np.ndarray
+    point_weights: Optional[np.ndarray] = None
+    basis_change: Optional[BasisChange] = None
+
+    def __post_init__(self):
+        v = np.asarray(self.values)
+        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
+            raise PreconditionError(f"values must be (n, m) with n, m >= 1, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise PreconditionError("sampled values contain non-finite entries")
+        dtype = np.complex128 if np.iscomplexobj(v) else np.float64
+        v = v.astype(dtype, copy=True)
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim not in (1, 2) or pts.shape[0] != v.shape[1]:
+            raise PreconditionError(
+                f"points must list {v.shape[1]} coordinates, got shape {pts.shape}"
+            )
+        pts = pts.copy()
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+
+        if self.point_weights is None:
+            w = np.full(v.shape[1], 1.0 / v.shape[1])
+        else:
+            w = np.asarray(self.point_weights, dtype=np.float64).copy()
+        if w.shape != (v.shape[1],):
+            raise PreconditionError(f"point weights must have shape ({v.shape[1]},)")
+        if (w <= 0).any() or not np.isfinite(w).all():
+            raise PreconditionError("point weights must be positive and finite")
+        if abs(w.sum() - 1.0) > 1e-12:
+            raise PreconditionError(f"point weights sum to {w.sum()}, expected 1")
+        w.setflags(write=False)
+        object.__setattr__(self, "point_weights", w)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def field(self) -> str:
+        return "complex" if np.iscomplexobj(self.values) else "real"
+
+    def gram(self) -> np.ndarray:
+        """Discrete Gram matrix sum_j w_j u_i(x_j) conj(u_k(x_j))."""
+        return _weighted_gram(self.values, self.point_weights)
+
+    def orthonormality_residual(self) -> float:
+        """Spectral norm of gram() - identity."""
+        g = self.gram() - np.eye(self.n)
+        return float(np.linalg.norm(g, 2))
+
+    def fingerprint(self) -> str:
+        """Content hash over shapes, weights, points and values."""
+        return system_fingerprint(self)
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def system_fingerprint(system: SampledSystem) -> str:
+    h = hashlib.sha256()
+    h.update(b"sampled-system/1\n")
+    h.update(f"{system.n} {system.m} {system.field}\n".encode())
+    for w in system.point_weights:
+        h.update(_fmt(w).encode())
+        h.update(b" ")
+    h.update(b"\n")
+    pts = np.atleast_2d(system.points.T).T
+    for row in pts:
+        h.update(" ".join(_fmt(c) for c in np.atleast_1d(row)).encode())
+        h.update(b"\n")
+    for row in system.values:
+        if np.iscomplexobj(system.values):
+            h.update(
+                " ".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in row).encode()
+            )
+        else:
+            h.update(" ".join(_fmt(z) for z in row).encode())
+        h.update(b"\n")
+    return "sha256:" + h.hexdigest()
+
+
+@dataclass(frozen=True)
+class NikolskiiReport:
+    """Sharp per-point concentration of a discretely orthonormal span.
+
+    For f in the span, sup_x |f(x)| / ||f|| over the sampled points
+    equals the square root of the largest per-point value of
+    sum_i |u_i(x)|^2, attained by the function whose coefficients are
+    the conjugated basis values at the peak point.  ``t`` normalizes
+    that extreme so ||f||_inf <= t * sqrt(n) * ||f||.
+    """
+
+    t: float
+    t_squared: float
+    argmax_index: int
+    argmax_point: np.ndarray
+    per_point_sums: np.ndarray
+    n: int
+
+
+def condition_e_constant(system: SampledSystem) -> NikolskiiReport:
+    """Exact concentration constant t of a sampled orthonormal system.
+
+    Requires orthonormality residual at most 1e-6.  The constant always
+    satisfies t^2 >= 1 - residual, since the weighted average of the
+    per-point sums equals trace(Gram) = n up to the residual.
+    """
+    resid = system.orthonormality_residual()
+    if resid > CONDITION_TOL:
+        raise PreconditionError(
+            f"system is not orthonormal: residual {resid:.3e} > {CONDITION_TOL}"
+        )
+    sums = np.einsum("ij,ij->j", system.values, system.values.conj()).real
+    j = int(np.argmax(sums))
+    t2 = float(sums[j]) / system.n
+    if t2 < 1.0 - resid - 1e-12:
+        raise DiscretizationError(
+            f"concentration constant t^2={t2} below the trace floor"
+        )
+    return NikolskiiReport(
+        t=float(np.sqrt(t2)),
+        t_squared=t2,
+        argmax_index=j,
+        argmax_point=np.atleast_1d(system.points)[j],
+        per_point_sums=sums,
+        n=system.n,
+    )
+
+
+def build_frame_from_samples(system: SampledSystem) -> FrameSystem:
+    """Frame whose vector j is sqrt(w_j) * (u_1(x_j), ..., u_n(x_j)).
+
+    Its frame operator equals the discrete Gram matrix, so the frame is
+    tight exactly when the system is orthonormal.  With uniform weights
+    this is the usual 1/sqrt(m) scaling.
+    """
+    return FrameSystem(system.values * np.sqrt(system.point_weights))
+
+
+@dataclass(frozen=True)
+class DiscretizationCertificate:
+    """Selected points, weights and verified two-sided constants.
+
+    ``constants`` = (c, C) satisfy, for every f in the certified span
+    with squared norm ||f||^2,
+
+        c ||f||^2  <=  sum_nu lambda_nu |f(xi_nu)|^2  <=  C ||f||^2,
+
+    where lambda is uniform 1/m when ``weights`` is None.  Constants
+    are measured by a dense eigensolve over an orthonormal basis of the
+    span and can be recomputed from the stored data alone.
+    """
+
+    kind: str
+    point_indices: tuple
+    points: np.ndarray
+    m: int
+    weights: Optional[tuple]
+    constants: FrameBounds
+    theta: Optional[float]
+    input_fingerprint: str
+    pipeline_log: tuple
+    basis_values: Optional[np.ndarray] = None
+
+
+def _uniform(system: SampledSystem) -> bool:
+    return bool(np.max(np.abs(system.point_weights - 1.0 / system.m)) <= 1e-14)
+
+
+def discretize_equal_weight(
+    system: SampledSystem,
+    config: Optional[OracleConfig] = None,
+    theta: Optional[float] = None,
+) -> DiscretizationCertificate:
+    """Equal-weight point selection on a discretely orthonormal system.
+
+    Parameters
+    ----------
+    system : SampledSystem
+        Uniform point weights; orthonormality residual at most 1e-8.
+    config : OracleConfig, optional
+        Partition search settings for the halving rounds.
+    theta : float, optional
+        Override for the norm level; defaults to the measured t^2 from
+        :func:`condition_e_constant` (the smallest valid choice).
+
+    Returns
+    -------
+    DiscretizationCertificate
+        Equal-weight certificate whose constants are the extreme
+        eigenvalues of (1/m) sum_{j in J} u(x_j) u(x_j)*.
+    """
+    if not _uniform(system):
+        raise PreconditionError(
+            "equal-weight selection requires uniform point weights"
+        )
+    resid = system.orthonormality_residual()
+    if resid > ORTHONORMALITY_TOL:
+        raise PreconditionError(
+            f"system is not orthonormal: residual {resid:.3e} > {ORTHONORMALITY_TOL}"
+        )
+    report = condition_e_constant(system)
+    theta_used = report.t_squared if theta is None else float(theta)
+    frame = build_frame_from_samples(system)
+    hcert = halving_select(frame, theta_used, config)
+    idx = np.asarray(hcert.J, dtype=np.int64)
+    m_sel = int(idx.size)
+    cols = system.values[:, idx]
+    lo, hi = extreme_eigenvalues(
+        _weighted_gram(cols, np.full(m_sel, 1.0 / m_sel))
+    )
+    constants = FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    if constants.lower <= 0.0:
+        raise DiscretizationError("selected points lost rank: lower constant is 0")
+    log = (
+        {
+            "stage": "concentration",
+            "t": report.t,
+            "t_squared": report.t_squared,
+            "argmax_index": report.argmax_index,
+        },
+        _halving_stage(hcert),
+    )
+    return DiscretizationCertificate(
+        kind="equal_weight",
+        point_indices=tuple(int(j) for j in idx),
+        points=system.points[idx],
+        m=m_sel,
+        weights=None,
+        constants=constants,
+        theta=theta_used,
+        input_fingerprint=system.fingerprint(),
+        pipeline_log=log,
+        basis_values=cols,
+    )
+
+
+def _halving_stage(hcert: HalvingCertificate) -> dict:
+    stage = {
+        "stage": "halving",
+        "fast_path": hcert.fast_path,
+        "delta": hcert.delta,
+        "theta": hcert.theta,
+        "selected": len(hcert.J),
+        "rescale": hcert.rescale,
+        "actual_lower": hcert.actual.lower,
+        "actual_upper": hcert.actual.upper,
+        "theoretical_lower": hcert.theoretical_lower,
+        "theoretical_upper": hcert.theoretical_upper,
+    }
+    if hcert.schedule is not None:
+        stage["rounds"] = hcert.schedule.rounds
+        stage["schedule"] = [list(step) for step in hcert.schedule.steps]
+    return stage
+
+
+@dataclass(frozen=True)
+class ContinuousSystemSpec:
+    """A system known only through sampling and pointwise evaluation.
+
+    ``sampler(rng, count)`` draws i.i.d. points from the underlying
+    probability measure; ``evaluator(x)`` returns the n basis values at
+    one point.  The basis is assumed orthonormal in L2 of that measure.
+    """
+
+    n: int
+    sampler: Callable
+    evaluator: Callable
+    name: str = "continuous"
+
+
+def _evaluate_at(spec: ContinuousSystemSpec, pts: np.ndarray) -> np.ndarray:
+    cols = []
+    for x in pts:
+        row = np.asarray(spec.evaluator(x))
+        if row.shape != (spec.n,):
+            raise PreconditionError(
+                f"evaluator returned shape {row.shape}, expected ({spec.n},)"
+            )
+        cols.append(row)
+    values = np.stack(cols, axis=1)
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values).all(axis=0))[0])
+        raise PreconditionError(
+            f"evaluator returned non-finite values at sampled point index {bad}"
+        )
+    return values
+
+
+def monte_carlo_refine(
+    spec: ContinuousSystemSpec,
+    delta: float,
+    seed: int = 0,
+    m_start: int = 64,
+    m_cap: int = 1_048_576,
+) -> SampledSystem:
+    """Draw i.i.d. points until the empirical Gram is delta-close to I.
+
+    Doubles the sample count starting from ``m_start`` until the
+    spectral deviation ||G - I|| is at most delta, or raises
+    :class:`RefinementError` carrying the best deviation achieved once
+    ``m_cap`` is passed.  The spectral condition is equivalent to
+    |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the whole span.
+    """
+    if not (0.0 < delta < 1.0):
+        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
+    if m_start < max(spec.n, 1):
+        raise PreconditionError(
+            f"m_start={m_start} is below the dimension {spec.n}"
+        )
+    rng = np.random.default_rng(seed)
+    m = int(m_start)
+    best = np.inf
+    while m <= m_cap:
+        pts = np.asarray(spec.sampler(rng, m))
+        if pts.shape[0] != m:
+            raise PreconditionError(
+                f"sampler returned {pts.shape[0]} points, expected {m}"
+            )
+        values = _evaluate_at(spec, pts)
+        system = SampledSystem(values, pts)
+        dev = system.orthonormality_residual()
+        if dev <= delta:
+            return system
+        best = min(best, dev)
+        m *= 2
+    raise RefinementError(
+        f"no sample of size <= {m_cap} met deviation {delta} "
+        f"(best achieved {best:.6f})",
+        best_deviation=float(best),
+    )
+
+
+def reorthonormalize(system: SampledSystem) -> SampledSystem:
+    """Exactly orthonormal basis of the sampled span, same points.
+
+    The numerical rank keeps singular values above 1e-10 of the largest.
+    Each new basis function is phase-normalized so its leading
+    significant value is real and positive.  The returned system
+    records the change of basis T with old_values = T @ new_values, so
+    certificates for the new span apply verbatim to the old one.
+
+    Already-orthonormal input (residual <= 1e-12) is returned unchanged
+    with an identity change of basis.
+    """
+    resid = system.orthonormality_residual()
+    if resid <= 1e-12:
+        return SampledSystem(
+            system.values,
+            system.points,
+            system.point_weights,
+            basis_change=BasisChange(
+                matrix=np.eye(system.n), source_fingerprint=system.fingerprint()
+            ),
+        )
+    sqrt_w = np.sqrt(system.point_weights)
+    a = system.values * sqrt_w
+    p, s, qh = np.linalg.svd(a, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        raise PreconditionError("cannot orthonormalize a zero row space")
+    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    if rank == 0:
+        raise PreconditionError("cannot orthonormalize a zero row space")
+    b = qh[:rank]
+    t = p[:, :rank] * s[:rank]
+    # make each function's leading significant value real-positive
+    for r in range(rank):
+        row = b[r]
+        lead = np.flatnonzero(np.abs(row) > 1e-8 * np.abs(row).max())[0]
+        phase = row[lead] / abs(row[lead])
+        b[r] = row * np.conj(phase)
+        t[:, r] = t[:, r] * phase
+    new_values = b / sqrt_w
+    if np.isrealobj(system.values):
+        new_values = new_values.real
+        t = t.real
+    return SampledSystem(
+        new_values,
+        system.points,
+        system.point_weights,
+        basis_change=BasisChange(matrix=t, source_fingerprint=system.fingerprint()),
+    )
+
+
+def discretize_continuous(
+    spec: ContinuousSystemSpec,
+    config: Optional[OracleConfig] = None,
+    mc_delta: float = 0.5,
+    seed: int = 0,
+    m_start: int = 64,
+    m_cap: int = 1_048_576,
+) -> DiscretizationCertificate:
+    """Equal-weight discretization of a system given only by sampling.
+
+    Pipeline: random refinement at spectral deviation ``mc_delta``
+    (default 1/2), re-orthonormalization on the sampled points, then
+    equal-weight selection at the exact measured concentration level of
+    the orthonormalized basis.  The final constants are pulled back
+    through the measured Gram deviation ``dev``:
+
+        c_final = c_selected * (1 - dev),
+        C_final = C_selected * (1 + dev),
+
+    making them valid against the underlying (non-sampled) norm.
+    """
+    try:
+        refined = monte_carlo_refine(
+            spec, mc_delta, seed=seed, m_start=m_start, m_cap=m_cap
+        )
+    except DiscretizationError as exc:
+        raise StageError("refine", str(exc)) from exc
+    dev = refined.orthonormality_residual()
+    try:
+        ortho = reorthonormalize(refined)
+    except DiscretizationError as exc:
+        raise StageError("reorthonormalize", str(exc)) from exc
+    try:
+        inner = discretize_equal_weight(ortho, config)
+    except DiscretizationError as exc:
+        raise StageError("select", str(exc)) from exc
+
+    c_final = inner.constants.lower * (1.0 - dev)
+    C_final = inner.constants.upper * (1.0 + dev)
+    log = (
+        {
+            "stage": "refine",
+            "name": spec.name,
+            "samples": refined.m,
+            "deviation": dev,
+            "target": mc_delta,
+            "seed": seed,
+        },
+        {"stage": "reorthonormalize", "rank": ortho.n},
+    ) + inner.pipeline_log + (
+        {
+            "stage": "pullback",
+            "deviation": dev,
+            "selected_lower": inner.constants.lower,
+            "selected_upper": inner.constants.upper,
+        },
+    )
+    return DiscretizationCertificate(
+        kind="equal_weight",
+        point_indices=inner.point_indices,
+        points=inner.points,
+        m=inner.m,
+        weights=None,
+        constants=FrameBounds(c_final, C_final),
+        theta=inner.theta,
+        input_fingerprint=refined.fingerprint(),
+        pipeline_log=log,
+        basis_values=inner.basis_values,
+    )
+
+
+def discretize_weighted(
+    system: SampledSystem,
+    config: Optional[OracleConfig] = None,
+    cap: int = COPY_CAP,
+) -> DiscretizationCertificate:
+    """Weighted point selection; handles unequal per-point mass.
+
+    The system is re-orthonormalized first when needed.  Points where
+    every basis function vanishes cannot carry weight and are skipped.
+    Returned weights lambda_nu absorb the base point weights, so the
+    certified sums are plain sum_nu lambda_nu |f(xi_nu)|^2.
+    """
+    log = []
+    work = system
+    resid = system.orthonormality_residual()
+    if resid > ORTHONORMALITY_TOL:
+        work = reorthonormalize(system)
+        log.append({"stage": "reorthonormalize", "rank": work.n, "residual": resid})
+
+    mass = np.einsum("ij,ij->j", work.values, work.values.conj()).real
+    keep = np.flatnonzero(mass * work.point_weights > 0.0)
+    if keep.size == 0:
+        raise PreconditionError("all points carry zero mass")
+    vectors = work.values[:, keep] * np.sqrt(work.point_weights[keep])
+    wcert = weighted_select(FrameSystem(vectors), config, cap=cap)
+
+    frame_weights = np.asarray(wcert.weights)
+    support_local = np.asarray(wcert.support, dtype=np.int64)
+    support = keep[support_local]
+    point_weights = frame_weights[support_local] * work.point_weights[support]
+
+    cols = work.values[:, support]
+    lo, hi = extreme_eigenvalues(_weighted_gram(cols, point_weights))
+    constants = FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    if abs(constants.lower - wcert.bounds.lower) > 1e-9 * max(1.0, wcert.bounds.upper):
+        raise DiscretizationError("weighted constants failed cross-verification")
+    log.append(
+        {
+            "stage": "weighted",
+            "copies": wcert.duplication.m_prime,
+            "support_budget": wcert.support_budget,
+            "selected_copies": len(wcert.halving.J),
+        }
+    )
+    log.append(_halving_stage(wcert.halving))
+    return DiscretizationCertificate(
+        kind="weighted",
+        point_indices=tuple(int(j) for j in support),
+        points=work.points[support],
+        m=int(support.size),
+        weights=tuple(float(w) for w in point_weights),
+        constants=constants,
+        theta=2.0,
+        input_fingerprint=system.fingerprint(),
+        pipeline_log=tuple(log),
+        basis_values=cols,
+    )
+
+
+@dataclass(frozen=True)
+class ComplexRealMap:
+    """Ties a complex system to its stacked real companion."""
+
+    source_fingerprint: str
+    real_fingerprint: str
+    real_dim: int
+
+
+def complexify_via_real(system: SampledSystem) -> tuple[SampledSystem, ComplexRealMap]:
+    """Real orthonormal companion spanning all real and imaginary parts.
+
+    Stacks Re(u_i) and Im(u_i) into a real system on the same points
+    and re-orthonormalizes.  The rank is at most 2n (exactly n when the
+    imaginary parts lie in the real span, e.g. for real-valued input).
+    Any point set and weights discretizing the companion span transfer
+    to the complex span with the same constants.
+    """
+    if not np.iscomplexobj(system.values):
+        raise PreconditionError("complexify_via_real expects a complex-tagged system")
+    stacked = np.vstack([system.values.real, system.values.imag])
+    norms = np.einsum("ij,ij->i", stacked, stacked)
+    rows = stacked[norms > 0.0]
+    if rows.shape[0] == 0:
+        raise PreconditionError("system values are identically zero")
+    companion = reorthonormalize(
+        SampledSystem(rows, system.points, system.point_weights)
+    )
+    mapping = ComplexRealMap(
+        source_fingerprint=system.fingerprint(),
+        real_fingerprint=companion.fingerprint(),
+        real_dim=companion.n,
+    )
+    return companion, mapping
+
+
+def transfer_certificate(
+    real_cert: DiscretizationCertificate,
+    system: SampledSystem,
+    mapping: ComplexRealMap,
+) -> DiscretizationCertificate:
+    """Carry a real-companion certificate over to the complex system.
+
+    Uses the same points and weights; the complex constants are
+    recomputed by eigensolve and always land inside the real interval
+    (within 1e-10), since |f|^2 splits into the real and imaginary
+    parts' squares on both sides of the inequality.
+    """
+    if real_cert.input_fingerprint != mapping.real_fingerprint:
+        raise MappingMismatchError(
+            "certificate was not produced on the mapped real companion"
+        )
+    if system.fingerprint() != mapping.source_fingerprint:
+        raise MappingMismatchError("mapping does not describe this complex system")
+    resid = system.orthonormality_residual()
+    if resid > CONDITION_TOL:
+        raise PreconditionError(
+            f"complex system must be orthonormal, residual {resid:.3e}"
+        )
+    idx = np.asarray(real_cert.point_indices, dtype=np.int64)
+    if real_cert.weights is None:
+        lam = np.full(idx.size, 1.0 / idx.size)
+    else:
+        lam = np.asarray(real_cert.weights, dtype=np.float64)
+    cols = system.values[:, idx]
+    lo, hi = extreme_eigenvalues(_weighted_gram(cols, lam))
+    constants = FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    if constants.lower < real_cert.constants.lower - 1e-10 or (
+        constants.upper > real_cert.constants.upper + 1e-10
+    ):
+        raise DiscretizationError(
+            f"complex constants {tuple(constants)} escape the real interval "
+            f"{tuple(real_cert.constants)}"
+        )
+    log = real_cert.pipeline_log + (
+        {
+            "stage": "complex_transfer",
+            "real_lower": real_cert.constants.lower,
+            "real_upper": real_cert.constants.upper,
+            "real_dim": mapping.real_dim,
+        },
+    )
+    return DiscretizationCertificate(
+        kind=real_cert.kind,
+        point_indices=real_cert.point_indices,
+        points=real_cert.points,
+        m=real_cert.m,
+        weights=real_cert.weights,
+        constants=constants,
+        theta=real_cert.theta,
+        input_fingerprint=system.fingerprint(),
+        pipeline_log=log,
+        basis_values=cols,
+    )

@@ -1,0 +1,117 @@
+"""Independent re-verification of stored certificates.
+
+A certificate is a claim: these points with these weights discretize
+the span of this system with constants (c, C).  Verification recomputes
+the constants from scratch (dense eigensolve over the system values at
+the stored indices) and compares against the stored ones.  Nothing from
+the certificate's pipeline log is trusted.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from .discretize import SampledSystem, _weighted_gram
+from .frame_core import FrameBounds, extreme_eigenvalues
+
+VERIFY_TOL = 1e-10
+
+
+@dataclass
+class VerifyReport:
+    passed: bool
+    stored: Optional[FrameBounds] = None
+    recomputed: Optional[FrameBounds] = None
+    messages: list = field(default_factory=list)
+
+    def fail(self, message: str) -> "VerifyReport":
+        self.passed = False
+        self.messages.append(message)
+        return self
+
+
+def recompute_constants(
+    system: SampledSystem, indices, weights=None
+) -> FrameBounds:
+    """Extreme eigenvalues of sum_nu lambda_nu u(x_nu) u(x_nu)^*.
+
+    ``weights`` None means uniform 1/len(indices).
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
+        return FrameBounds(0.0, 0.0)
+    cols = system.values[:, idx]
+    if weights is None:
+        lam = np.full(idx.size, 1.0 / idx.size)
+    else:
+        lam = np.asarray(weights, dtype=np.float64)
+    lo, hi = extreme_eigenvalues(_weighted_gram(cols, lam))
+    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+
+
+def verify_certificate(
+    system: SampledSystem, document: dict, tol: float = VERIFY_TOL
+) -> VerifyReport:
+    """Check a loaded certificate document against a system.
+
+    Fails (without raising) when the fingerprint does not match, the
+    indices are invalid, weights are negative or miscounted, the
+    recomputed constants differ from the stored ones by more than
+    ``tol``, or the lower constant is not strictly positive.
+    """
+    report = VerifyReport(passed=True)
+    stored = document.get("constants_decoded")
+    if stored is None:
+        return report.fail("document has no decoded constants")
+    report.stored = stored
+
+    if document.get("input_fingerprint") != system.fingerprint():
+        report.fail("system fingerprint does not match the certificate")
+
+    indices = document.get("point_indices", [])
+    if len(indices) == 0:
+        return report.fail("certificate selects no points")
+    if document.get("m") is not None and int(document["m"]) != len(indices):
+        report.fail(f"m={document['m']} but {len(indices)} indices stored")
+    idx = np.asarray(indices, dtype=np.int64)
+    if (idx < 0).any() or (idx >= system.m).any():
+        return report.fail("point indices out of range for this system")
+    if np.unique(idx).size != idx.size:
+        return report.fail("point indices contain duplicates")
+
+    weights = document.get("weights")
+    if weights is not None:
+        lam = np.asarray(weights, dtype=np.float64)
+        if lam.shape != (idx.size,):
+            return report.fail(
+                f"{lam.size} weights for {idx.size} points"
+            )
+        if not np.isfinite(lam).all() or (lam < 0).any():
+            return report.fail("weights must be finite and nonnegative")
+
+    resid = system.orthonormality_residual()
+    if resid > 1e-6:
+        report.fail(
+            f"system is not orthonormal (residual {resid:.3e}); "
+            "constants are not comparable"
+        )
+
+    recomputed = recompute_constants(system, idx, weights)
+    report.recomputed = recomputed
+    scale = max(1.0, abs(stored.upper))
+    if abs(recomputed.lower - stored.lower) > tol * scale:
+        report.fail(
+            f"lower constant mismatch: stored {stored.lower!r}, "
+            f"recomputed {recomputed.lower!r}"
+        )
+    if abs(recomputed.upper - stored.upper) > tol * scale:
+        report.fail(
+            f"upper constant mismatch: stored {stored.upper!r}, "
+            f"recomputed {recomputed.upper!r}"
+        )
+    if recomputed.lower <= 0.0:
+        report.fail("lower constant is not positive; selection lost rank")
+    return report
