@@ -67,6 +67,7 @@ from .discretize import (
     discretize_equal_weight,
     discretize_weighted,
     monte_carlo_refine,
+    recompute_constants,
     reorthonormalize,
     transfer_certificate,
 )
@@ -78,7 +79,7 @@ from .systems_io import (
     save_certificate,
     save_system,
 )
-from .verify import VerifyReport, recompute_constants, verify_certificate
+from .verify import VerifyReport, verify_certificate
 
 __version__ = "0.1.0"
 

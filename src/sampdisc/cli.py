@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .discretize import (
+    _fmt,
     condition_e_constant,
     discretize_equal_weight,
     discretize_weighted,
@@ -48,22 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class CliConfig:
-    strategy: str = "randomized"
-    seed: Optional[int] = None
-    budget: int = 10_000
-
-    def oracle(self) -> OracleConfig:
-        if self.strategy == "randomized" and self.seed is None:
-            raise UsageError("--seed is required with the randomized strategy")
-        return OracleConfig(
-            strategy=self.strategy,
-            budget=self.budget,
-            seed=0 if self.seed is None else self.seed,
-        )
-
-
 def _add_source_args(sub, needs_out=False):
     src = sub.add_argument_group("system source")
     src.add_argument("--system", help="load a system from this CSV file")
@@ -81,11 +64,14 @@ def _add_source_args(sub, needs_out=False):
 
 
 def _add_search_args(sub):
-    sub.add_argument(
-        "--strategy", choices=("exhaustive", "randomized"), default="randomized"
-    )
-    sub.add_argument("--seed", type=int, help="search seed (randomized strategy)")
+    sub.add_argument("--seed", type=int, help="partition search seed (required)")
     sub.add_argument("--budget", type=int, default=10_000)
+
+
+def _oracle(args) -> OracleConfig:
+    if args.seed is None:
+        raise UsageError("--seed is required")
+    return OracleConfig(budget=args.budget, seed=args.seed)
 
 
 def _resolve_system(args):
@@ -159,13 +145,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _settings(args, extra=None) -> dict:
     settings = {
-        "strategy": args.strategy,
+        # halving runs only this search; recorded for certificate readers
+        "strategy": "randomized",
         "seed": args.seed,
         "budget": args.budget,
     }
@@ -217,7 +200,7 @@ def _print_certificate(cert) -> None:
 
 def _cmd_select(args) -> int:
     system = _resolve_system(args)
-    config = CliConfig(args.strategy, args.seed, args.budget).oracle()
+    config = _oracle(args)
     resid = system.orthonormality_residual()
     if resid > args.delta:
         if not args.out_system:
@@ -240,7 +223,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_select_weighted(args) -> int:
     system = _resolve_system(args)
-    config = CliConfig(args.strategy, args.seed, args.budget).oracle()
+    config = _oracle(args)
     cert = discretize_weighted(system, config, cap=args.cap)
     save_certificate(
         cert, args.out, settings=_settings(args, {"cap": args.cap})
@@ -284,7 +267,7 @@ def _parse_int_list(text: str, flag: str) -> list:
 def _cmd_sweep(args) -> int:
     ns = _parse_int_list(args.n_list, "--n-list")
     ms = _parse_int_list(args.m_list, "--m-list")
-    config = CliConfig(args.strategy, args.seed, args.budget).oracle()
+    config = _oracle(args)
     rows = ["N,M,t,m,m_over_N,c,C,ratio,seed"]
     for n in ns:
         for m in ms:

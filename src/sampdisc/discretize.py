@@ -47,6 +47,32 @@ def _weighted_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return hermitian_part((values * weights) @ values.conj().T)
 
 
+def recompute_constants(
+    system: SampledSystem, indices, weights=None
+) -> FrameBounds:
+    """Extreme eigenvalues of sum_nu lambda_nu u(x_nu) u(x_nu)^*.
+
+    ``weights`` None means uniform 1/len(indices).  Every certificate's
+    constants are measured here, both when a pipeline builds it and
+    when :func:`sampdisc.verify.verify_certificate` checks it again.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
+        return FrameBounds(0.0, 0.0)
+    cols = system.values[:, idx]
+    if weights is None:
+        lam = np.full(idx.size, 1.0 / idx.size)
+    else:
+        lam = np.asarray(weights, dtype=np.float64)
+    lo, hi = extreme_eigenvalues(_weighted_gram(cols, lam))
+    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+
+
+def _fmt(x: float) -> str:
+    """Exact decimal form of a float (``repr`` round-trips every double)."""
+    return repr(float(x))
+
+
 @dataclass(frozen=True)
 class BasisChange:
     """Row transform T with source_values = T @ new_values."""
@@ -127,10 +153,6 @@ class SampledSystem:
     def fingerprint(self) -> str:
         """Content hash over shapes, weights, points and values."""
         return system_fingerprint(self)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def system_fingerprint(system: SampledSystem) -> str:
@@ -281,12 +303,7 @@ def discretize_equal_weight(
     frame = build_frame_from_samples(system)
     hcert = halving_select(frame, theta_used, config)
     idx = np.asarray(hcert.J, dtype=np.int64)
-    m_sel = int(idx.size)
-    cols = system.values[:, idx]
-    lo, hi = extreme_eigenvalues(
-        _weighted_gram(cols, np.full(m_sel, 1.0 / m_sel))
-    )
-    constants = FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    constants = recompute_constants(system, idx)
     if constants.lower <= 0.0:
         raise DiscretizationError("selected points lost rank: lower constant is 0")
     log = (
@@ -302,13 +319,13 @@ def discretize_equal_weight(
         kind="equal_weight",
         point_indices=tuple(int(j) for j in idx),
         points=system.points[idx],
-        m=m_sel,
+        m=int(idx.size),
         weights=None,
         constants=constants,
         theta=theta_used,
         input_fingerprint=system.fingerprint(),
         pipeline_log=log,
-        basis_values=cols,
+        basis_values=system.values[:, idx],
     )
 
 
@@ -561,9 +578,7 @@ def discretize_weighted(
     support = keep[support_local]
     point_weights = frame_weights[support_local] * work.point_weights[support]
 
-    cols = work.values[:, support]
-    lo, hi = extreme_eigenvalues(_weighted_gram(cols, point_weights))
-    constants = FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    constants = recompute_constants(work, support, point_weights)
     if abs(constants.lower - wcert.bounds.lower) > 1e-9 * max(1.0, wcert.bounds.upper):
         raise DiscretizationError("weighted constants failed cross-verification")
     log.append(
@@ -585,7 +600,7 @@ def discretize_weighted(
         theta=2.0,
         input_fingerprint=system.fingerprint(),
         pipeline_log=tuple(log),
-        basis_values=cols,
+        basis_values=work.values[:, support],
     )
 
 
@@ -649,13 +664,7 @@ def transfer_certificate(
             f"complex system must be orthonormal, residual {resid:.3e}"
         )
     idx = np.asarray(real_cert.point_indices, dtype=np.int64)
-    if real_cert.weights is None:
-        lam = np.full(idx.size, 1.0 / idx.size)
-    else:
-        lam = np.asarray(real_cert.weights, dtype=np.float64)
-    cols = system.values[:, idx]
-    lo, hi = extreme_eigenvalues(_weighted_gram(cols, lam))
-    constants = FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    constants = recompute_constants(system, idx, real_cert.weights)
     if constants.lower < real_cert.constants.lower - 1e-10 or (
         constants.upper > real_cert.constants.upper + 1e-10
     ):
@@ -681,5 +690,5 @@ def transfer_certificate(
         theta=real_cert.theta,
         input_fingerprint=system.fingerprint(),
         pipeline_log=log,
-        basis_values=cols,
+        basis_values=system.values[:, idx],
     )

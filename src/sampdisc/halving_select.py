@@ -23,15 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DiscretizationError, DomainError, PreconditionError
-from .frame_core import (
-    FrameBounds,
-    FrameSystem,
-    frame_bounds,
-    subset_bounds,
-    verify_tight,
+from .frame_core import FrameBounds, FrameSystem, frame_bounds, subset_bounds
+from .partition_oracle import (
+    OracleConfig,
+    PartitionRequest,
+    _check_norms,
+    partition_targets,
+    spectral_partition,
 )
-from .partition_oracle import OracleConfig, PartitionRequest, spectral_partition
-from .partition_oracle import partition_targets
 
 TIGHTNESS_TOL = 1e-8
 BOUND_SLACK = 1e-10
@@ -142,17 +141,6 @@ class HalvingCertificate:
     rounds: tuple
 
 
-def _check_norm_condition(frame: FrameSystem, delta: float):
-    norms = frame.norms_squared()
-    limit = delta * (1.0 + 1e-9)
-    if norms.max() > limit:
-        offender = int(np.argmax(norms))
-        raise PreconditionError(
-            f"vector {offender} has squared norm {norms.max():.6e} "
-            f"exceeding theta*n/m = {delta:.6e}"
-        )
-
-
 def _drop_zero_vectors(frame: FrameSystem, indices) -> tuple:
     norms = frame.norms_squared()
     return tuple(int(j) for j in indices if norms[j] > 0.0)
@@ -166,9 +154,7 @@ def _run_rounds(frame: FrameSystem, schedule: HalvingSchedule, config: OracleCon
         req = PartitionRequest(
             frame=frame, active=kept, delta=schedule.delta, alpha=alpha_j, beta=beta_j
         )
-        res = spectral_partition(
-            req, strategy=config.strategy, budget=config.budget, seed=config.seed + j
-        )
+        res = spectral_partition(req, budget=config.budget, seed=config.seed + j)
         if len(res.s1) <= len(res.s2):
             kept, measured = res.s1, res.bounds_s1
         else:
@@ -186,14 +172,100 @@ def _run_rounds(frame: FrameSystem, schedule: HalvingSchedule, config: OracleCon
     return kept, tuple(log)
 
 
-def _certify(
-    frame: FrameSystem,
-    theta: float,
-    delta: float,
-    schedule: HalvingSchedule,
-    config: OracleConfig,
+def halving_select(
+    frame: FrameSystem, theta: float, config: Optional[OracleConfig] = None
 ) -> HalvingCertificate:
-    kept, log = _run_rounds(frame, schedule, config)
+    """Select a small index subset of a tight frame with two-sided bounds.
+
+    Parameters
+    ----------
+    frame : FrameSystem
+        Tight within 1e-8: both frame bounds in [1 - 1e-8, 1 + 1e-8].
+    theta : float
+        A-priori norm level: every squared vector norm must be at most
+        delta = theta * n / m, and theta <= m / n.
+    config : OracleConfig, optional
+        Partition search budget and seed (defaults: 10000, 0).
+
+    Returns
+    -------
+    HalvingCertificate
+        With delta >= 1/100 the full index set is returned (fast path)
+        and its measured bounds are the tight ones.  Otherwise L + 1
+        halving rounds run, |J| <= m / 2^(L+1), and the measured lower
+        bound is at least 25 delta (within 1e-10 slack).
+
+    Zero vectors never affect bounds and are dropped from J after
+    selection.  This is :func:`halving_select_frame` at bounds (1, 1),
+    except that theta = m / n (delta = 1 = A) is accepted.
+    """
+    if theta > frame.m / frame.n * (1.0 + 1e-12):
+        raise PreconditionError(
+            f"theta={theta} exceeds m/n={frame.m / frame.n}"
+        )
+    return _select(frame, 1.0, 1.0, theta, config)
+
+
+def halving_select_frame(
+    frame: FrameSystem,
+    bounds: FrameBounds,
+    theta: float,
+    config: Optional[OracleConfig] = None,
+) -> HalvingCertificate:
+    """Halving seeded at declared frame bounds (A, B) instead of (1, 1).
+
+    The declared bounds must be valid for the frame (measured bounds
+    inside [A(1 - 1e-8), B(1 + 1e-8)]) and A must exceed delta.  With
+    A = B = 1 this reduces exactly to :func:`halving_select` for the
+    same seed.  The fast path triggers when A <= 100 delta.
+    """
+    a, b = float(bounds[0]), float(bounds[1])
+    delta = theta * frame.n / frame.m
+    if not (a > 0):
+        raise PreconditionError(f"declared lower bound must be positive, got {a}")
+    if not (a > delta):
+        raise PreconditionError(
+            f"declared lower bound {a} must exceed delta={delta}"
+        )
+    if b < a:
+        raise PreconditionError(f"declared bounds out of order: ({a}, {b})")
+    return _select(frame, a, b, theta, config)
+
+
+def _select(
+    frame: FrameSystem,
+    a: float,
+    b: float,
+    theta: float,
+    config: Optional[OracleConfig],
+) -> HalvingCertificate:
+    cfg = config or OracleConfig()
+    delta = theta * frame.n / frame.m
+    measured = frame_bounds(frame)
+    if measured.lower < a * (1.0 - TIGHTNESS_TOL) or (
+        measured.upper > b * (1.0 + TIGHTNESS_TOL)
+    ):
+        raise PreconditionError(
+            f"declared bounds ({a}, {b}) do not hold: measured "
+            f"({measured.lower:.12f}, {measured.upper:.12f})"
+        )
+    _check_norms(frame, delta)
+    if a <= 100.0 * delta:
+        kept = _drop_zero_vectors(frame, range(frame.m))
+        return HalvingCertificate(
+            J=kept,
+            theta=theta,
+            delta=delta,
+            schedule=None,
+            theoretical_lower=a,
+            theoretical_upper=b,
+            actual=subset_bounds(frame, kept),
+            rescale=frame.m / frame.n,
+            fast_path=True,
+            rounds=(),
+        )
+    schedule = _build_schedule(a, b, delta)
+    kept, log = _run_rounds(frame, schedule, cfg)
     kept = _drop_zero_vectors(frame, kept)
     actual = subset_bounds(frame, kept)
     t_lo, t_up = schedule.steps[-1]
@@ -222,113 +294,6 @@ def _certify(
         fast_path=False,
         rounds=log,
     )
-
-
-def halving_select(
-    frame: FrameSystem, theta: float, config: Optional[OracleConfig] = None
-) -> HalvingCertificate:
-    """Select a small index subset of a tight frame with two-sided bounds.
-
-    Parameters
-    ----------
-    frame : FrameSystem
-        Tight within 1e-8: both frame bounds in [1 - 1e-8, 1 + 1e-8].
-    theta : float
-        A-priori norm level: every squared vector norm must be at most
-        delta = theta * n / m, and theta <= m / n.
-    config : OracleConfig, optional
-        Partition search strategy, budget and seed (defaults:
-        randomized, 10000, 0).
-
-    Returns
-    -------
-    HalvingCertificate
-        With delta >= 1/100 the full index set is returned (fast path)
-        and its measured bounds are the tight ones.  Otherwise L + 1
-        halving rounds run, |J| <= m / 2^(L+1), and the measured lower
-        bound is at least 25 delta (within 1e-10 slack).
-
-    Zero vectors never affect bounds and are dropped from J after
-    selection.
-    """
-    cfg = config or OracleConfig()
-    if theta > frame.m / frame.n * (1.0 + 1e-12):
-        raise PreconditionError(
-            f"theta={theta} exceeds m/n={frame.m / frame.n}"
-        )
-    if not verify_tight(frame, TIGHTNESS_TOL):
-        b = frame_bounds(frame)
-        raise PreconditionError(
-            f"frame is not tight within {TIGHTNESS_TOL}: bounds "
-            f"({b.lower:.12f}, {b.upper:.12f})"
-        )
-    delta = theta * frame.n / frame.m
-    _check_norm_condition(frame, delta)
-    if 1.0 <= 100.0 * delta:
-        kept = _drop_zero_vectors(frame, range(frame.m))
-        return HalvingCertificate(
-            J=kept,
-            theta=theta,
-            delta=delta,
-            schedule=None,
-            theoretical_lower=1.0,
-            theoretical_upper=1.0,
-            actual=subset_bounds(frame, kept),
-            rescale=frame.m / frame.n,
-            fast_path=True,
-            rounds=(),
-        )
-    schedule = _build_schedule(1.0, 1.0, delta)
-    return _certify(frame, theta, delta, schedule, cfg)
-
-
-def halving_select_frame(
-    frame: FrameSystem,
-    bounds: FrameBounds,
-    theta: float,
-    config: Optional[OracleConfig] = None,
-) -> HalvingCertificate:
-    """Halving seeded at declared frame bounds (A, B) instead of (1, 1).
-
-    The declared bounds must be valid for the frame (measured bounds
-    inside [A(1 - 1e-8), B(1 + 1e-8)]) and A must exceed delta.  With
-    A = B = 1 this reduces exactly to :func:`halving_select` for the
-    same seed.  The fast path triggers when A <= 100 delta.
-    """
-    cfg = config or OracleConfig()
-    a, b = float(bounds[0]), float(bounds[1])
-    delta = theta * frame.n / frame.m
-    if not (a > 0):
-        raise PreconditionError(f"declared lower bound must be positive, got {a}")
-    if not (a > delta):
-        raise PreconditionError(
-            f"declared lower bound {a} must exceed delta={delta}"
-        )
-    if b < a:
-        raise PreconditionError(f"declared bounds out of order: ({a}, {b})")
-    measured = frame_bounds(frame)
-    if measured.lower < a * (1.0 - 1e-8) or measured.upper > b * (1.0 + 1e-8):
-        raise PreconditionError(
-            f"declared bounds ({a}, {b}) do not hold: measured "
-            f"({measured.lower:.12f}, {measured.upper:.12f})"
-        )
-    _check_norm_condition(frame, delta)
-    if a <= 100.0 * delta:
-        kept = _drop_zero_vectors(frame, range(frame.m))
-        return HalvingCertificate(
-            J=kept,
-            theta=theta,
-            delta=delta,
-            schedule=None,
-            theoretical_lower=a,
-            theoretical_upper=b,
-            actual=subset_bounds(frame, kept),
-            rescale=frame.m / frame.n,
-            fast_path=True,
-            rounds=(),
-        )
-    schedule = _build_schedule(a, b, delta)
-    return _certify(frame, theta, delta, schedule, cfg)
 
 
 def check_cardinality_sandwich(cert: HalvingCertificate, frame: FrameSystem) -> bool:

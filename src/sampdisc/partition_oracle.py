@@ -38,17 +38,23 @@ _CHUNK = 1 << 13
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """How partition searches are driven inside larger pipelines."""
+    """How partition searches are driven inside larger pipelines.
+
+    Halving rounds always run the randomized search: a round needs more
+    than 100 * n * theta >= 100 vectors, while the exhaustive oracle
+    stops at ``EXHAUSTIVE_LIMIT`` = 24.  ``strategy`` therefore accepts
+    only 'randomized'.
+    """
 
     strategy: str = "randomized"
     budget: int = DEFAULT_BUDGET
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in ("exhaustive", "randomized"):
+        if self.strategy != "randomized":
             raise PreconditionError(
-                f"unknown strategy {self.strategy!r}; "
-                "expected 'exhaustive' or 'randomized'"
+                f"unknown strategy {self.strategy!r}; halving rounds run "
+                "only the 'randomized' search"
             )
         if self.budget < 1:
             raise PreconditionError(f"budget must be >= 1, got {self.budget}")
@@ -134,14 +140,16 @@ def _split_ok(b1: FrameBounds, b2: FrameBounds, lo: float, up: float) -> bool:
     )
 
 
-def _check_norms(req: PartitionRequest):
-    norms = req.frame.norms_squared()[list(req.active)]
-    limit = req.delta * (1.0 + 1e-9)
-    if norms.max() > limit:
-        offender = req.active[int(np.argmax(norms))]
+def _check_norms(frame: FrameSystem, delta: float, active=None):
+    """Reject a squared vector norm above delta (relative slack 1e-9),
+    over all vectors or only the ``active`` indices."""
+    idx = np.arange(frame.m) if active is None else np.asarray(active, dtype=np.int64)
+    norms = frame.norms_squared()[idx]
+    if norms.max() > delta * (1.0 + 1e-9):
+        offender = int(idx[np.argmax(norms)])
         raise PreconditionError(
             f"vector {offender} has squared norm {norms.max():.6e} "
-            f"exceeding delta={req.delta:.6e}"
+            f"exceeding delta={delta:.6e}"
         )
 
 
@@ -303,7 +311,7 @@ def spectral_partition(
         raise PreconditionError(f"unknown strategy {strategy!r}")
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
-    _check_norms(req)
+    _check_norms(req.frame, req.delta, req.active)
     lo_t, up_t = partition_targets(req.alpha, req.beta, req.delta)
     if strategy == "exhaustive":
         return _exhaustive(req, lo_t, up_t)

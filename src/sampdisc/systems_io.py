@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import DiscretizationCertificate, SampledSystem
+from .discretize import DiscretizationCertificate, SampledSystem, _fmt
 from .errors import ParseError, PreconditionError
 from .frame_core import FrameBounds
 
@@ -122,10 +122,6 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     if desc.seed is None:
         raise PreconditionError("random_orthonormal needs a seed")
     return _random_orthonormal_system(desc.n, desc.m, desc.seed, field)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_float(text: str, path: str, row: Optional[int]) -> float:

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import SampledSystem, _weighted_gram
-from .frame_core import FrameBounds, extreme_eigenvalues
+from .discretize import SampledSystem, recompute_constants
+from .frame_core import FrameBounds
 
 VERIFY_TOL = 1e-10
 
@@ -31,25 +31,6 @@ class VerifyReport:
         self.passed = False
         self.messages.append(message)
         return self
-
-
-def recompute_constants(
-    system: SampledSystem, indices, weights=None
-) -> FrameBounds:
-    """Extreme eigenvalues of sum_nu lambda_nu u(x_nu) u(x_nu)^*.
-
-    ``weights`` None means uniform 1/len(indices).
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        return FrameBounds(0.0, 0.0)
-    cols = system.values[:, idx]
-    if weights is None:
-        lam = np.full(idx.size, 1.0 / idx.size)
-    else:
-        lam = np.asarray(weights, dtype=np.float64)
-    lo, hi = extreme_eigenvalues(_weighted_gram(cols, lam))
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
 
 
 def verify_certificate(

@@ -187,21 +187,10 @@ def test_usage_errors(tmp_path, capsys):
 
     code, _, err = run(
         capsys, "select", "--kind", "dft", "--n", "2", "--m", "16",
-        "--strategy", "greedy", "--out", str(tmp_path / "c.json"),
+        "--field", "quaternion", "--seed", "0", "--out", str(tmp_path / "c.json"),
     )
     assert code == 1  # argparse choice rejection surfaces as usage error
     assert "invalid choice" in err
-
-
-def test_exhaustive_strategy_needs_no_seed(tmp_path, capsys):
-    cert = str(tmp_path / "cert.json")
-    code, out, _ = run(
-        capsys,
-        "select", "--kind", "dft", "--n", "2", "--m", "16",
-        "--strategy", "exhaustive", "--out", cert,
-    )
-    assert code == 0
-    assert "kind=equal_weight selected=16" in out
 
 
 def test_runtime_error_exit_1(tmp_path, capsys):

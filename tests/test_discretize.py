@@ -484,3 +484,31 @@ def test_transfer_mapping_mismatches():
     other = make_system(SystemDescriptor("dft", n=2, m=34))
     with pytest.raises(MappingMismatchError, match="this complex system"):
         transfer_certificate(real_cert, other, mapping)
+
+
+# ---------------------------------------------------------- one constants kernel
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["trig", "dft", "walsh", "random_orthonormal"])
+def test_pipelines_measure_constants_with_the_shared_kernel(kind, field):
+    # every pipeline's constants are exactly what verification recomputes
+    n = 3 if kind == "trig" else 2
+    system = make_system(SystemDescriptor(kind, n=n, m=512, seed=3), field=field)
+    tagged = SampledSystem(np.array(system.values, dtype=complex), system.points)
+    companion, mapping = complexify_via_real(tagged)
+    certs = (
+        (system, discretize_equal_weight(system, OracleConfig(seed=1))),
+        (system, discretize_weighted(system, OracleConfig(seed=1))),
+        (tagged, transfer_certificate(discretize_equal_weight(companion), tagged, mapping)),
+        (
+            tagged,
+            transfer_certificate(
+                discretize_weighted(companion, OracleConfig(seed=2)), tagged, mapping
+            ),
+        ),
+    )
+    for source, cert in certs:
+        assert cert.constants == recompute_constants(
+            source, cert.point_indices, cert.weights
+        )

@@ -165,22 +165,26 @@ def test_iterative_determinism():
     assert a.actual == b.actual
 
 
-def test_exhaustive_config_accepted_on_fast_path():
-    # iterative halving needs m > 100 n (norms at most delta < A/100
-    # while averaging A n/m), which always exceeds the exhaustive
-    # enumeration limit of 24; the config is still accepted and the
-    # fast path triggers
-    j = np.arange(16)
-    vals = np.stack([np.ones(16), 1.0 - 2.0 * (j & 1)]) / 4.0
-    frame = FrameSystem(vals * np.sqrt(0.05))
-    cert = halving_select_frame(
-        frame,
-        FrameBounds(0.05, 0.05),
-        theta=0.05,
-        config=OracleConfig(strategy="exhaustive"),
-    )
+def test_theta_at_ratio_fast_path_and_randomized_only():
+    # theta = m/n gives delta = 1 = A, which halving_select_frame rejects
+    # (it needs A > delta) but the plain entry accepts on the fast path
+    frame = dft_frame(2, 8)
+    cert = halving_select(frame, 4.0)
     assert cert.fast_path
-    assert cert.J == tuple(range(16))
+    assert cert.delta == 1.0
+    assert cert.J == tuple(range(8))
+    assert (cert.theoretical_lower, cert.theoretical_upper) == (1.0, 1.0)
+    assert abs(cert.actual.lower - 1.0) < 1e-14
+    with pytest.raises(PreconditionError):
+        halving_select(frame, 4.0 * (1.0 + 1e-9))
+    with pytest.raises(PreconditionError):
+        halving_select_frame(frame, FrameBounds(1.0, 1.0), 4.0)
+    # a halving round needs m > 100 n theta >= 100 vectors, beyond the
+    # exhaustive enumeration limit of 24, so only the randomized search
+    # is configurable
+    with pytest.raises(PreconditionError):
+        OracleConfig(strategy="exhaustive")
+    assert OracleConfig(strategy="randomized") == OracleConfig()
 
 
 def test_frame_variant_matches_plain_on_tight():
