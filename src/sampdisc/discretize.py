@@ -146,16 +146,49 @@ class SampledSystem:
         return _weighted_gram(self.values, self.point_weights)
 
     def orthonormality_residual(self) -> float:
-        """Spectral norm of gram() - identity."""
-        g = self.gram() - np.eye(self.n)
-        return float(np.linalg.norm(g, 2))
+        """Spectral norm of gram() - identity.
+
+        Measured once per system: the arrays are read-only private
+        copies, so the first result is kept on the instance.
+        """
+        resid = self.__dict__.get("_residual")
+        if resid is None:
+            resid = float(np.linalg.norm(self.gram() - np.eye(self.n), 2))
+            object.__setattr__(self, "_residual", resid)
+        return resid
 
     def fingerprint(self) -> str:
         """Content hash over shapes, weights, points and values."""
         return system_fingerprint(self)
 
 
+_PREFIX = "sha256v2:"
+_LEGACY_PREFIX = "sha256:"
+
+
 def system_fingerprint(system: SampledSystem) -> str:
+    """sha256 over a shape header and the raw float64 bytes of the
+    point weights, the (m, d) points and the values.
+
+    Bytes identify finite doubles exactly (-0.0 included), so this
+    detects the same edits as the legacy text hash at a fraction of its
+    cost.
+    """
+    pts = system.points if system.points.ndim == 2 else system.points[:, None]
+    h = hashlib.sha256()
+    h.update(b"sampled-system/2\n")
+    h.update(f"{system.n} {system.m} {pts.shape[1]} {system.field}\n".encode())
+    for array in (system.point_weights, pts, system.values):
+        # complex entries become (re, im) pairs
+        flat = np.ascontiguousarray(array).view(np.float64)
+        h.update(flat.astype("<f8", copy=False))
+    return _PREFIX + h.hexdigest()
+
+
+def _legacy_fingerprint(system: SampledSystem) -> str:
+    """The ``sampled-system/1`` hash over the ``repr`` text of every
+    number, prefixed ``sha256:``; kept so that files and certificates
+    written with it still load and verify."""
     h = hashlib.sha256()
     h.update(b"sampled-system/1\n")
     h.update(f"{system.n} {system.m} {system.field}\n".encode())
@@ -175,7 +208,21 @@ def system_fingerprint(system: SampledSystem) -> str:
         else:
             h.update(" ".join(_fmt(z) for z in row).encode())
         h.update(b"\n")
-    return "sha256:" + h.hexdigest()
+    return _LEGACY_PREFIX + h.hexdigest()
+
+
+def fingerprint_matches(system: SampledSystem, stored) -> bool:
+    """Whether ``stored`` fingerprints ``system``.
+
+    A legacy ``sha256:`` string is checked against the legacy text hash,
+    anything else against :func:`system_fingerprint`; a value that is
+    not a string never matches.
+    """
+    if not isinstance(stored, str):
+        return False
+    if stored.startswith(_LEGACY_PREFIX):
+        return stored == _legacy_fingerprint(system)
+    return stored == system_fingerprint(system)
 
 
 @dataclass(frozen=True)
@@ -259,7 +306,6 @@ class DiscretizationCertificate:
     theta: Optional[float]
     input_fingerprint: str
     pipeline_log: tuple
-    basis_values: Optional[np.ndarray] = None
 
 
 def _uniform(system: SampledSystem) -> bool:
@@ -325,7 +371,6 @@ def discretize_equal_weight(
         theta=theta_used,
         input_fingerprint=system.fingerprint(),
         pipeline_log=log,
-        basis_values=system.values[:, idx],
     )
 
 
@@ -543,7 +588,6 @@ def discretize_continuous(
         theta=inner.theta,
         input_fingerprint=refined.fingerprint(),
         pipeline_log=log,
-        basis_values=inner.basis_values,
     )
 
 
@@ -600,7 +644,6 @@ def discretize_weighted(
         theta=2.0,
         input_fingerprint=system.fingerprint(),
         pipeline_log=tuple(log),
-        basis_values=work.values[:, support],
     )
 
 
@@ -690,5 +733,4 @@ def transfer_certificate(
         theta=real_cert.theta,
         input_fingerprint=system.fingerprint(),
         pipeline_log=log,
-        basis_values=system.values[:, idx],
     )

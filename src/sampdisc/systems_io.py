@@ -18,7 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import DiscretizationCertificate, SampledSystem, _fmt
+from .discretize import (
+    DiscretizationCertificate,
+    SampledSystem,
+    _fmt,
+    fingerprint_matches,
+)
 from .errors import ParseError, PreconditionError
 from .frame_core import FrameBounds
 
@@ -131,6 +136,15 @@ def _parse_float(text: str, path: str, row: Optional[int]) -> float:
         raise ParseError(f"bad number {text!r}", path=path, row=row) from None
 
 
+def _parse_floats(cells, path: str, row: Optional[int]) -> list:
+    """float of every cell.  Only when one fails are the cells parsed
+    again one by one, so that the ParseError names the bad one."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_parse_float(cell, path, row) for cell in cells]
+
+
 def save_system(system: SampledSystem, path: str) -> None:
     """Write values as CSV and metadata as a JSON sidecar (path + ".json").
 
@@ -138,28 +152,19 @@ def save_system(system: SampledSystem, path: str) -> None:
     Floats are exact decimal strings, so loading reproduces the arrays
     bit for bit.
     """
-    complex_values = system.field == "complex"
+    # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
+    # each row; streamed so the text is never held whole
+    flat = np.ascontiguousarray(system.values).view(np.float64)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in system.values:
-            if complex_values:
-                flat = []
-                for z in row:
-                    flat.append(_fmt(z.real))
-                    flat.append(_fmt(z.imag))
-                writer.writerow(flat)
-            else:
-                writer.writerow([_fmt(z) for z in row])
-    pts = system.points
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in flat)
+    pts = np.atleast_2d(system.points.T).T
     meta = {
         "schema_version": SCHEMA_VERSION,
         "field": system.field,
         "n": system.n,
         "m": system.m,
-        "points": [
-            [_fmt(c) for c in np.atleast_1d(p)] for p in pts
-        ],
-        "point_weights": [_fmt(w) for w in system.point_weights],
+        "points": [list(map(repr, p)) for p in pts.tolist()],
+        "point_weights": list(map(repr, system.point_weights.tolist())),
         "fingerprint": system.fingerprint(),
     }
     with open(path + ".json", "w") as fh:
@@ -191,27 +196,27 @@ def load_system(path: str) -> SampledSystem:
                 raise ParseError(
                     f"expected {width} columns, found {len(row)}", path=path, row=i
                 )
-            rows.append([_parse_float(cell, path, i) for cell in row])
+            rows.append(_parse_floats(row, path, i))
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}", path=path)
-    flat = np.asarray(rows, dtype=np.float64)
+    values = np.asarray(rows, dtype=np.float64)
     if complex_values:
-        values = flat[:, 0::2] + 1j * flat[:, 1::2]
-    else:
-        values = flat
+        # reinterpret (re, im) pairs; arithmetic would turn -0.0 into 0.0
+        values = values.view(np.complex128)
 
     points = np.asarray(
-        [[_parse_float(c, side, None) for c in np.atleast_1d(p)] for p in meta["points"]],
+        [
+            _parse_floats(p if isinstance(p, list) else [p], side, None)
+            for p in meta["points"]
+        ],
         dtype=np.float64,
     )
     if points.shape[1] == 1:
         points = points[:, 0]
-    weights = np.asarray(
-        [_parse_float(w, side, None) for w in meta["point_weights"]], dtype=np.float64
-    )
+    weights = np.asarray(_parse_floats(meta["point_weights"], side, None))
     system = SampledSystem(values, points, weights)
     stored = meta.get("fingerprint")
-    if stored is not None and stored != system.fingerprint():
+    if stored is not None and not fingerprint_matches(system, stored):
         raise ParseError("fingerprint mismatch: file contents were altered", path=path)
     return system
 
@@ -295,7 +300,7 @@ def load_certificate(path: str) -> dict:
     )
     doc["point_indices"] = [int(i) for i in doc["point_indices"]]
     if doc.get("weights") is not None:
-        doc["weights"] = [_parse_float(w, path, None) for w in doc["weights"]]
+        doc["weights"] = _parse_floats(doc["weights"], path, None)
     if doc.get("theta") is not None:
         doc["theta"] = _parse_float(doc["theta"], path, None)
     return doc

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .discretize import SampledSystem, recompute_constants
+from .discretize import SampledSystem, fingerprint_matches, recompute_constants
 from .frame_core import FrameBounds
 
 VERIFY_TOL = 1e-10
@@ -49,7 +49,7 @@ def verify_certificate(
         return report.fail("document has no decoded constants")
     report.stored = stored
 
-    if document.get("input_fingerprint") != system.fingerprint():
+    if not fingerprint_matches(system, document.get("input_fingerprint")):
         report.fail("system fingerprint does not match the certificate")
 
     indices = document.get("point_indices", [])

@@ -26,6 +26,8 @@ from sampdisc import (
     transfer_certificate,
 )
 
+from sampdisc.discretize import _legacy_fingerprint, fingerprint_matches
+
 from helpers import loop_frame_operator
 
 
@@ -147,6 +149,50 @@ def test_fingerprint_sensitivity():
         SampledSystem(np.array(base.values, dtype=complex), base.points).fingerprint()
         != base.fingerprint()
     )
+    # a point weight moved while the weights still sum to 1
+    shifted = np.array(base.point_weights)
+    shifted[0] += 1e-13
+    shifted[1] -= 1e-13
+    assert SampledSystem(base.values, base.points, shifted).fingerprint() != (
+        base.fingerprint()
+    )
+    # -0.0 and 0.0 are different doubles, in both hash versions
+    assert base.values[2, 0] == 0.0 and not np.signbit(base.values[2, 0])
+    signed = np.array(base.values)
+    signed[2, 0] = -0.0
+    negzero = SampledSystem(signed, base.points)
+    assert negzero.fingerprint() != base.fingerprint()
+    assert _legacy_fingerprint(negzero) != _legacy_fingerprint(base)
+
+    current, legacy = base.fingerprint(), _legacy_fingerprint(base)
+    assert current.startswith("sha256v2:") and legacy.startswith("sha256:")
+    assert fingerprint_matches(base, current)
+    assert fingerprint_matches(base, legacy)
+    digest = current.split(":", 1)[1]
+    # a v2 digest under the legacy prefix is checked as legacy and fails
+    assert not fingerprint_matches(base, "sha256:" + digest)
+    # unknown prefixes and non-strings are mismatches, never exceptions
+    for stored in ("md5:" + digest, "sha256v3:" + digest, digest, "", None, 12):
+        assert not fingerprint_matches(base, stored)
+
+
+def test_orthonormality_residual_measured_once(monkeypatch):
+    calls = []
+    gram = SampledSystem.gram
+
+    def counting_gram(self):
+        calls.append(self)
+        return gram(self)
+
+    monkeypatch.setattr(SampledSystem, "gram", counting_gram)
+    system = make_system(SystemDescriptor("trig", n=5, m=32))
+    first = system.orthonormality_residual()
+    assert system.orthonormality_residual() == first
+    assert len(calls) == 1
+    # another system with the same arrays measures its own
+    twin = SampledSystem(system.values, system.points)
+    assert twin.orthonormality_residual() == first
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------ refinement

@@ -1,6 +1,8 @@
 """Generators, file round trips, and certificate verification."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from sampdisc import (
     save_system,
     verify_certificate,
 )
+from sampdisc.cli import main
 
 
 # ------------------------------------------------------------------ generators
@@ -191,8 +194,46 @@ def test_load_bad_number(tmp_path):
     save_system(system, path)
     text = (tmp_path / "sys.csv").read_text()
     (tmp_path / "sys.csv").write_text(text.replace("1.0", "abc", 1))
-    with pytest.raises(ParseError, match="bad number 'abc'"):
+    with pytest.raises(ParseError, match="bad number 'abc'") as info:
         load_system(path)
+    assert info.value.row == 0
+    # a bad cell in a later row is reported with that row
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[2].replace("-1.0", "1.0.0", 1)
+    (tmp_path / "sys.csv").write_text("".join(lines))
+    with pytest.raises(ParseError, match=r"bad number '1\.0\.0' \(row 2\)"):
+        load_system(path)
+
+    # sidecar points and weights name the bad value without a row
+    (tmp_path / "sys.csv").write_text(text)
+    meta = json.loads((tmp_path / "sys.csv.json").read_text())
+    for key, bad in (("points", [["0.0"], "x1"]), ("point_weights", ["0.125", "w"])):
+        doc = dict(meta, **{key: bad + meta[key][2:]})
+        (tmp_path / "sys.csv.json").write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"bad number '{bad[1]}'") as info:
+            load_system(path)
+        assert info.value.row is None and info.value.path == path + ".json"
+
+
+def test_save_csv_golden_bytes(tmp_path):
+    # Fortran-ordered complex values, as random_orthonormal produces them
+    values = np.asfortranarray(
+        [
+            [1.0 + 0.5j, complex(-0.0, 2.0), 3.25 - 1e-300j],
+            [0.1 + 0.0j, -1.5 - 0.25j, 1e22 + 1.0j],
+        ]
+    )
+    system = SampledSystem(values, np.arange(3.0))
+    assert not system.values.flags.c_contiguous
+    path = tmp_path / "cx.csv"
+    save_system(system, str(path))
+    assert path.read_bytes() == (
+        b"1.0,0.5,-0.0,2.0,3.25,-1e-300\r\n"
+        b"0.1,0.0,-1.5,-0.25,1e+22,1.0\r\n"
+    )
+    back = load_system(str(path))
+    assert np.array_equal(back.values, system.values)
+    assert np.signbit(back.values[0, 1].real)
 
 
 def test_load_fingerprint_tamper(tmp_path):
@@ -377,3 +418,33 @@ def test_verify_tolerance_scales_with_magnitude():
     assert verify_certificate(system, doc).passed
     doc["constants_decoded"] = FrameBounds(base.lower + 5e-10, base.upper)
     assert not verify_certificate(system, doc).passed
+
+
+# ------------------------------------------------------------- legacy files
+
+LEGACY = Path(__file__).parent / "data" / "legacy_trig3x8"
+
+
+def test_legacy_v1_files_load_and_verify(tmp_path, capsys):
+    # written before the float64-bytes fingerprint, with "sha256:" text hashes
+    system = load_system(f"{LEGACY}.csv")
+    assert np.array_equal(
+        system.values, make_system(SystemDescriptor("trig", n=3, m=8)).values
+    )
+    doc = load_certificate(f"{LEGACY}.cert.json")
+    assert doc["input_fingerprint"].startswith("sha256:")
+    assert verify_certificate(system, doc).passed
+    code = main(
+        ["verify", "--system", f"{LEGACY}.csv", "--certificate", f"{LEGACY}.cert.json"]
+    )
+    assert code == 0
+    assert "verification passed" in capsys.readouterr().out
+
+    # one character of one value changed
+    path = tmp_path / "legacy.csv"
+    text = Path(f"{LEGACY}.csv").read_bytes()
+    assert text.count(b"0.9999999999999998") == 1
+    path.write_bytes(text.replace(b"0.9999999999999998", b"0.9999999999999997"))
+    shutil.copy(f"{LEGACY}.csv.json", f"{path}.json")
+    with pytest.raises(ParseError, match="fingerprint mismatch"):
+        load_system(str(path))
