@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from .discretize import (
+    ORTHONORMALITY_TOL,
     _fmt,
     condition_e_constant,
     discretize_equal_weight,
@@ -68,6 +69,42 @@ def _add_search_args(sub):
     sub.add_argument("--budget", type=int, default=10_000)
 
 
+def _add_rebase_args(sub, with_delta=True):
+    if with_delta:
+        sub.add_argument(
+            "--delta",
+            type=float,
+            default=ORTHONORMALITY_TOL,
+            help="largest orthonormality residual accepted without re-basing",
+        )
+    sub.add_argument(
+        "--out-system",
+        help="where to save the re-orthonormalized system if re-basing is needed",
+    )
+
+
+def _rebased(system, delta, out_system):
+    """The system a certificate will refer to.
+
+    A system whose orthonormality residual exceeds ``delta`` is
+    re-orthonormalized and saved to ``out_system``, so the certificate
+    verifies against a file on disk; without ``out_system`` that is a
+    usage error.
+    """
+    resid = system.orthonormality_residual()
+    if resid > delta:
+        if not out_system:
+            raise UsageError(
+                f"orthonormality residual {resid:.3e} exceeds {delta}; "
+                "pass --out-system to save the re-based system the certificate "
+                "will refer to"
+            )
+        system = reorthonormalize(system)
+        save_system(system, out_system)
+        print(f"re-based system written to {out_system} (rank {system.n})")
+    return system
+
+
 def _oracle(args) -> OracleConfig:
     if args.seed is None:
         raise UsageError("--seed is required")
@@ -108,20 +145,12 @@ def build_parser() -> _Parser:
         type=float,
         help="norm level; defaults to the measured concentration constant",
     )
-    sel.add_argument(
-        "--delta",
-        type=float,
-        default=1e-8,
-        help="largest orthonormality residual accepted without re-basing",
-    )
-    sel.add_argument(
-        "--out-system",
-        help="where to save the re-orthonormalized system if re-basing is needed",
-    )
+    _add_rebase_args(sel)
 
     selw = subs.add_parser("select-weighted", help="weighted point selection")
     _add_source_args(selw, needs_out=True)
     _add_search_args(selw)
+    _add_rebase_args(selw, with_delta=False)
     selw.add_argument("--cap", type=int, default=1_000_000)
 
     ver = subs.add_parser("verify", help="recompute certificate constants")
@@ -199,19 +228,8 @@ def _print_certificate(cert) -> None:
 
 
 def _cmd_select(args) -> int:
-    system = _resolve_system(args)
     config = _oracle(args)
-    resid = system.orthonormality_residual()
-    if resid > args.delta:
-        if not args.out_system:
-            raise UsageError(
-                f"orthonormality residual {resid:.3e} exceeds --delta {args.delta}; "
-                "pass --out-system to save the re-based system the certificate "
-                "will refer to"
-            )
-        system = reorthonormalize(system)
-        save_system(system, args.out_system)
-        print(f"re-based system written to {args.out_system} (rank {system.n})")
+    system = _rebased(_resolve_system(args), args.delta, args.out_system)
     cert = discretize_equal_weight(system, config, theta=args.theta)
     save_certificate(
         cert, args.out, settings=_settings(args, {"delta": args.delta})
@@ -222,8 +240,10 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_select_weighted(args) -> int:
-    system = _resolve_system(args)
     config = _oracle(args)
+    # the weighted pipeline re-bases any residual above
+    # ORTHONORMALITY_TOL itself, onto a basis no file would hold
+    system = _rebased(_resolve_system(args), ORTHONORMALITY_TOL, args.out_system)
     cert = discretize_weighted(system, config, cap=args.cap)
     save_certificate(
         cert, args.out, settings=_settings(args, {"cap": args.cap})

@@ -363,7 +363,7 @@ def discretize_equal_weight(
     )
     return DiscretizationCertificate(
         kind="equal_weight",
-        point_indices=tuple(int(j) for j in idx),
+        point_indices=tuple(idx.tolist()),
         points=system.points[idx],
         m=int(idx.size),
         weights=None,
@@ -636,10 +636,10 @@ def discretize_weighted(
     log.append(_halving_stage(wcert.halving))
     return DiscretizationCertificate(
         kind="weighted",
-        point_indices=tuple(int(j) for j in support),
+        point_indices=tuple(support.tolist()),
         points=work.points[support],
         m=int(support.size),
-        weights=tuple(float(w) for w in point_weights),
+        weights=tuple(point_weights.tolist()),
         constants=constants,
         theta=2.0,
         input_fingerprint=system.fingerprint(),

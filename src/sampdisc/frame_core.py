@@ -69,8 +69,17 @@ class FrameSystem:
         return "complex" if np.iscomplexobj(self.vectors) else "real"
 
     def norms_squared(self) -> np.ndarray:
-        """Squared Euclidean norm of each vector, shape (m,)."""
-        return np.einsum("ij,ij->j", self.vectors, self.vectors.conj()).real
+        """Squared Euclidean norm of each vector, shape (m,), read-only.
+
+        Measured once per frame: halving checks the norms of every
+        round's active set, and ``vectors`` is a read-only private copy.
+        """
+        norms = self.__dict__.get("_norms_squared")
+        if norms is None:
+            norms = np.einsum("ij,ij->j", self.vectors, self.vectors.conj()).real
+            norms.setflags(write=False)
+            object.__setattr__(self, "_norms_squared", norms)
+        return norms
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -121,16 +130,25 @@ def verify_tight(frame: FrameSystem, tol: float) -> bool:
     return b.lower >= 1.0 - tol and b.upper <= 1.0 + tol
 
 
+def _index_array(indices: Iterable[int]) -> np.ndarray:
+    """Indices as an int64 array; an int64 array is returned as is."""
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    return np.asarray(indices, dtype=np.int64)
+
+
 def _validated_indices(indices: Iterable[int], m: int) -> np.ndarray:
-    idx = np.asarray(list(indices), dtype=np.int64)
+    idx = _index_array(indices)
     if idx.size == 0:
         return idx
-    if idx.min() < 0 or idx.max() >= m:
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= m:
         raise PreconditionError(
             f"index set not contained in 0..{m - 1}: offending value "
-            f"{idx.min() if idx.min() < 0 else idx.max()}"
+            f"{lo if lo < 0 else hi}"
         )
-    if np.unique(idx).size != idx.size:
+    # a strictly increasing set has no duplicates; skip the unique pass
+    if not (np.diff(idx) > 0).all() and np.unique(idx).size != idx.size:
         raise PreconditionError("index set contains duplicates")
     return idx
 
@@ -138,6 +156,8 @@ def _validated_indices(indices: Iterable[int], m: int) -> np.ndarray:
 def subset_bounds(frame: FrameSystem, subset: Iterable[int]) -> FrameBounds:
     """Extreme eigenvalues of the operator restricted to a vector subset.
 
+    ``subset`` may be any integer array-like (a tuple, a list, a numpy
+    array) without duplicates; columns are summed in the given order.
     The empty subset yields (0, 0).  Bounds are reported without any
     rescaling; callers working per-point apply their own m/n factor.
     """

@@ -141,13 +141,12 @@ class HalvingCertificate:
     rounds: tuple
 
 
-def _drop_zero_vectors(frame: FrameSystem, indices) -> tuple:
-    norms = frame.norms_squared()
-    return tuple(int(j) for j in indices if norms[j] > 0.0)
+def _drop_zero_vectors(frame: FrameSystem, indices: np.ndarray) -> np.ndarray:
+    return indices[frame.norms_squared()[indices] > 0.0]
 
 
 def _run_rounds(frame: FrameSystem, schedule: HalvingSchedule, config: OracleConfig):
-    kept = tuple(range(frame.m))
+    kept = np.arange(frame.m)
     log = []
     for j in range(schedule.rounds):
         alpha_j, beta_j = schedule.steps[j]
@@ -156,13 +155,13 @@ def _run_rounds(frame: FrameSystem, schedule: HalvingSchedule, config: OracleCon
         )
         res = spectral_partition(req, budget=config.budget, seed=config.seed + j)
         if len(res.s1) <= len(res.s2):
-            kept, measured = res.s1, res.bounds_s1
+            kept, kept_tuple, measured = res._s1, res.s1, res.bounds_s1
         else:
-            kept, measured = res.s2, res.bounds_s2
+            kept, kept_tuple, measured = res._s2, res.s2, res.bounds_s2
         log.append(
             HalvingRound(
                 index=j,
-                kept=kept,
+                kept=kept_tuple,
                 measured=measured,
                 target_lower=res.lower_target,
                 target_upper=res.upper_target,
@@ -251,9 +250,9 @@ def _select(
         )
     _check_norms(frame, delta)
     if a <= 100.0 * delta:
-        kept = _drop_zero_vectors(frame, range(frame.m))
+        kept = _drop_zero_vectors(frame, np.arange(frame.m))
         return HalvingCertificate(
-            J=kept,
+            J=tuple(kept.tolist()),
             theta=theta,
             delta=delta,
             schedule=None,
@@ -283,7 +282,7 @@ def _select(
             f"m / 2^{schedule.rounds}"
         )
     return HalvingCertificate(
-        J=kept,
+        J=tuple(kept.tolist()),
         theta=theta,
         delta=delta,
         schedule=schedule,

@@ -26,7 +26,7 @@ from .frame_core import (
     EigensolverError,
     FrameBounds,
     FrameSystem,
-    hermitian_part,
+    _index_array,
     subset_bounds,
 )
 
@@ -65,9 +65,11 @@ class PartitionRequest:
     """One halving step: split ``active`` under targets derived from
     (alpha, beta, delta).
 
-    ``alpha`` and ``beta`` are the currently verified lower and upper
-    operator bounds of the active set; ``delta`` dominates every active
-    vector's squared norm.
+    ``active`` may be any integer array-like (a tuple, a list, a numpy
+    array); it is normalized to a sorted tuple of ints.  ``alpha`` and
+    ``beta`` are the currently verified lower and upper operator bounds
+    of the active set; ``delta`` dominates every active vector's squared
+    norm.
     """
 
     frame: FrameSystem
@@ -77,16 +79,19 @@ class PartitionRequest:
     beta: float
 
     def __post_init__(self):
-        active = tuple(int(j) for j in self.active)
-        if len(active) == 0:
+        active = np.sort(_index_array(self.active))
+        if active.size == 0:
             raise PreconditionError("active index set is empty")
-        if len(set(active)) != len(active):
+        if (np.diff(active) == 0).any():
             raise PreconditionError("active index set contains duplicates")
-        if min(active) < 0 or max(active) >= self.frame.m:
+        if active[0] < 0 or active[-1] >= self.frame.m:
             raise PreconditionError(
                 f"active indices must lie in 0..{self.frame.m - 1}"
             )
-        object.__setattr__(self, "active", tuple(sorted(active)))
+        # the search reads the sorted array, callers the tuple
+        active.setflags(write=False)
+        object.__setattr__(self, "_active", active)
+        object.__setattr__(self, "active", tuple(active.tolist()))
         if not (self.delta > 0):
             raise PreconditionError(f"delta must be positive, got {self.delta}")
         if not (self.alpha > self.delta):
@@ -110,6 +115,15 @@ class PartitionResult:
     lower_target: float
     upper_target: float
     candidates_tried: int
+
+    def __post_init__(self):
+        # halving carries the kept side on as a private array copy
+        # (``_s1``/``_s2``); the caller's array is left writable
+        for name in ("s1", "s2"):
+            side = np.array(getattr(self, name), dtype=np.int64)
+            side.setflags(write=False)
+            object.__setattr__(self, "_" + name, side)
+            object.__setattr__(self, name, tuple(side.tolist()))
 
 
 def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, float]:
@@ -142,8 +156,8 @@ def _split_ok(b1: FrameBounds, b2: FrameBounds, lo: float, up: float) -> bool:
 
 def _check_norms(frame: FrameSystem, delta: float, active=None):
     """Reject a squared vector norm above delta (relative slack 1e-9),
-    over all vectors or only the ``active`` indices."""
-    idx = np.arange(frame.m) if active is None else np.asarray(active, dtype=np.int64)
+    over all vectors or only the ``active`` index array."""
+    idx = np.arange(frame.m) if active is None else active
     norms = frame.norms_squared()[idx]
     if norms.max() > delta * (1.0 + 1e-9):
         offender = int(idx[np.argmax(norms)])
@@ -163,7 +177,7 @@ def _batched_extremes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exhaustive(req: PartitionRequest, lo_t: float, up_t: float) -> PartitionResult:
-    active = np.asarray(req.active, dtype=np.int64)
+    active = req._active
     k = active.size
     if k > EXHAUSTIVE_LIMIT:
         raise PartitionSizeError(
@@ -240,7 +254,7 @@ def _exhaustive(req: PartitionRequest, lo_t: float, up_t: float) -> PartitionRes
 def _randomized(
     req: PartitionRequest, lo_t: float, up_t: float, budget: int, seed: int
 ) -> PartitionResult:
-    active = np.asarray(req.active, dtype=np.int64)
+    active = req._active
     k = active.size
     if k < 2:
         raise SearchFailureError(
@@ -257,8 +271,8 @@ def _randomized(
         b2 = subset_bounds(req.frame, s2)
         if _split_ok(b1, b2, lo_t, up_t):
             return PartitionResult(
-                s1=tuple(int(j) for j in s1),
-                s2=tuple(int(j) for j in s2),
+                s1=s1,
+                s2=s2,
                 bounds_s1=b1,
                 bounds_s2=b2,
                 lower_target=lo_t,
@@ -311,7 +325,7 @@ def spectral_partition(
         raise PreconditionError(f"unknown strategy {strategy!r}")
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
-    _check_norms(req.frame, req.delta, req.active)
+    _check_norms(req.frame, req.delta, req._active)
     lo_t, up_t = partition_targets(req.alpha, req.beta, req.delta)
     if strategy == "exhaustive":
         return _exhaustive(req, lo_t, up_t)

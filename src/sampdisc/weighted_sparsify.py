@@ -37,11 +37,24 @@ COPY_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class DuplicationMap:
-    """How source vectors map onto normalized copies."""
+    """How source vectors map onto normalized copies.
+
+    ``counts`` and ``copy_to_source`` may be given as any integer
+    array-like; they are kept as tuples of ints, and as private int64
+    array copies (``_counts``, ``_copy_to_source``) for the fold back
+    into weights.
+    """
 
     counts: tuple
     copy_to_source: tuple
     anchor: int
+
+    def __post_init__(self):
+        for name in ("counts", "copy_to_source"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_" + name, arr)
+            object.__setattr__(self, name, tuple(arr.tolist()))
 
     @property
     def m_prime(self) -> int:
@@ -89,11 +102,7 @@ def duplicate_normalize(
     src = np.repeat(np.arange(frame.m), counts)
     scale = 1.0 / np.sqrt(counts.astype(np.float64))
     vectors = frame.vectors[:, src] * scale[src]
-    dup = DuplicationMap(
-        counts=tuple(int(c) for c in counts),
-        copy_to_source=tuple(int(j) for j in src),
-        anchor=anchor,
-    )
+    dup = DuplicationMap(counts=counts, copy_to_source=src, anchor=anchor)
     return FrameSystem(vectors), dup
 
 
@@ -135,11 +144,11 @@ def weighted_select(
     hcert = halving_select(copies, level, config)
     scale = dup.m_prime / (2.0 * frame.n)
 
-    src = np.asarray(dup.copy_to_source, dtype=np.int64)
-    selected_counts = np.bincount(src[list(hcert.J)], minlength=frame.m)
-    counts = np.asarray(dup.counts, dtype=np.float64)
+    counts = dup._counts
+    selected = dup._copy_to_source[np.asarray(hcert.J, dtype=np.int64)]
+    selected_counts = np.bincount(selected, minlength=frame.m)
     weights = scale * selected_counts / counts
-    support = tuple(int(j) for j in np.flatnonzero(selected_counts))
+    support = tuple(np.flatnonzero(selected_counts).tolist())
 
     bounds = weighted_bounds(frame, weights)
     if hcert.schedule is not None and bounds.lower < 25.0 - 1e-8:
@@ -153,7 +162,7 @@ def weighted_select(
     if len(support) > len(hcert.J):
         raise DiscretizationError("support exceeded the number of selected copies")
     return WeightedCertificate(
-        weights=tuple(float(w) for w in weights),
+        weights=tuple(weights.tolist()),
         support=support,
         bounds=bounds,
         support_budget=budget,

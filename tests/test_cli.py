@@ -1,10 +1,23 @@
 """End-to-end runs of the command line interface (in process)."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sampdisc import SampledSystem, load_certificate, save_system
+from sampdisc import (
+    SampledSystem,
+    SystemDescriptor,
+    load_certificate,
+    load_system,
+    make_system,
+    save_system,
+)
 from sampdisc.cli import main
 
 
@@ -119,6 +132,98 @@ def test_select_rebases_skewed_system(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--system", rebased, "--certificate", cert)
     assert code == 0, out
     assert "verification passed" in out
+
+
+def test_select_weighted_rebases_skewed_system(tmp_path, capsys):
+    base = make_system(SystemDescriptor("random_orthonormal", n=3, m=2000, seed=4))
+    values = base.values.copy()
+    values[0] *= np.sqrt(1.08)  # orthonormality residual 0.08
+    src = str(tmp_path / "skew.csv")
+    save_system(SampledSystem(values, base.points), src)
+    cert = str(tmp_path / "wcert.json")
+    rebased = str(tmp_path / "rebased.csv")
+    argv = ("select-weighted", "--system", src, "--seed", "1", "--out", cert)
+
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "pass --out-system" in err
+    assert not os.path.exists(cert)
+
+    # no residual threshold to raise: any residual the library would
+    # re-base on its own must be re-based here, onto a file
+    code, _, err = run(capsys, *argv, "--delta", "0.1")
+    assert code == 1
+    assert "unrecognized arguments: --delta" in err
+    assert not os.path.exists(cert)
+
+    code, out, _ = run(capsys, *argv, "--out-system", rebased)
+    assert code == 0
+    assert f"re-based system written to {rebased}" in out
+    assert "delta" not in load_certificate(cert)["settings"]
+
+    code, out, _ = run(capsys, "verify", "--system", rebased, "--certificate", cert)
+    assert code == 0, out
+    assert "verification passed" in out
+    code, out, _ = run(capsys, "verify", "--system", src, "--certificate", cert)
+    assert code == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(("select", "select-weighted")),
+    kind=st.sampled_from(("trig", "dft", "walsh", "random_orthonormal")),
+    field=st.sampled_from(("real", "complex")),
+    n=st.integers(1, 4),
+    m=st.sampled_from((8, 32, 128, 512)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_cli_certificates_reverify_and_reject_mutations(
+    command, kind, field, n, m, seed, data
+):
+    # save -> load -> verify passes for every certificate the CLI writes;
+    # a mutated index or weight fails verification with exit 2
+    if kind == "trig":
+        n |= 1
+    with tempfile.TemporaryDirectory() as tmp:
+        system = os.path.join(tmp, "sys.csv")
+        cert = os.path.join(tmp, "cert.json")
+        gen = ("--kind", kind, "--n", str(n), "--m", str(m), "--field", field)
+        assert main(["gen", *gen, "--gen-seed", str(seed), "--out", system]) == 0
+        argv = [command, "--system", system, "--seed", str(seed), "--out", cert]
+        if command == "select-weighted":
+            argv += ["--cap", "20000"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 1:
+            # skewed random systems can need more copies than the cap
+            assert kind == "random_orthonormal" and "cap is 20000" in err.getvalue()
+            assert not os.path.exists(cert)
+            return
+        assert code == 0
+        verify = ["verify", "--system", system, "--certificate", cert]
+        assert main(verify) == 0
+
+        with open(cert) as fh:
+            doc = json.load(fh)
+        k = len(doc["point_indices"])
+        i = data.draw(st.integers(0, k - 1), label="position")
+        targets = ["index"] + (["weight"] if doc["weights"] is not None else [])
+        if data.draw(st.sampled_from(targets), label="target") == "weight":
+            # adding lambda with lambda |u(x)|^2 >= C to one weight lifts the
+            # upper constant past c + C, whatever the system
+            values = load_system(system).values[:, doc["point_indices"][i]]
+            upper = float(doc["constants"]["upper"])
+            bump = 2.0 * upper / float(np.vdot(values, values).real)
+            doc["weights"][i] = repr(float(doc["weights"][i]) + bump)
+        elif k > 1 and data.draw(st.booleans(), label="duplicate"):
+            doc["point_indices"][i] = doc["point_indices"][(i + 1) % k]
+        else:
+            doc["point_indices"][i] = m + data.draw(st.integers(0, 3), label="past")
+        with open(cert, "w") as fh:
+            json.dump(doc, fh)
+        assert main(verify) == 2
 
 
 def test_sweep_header_rows_and_determinism(tmp_path, capsys):

@@ -2,6 +2,8 @@
 weighted selection, random refinement, re-orthonormalization, and the
 complex-to-real transfer."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sampdisc import (
     ContinuousSystemSpec,
     MappingMismatchError,
     OracleConfig,
+    PartitionRequest,
     PreconditionError,
     RefinementError,
     SampledSystem,
@@ -23,7 +26,9 @@ from sampdisc import (
     monte_carlo_refine,
     recompute_constants,
     reorthonormalize,
+    spectral_partition,
     transfer_certificate,
+    weighted_select,
 )
 
 from sampdisc.discretize import _legacy_fingerprint, fingerprint_matches
@@ -558,3 +563,50 @@ def test_pipelines_measure_constants_with_the_shared_kernel(kind, field):
         assert cert.constants == recompute_constants(
             source, cert.point_indices, cert.weights
         )
+
+
+# ------------------------------------------------------ plain result fields
+
+
+def _assert_plain(values, kind):
+    """A tuple of exactly ``kind`` (no numpy scalars) that JSON encodes."""
+    assert type(values) is tuple and len(values) > 0
+    assert {type(v) for v in values} == {kind}
+    json.dumps(values)
+
+
+def test_result_index_and_weight_fields_are_python_scalars():
+    system = make_system(SystemDescriptor("random_orthonormal", n=2, m=512, seed=7))
+    wcert = weighted_select(build_frame_from_samples(system), OracleConfig(seed=5))
+    hcert = wcert.halving
+    assert not hcert.fast_path and len(hcert.rounds) >= 2
+    for field in (
+        hcert.J,
+        wcert.support,
+        wcert.duplication.counts,
+        wcert.duplication.copy_to_source,
+        *(r.kept for r in hcert.rounds),
+    ):
+        _assert_plain(field, int)
+    _assert_plain(wcert.weights, float)
+
+    frame = build_frame_from_samples(system)
+    req = PartitionRequest(
+        frame=frame,
+        active=np.arange(system.m),
+        delta=float(frame.norms_squared().max()),
+        alpha=1.0,
+        beta=1.0,
+    )
+    part = spectral_partition(req, seed=5)
+    _assert_plain(req.active, int)
+    _assert_plain(part.s1, int)
+    _assert_plain(part.s2, int)
+
+    weighted = discretize_weighted(system, OracleConfig(seed=5))
+    _assert_plain(weighted.point_indices, int)
+    _assert_plain(weighted.weights, float)
+    trig = make_system(SystemDescriptor("trig", n=3, m=1024))
+    equal = discretize_equal_weight(trig, OracleConfig(seed=5))
+    assert not equal.pipeline_log[-1]["fast_path"]
+    _assert_plain(equal.point_indices, int)

@@ -128,6 +128,31 @@ def test_index_validation():
         subset_bounds(frame, [1, 1])
 
 
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ((0, 3), "offending value 3"),
+        ((2, -1), "offending value -1"),
+        ((1, 1), "index set contains duplicates"),
+        ((0, 1, 1), "index set contains duplicates"),
+        ((2, 0, 2), "index set contains duplicates"),
+    ],
+)
+def test_index_errors_same_for_arrays(subset, message):
+    frame = FrameSystem(np.eye(3))
+    for given in (subset, list(subset), np.array(subset, dtype=np.int64)):
+        with pytest.raises(PreconditionError, match=message):
+            subset_bounds(frame, given)
+
+
+def test_subset_bounds_accept_arrays():
+    rng = np.random.default_rng(17)
+    frame = random_tight_frame(rng, 3, 9, field="complex")
+    for subset in ((0, 4, 8, 2), (1, 2, 3, 5, 7)):
+        assert subset_bounds(frame, np.array(subset)) == subset_bounds(frame, subset)
+    assert subset_bounds(frame, np.array([], dtype=np.int64)) == (0.0, 0.0)
+
+
 def test_weight_validation():
     frame = FrameSystem(np.eye(3))
     with pytest.raises(PreconditionError):

@@ -6,6 +6,7 @@ import pytest
 from sampdisc import (
     FrameSystem,
     PartitionRequest,
+    PartitionResult,
     PartitionSizeError,
     PreconditionError,
     SearchFailureError,
@@ -78,6 +79,53 @@ def test_request_validation():
         PartitionRequest(frame=frame, active=(0, 1), delta=0.1, alpha=1.0, beta=0.5)
     req = PartitionRequest(frame=frame, active=(1, 0), delta=1.1, alpha=1.2, beta=1.2)
     assert req.active == (0, 1)  # normalized to sorted
+
+
+@pytest.mark.parametrize(
+    "active, message",
+    [
+        ((), "active index set is empty"),
+        ((2, 0, 2), "active index set contains duplicates"),
+        ((1, 1, 2), "active index set contains duplicates"),
+        ((0, 3), r"active indices must lie in 0\.\.2"),
+        ((1, -1), r"active indices must lie in 0\.\.2"),
+    ],
+)
+def test_request_rejects_arrays_like_tuples(active, message):
+    frame = FrameSystem(np.eye(3))
+    for given in (active, list(active), np.array(active, dtype=np.int64)):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            PartitionRequest(frame=frame, active=given, delta=0.1, alpha=1.0, beta=1.0)
+
+
+def test_request_and_result_from_unsorted_array():
+    rng = np.random.default_rng(3)
+    frame = random_tight_frame(rng, 2, 12)
+    delta = float(frame.norms_squared().max())
+    active = np.array([7, 2, 11, 0, 5, 9, 3, 1, 10, 4, 8, 6], dtype=np.int64)
+    from_array = PartitionRequest(frame=frame, active=active, delta=delta, alpha=1.0, beta=1.0)
+    from_tuple = PartitionRequest(
+        frame=frame, active=tuple(range(12)), delta=delta, alpha=1.0, beta=1.0
+    )
+    assert from_array.active == tuple(range(12))
+    assert all(type(j) is int for j in from_array.active)
+    assert active[0] == 7  # the caller's array is left as it was
+    one = spectral_partition(from_array, budget=50, seed=4)
+    two = spectral_partition(from_tuple, budget=50, seed=4)
+    assert one == two
+    assert all(type(j) is int for j in one.s1 + one.s2)
+
+    s1 = np.array([3, 0], dtype=np.int64)
+    s2 = np.array([1, 2], dtype=np.int64)
+    res = PartitionResult(
+        s1=s1, s2=s2, bounds_s1=one.bounds_s1, bounds_s2=one.bounds_s2,
+        lower_target=0.0, upper_target=1.0, candidates_tried=1,
+    )
+    assert res.s1 == (3, 0) and res.s2 == (1, 2)
+    assert all(type(j) is int for j in res.s1 + res.s2)
+    s1[0] = 5  # the caller's arrays stay writable and unshared
+    s2[0] = 6
+    assert res.s1 == (3, 0) and res._s1[0] == 3 and res._s2[0] == 1
 
 
 def test_two_halves_line():

@@ -39,6 +39,9 @@ def test_one_to_four_split_frozen():
     assert dup.counts == (1, 4)
     assert dup.copy_to_source == (0, 1, 1, 1, 1)
     assert dup.anchor == 0
+    # the array the weight fold reads is the same layout as the tuple
+    assert dup._copy_to_source.tolist() == [0, 1, 1, 1, 1]
+    assert dup._counts.tolist() == [1, 4]
     norms = copies.norms_squared()
     assert abs(norms[0] - 0.2) < 1e-15
     assert np.allclose(norms[1:], 0.2, atol=1e-15)
