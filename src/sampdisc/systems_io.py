@@ -5,15 +5,19 @@ metadata (points, weights, field, provenance of the generator).
 Certificates travel as standalone JSON.  All floating point numbers
 are written as exact decimal representations (``repr``), so files
 round-trip bit for bit and rerunning a command reproduces identical
-bytes.
+bytes.  Beside the CSV, a binary copy of its cells bound to the CSV
+bytes by their sha256 lets loading skip the text parse.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -29,6 +33,9 @@ from .frame_core import FrameBounds
 
 SYSTEM_KINDS = ("trig", "dft", "walsh", "random_orthonormal", "file")
 SCHEMA_VERSION = "1"
+# the binary copy: sha256 of the CSV bytes, then the cells as "<f8"
+CACHE_SUFFIX = ".f64"
+_DIGEST_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -129,20 +136,63 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     return _random_orthonormal_system(desc.n, desc.m, desc.seed, field)
 
 
-def _parse_float(text: str, path: str, row: Optional[int]) -> float:
+def _parse_float(text, path: str, row: Optional[int]) -> float:
     try:
         return float(text)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"bad number {text!r}", path=path, row=row) from None
 
 
 def _parse_floats(cells, path: str, row: Optional[int]) -> list:
     """float of every cell.  Only when one fails are the cells parsed
     again one by one, so that the ParseError names the bad one."""
+    if not isinstance(cells, list):
+        raise ParseError(
+            f"expected a list of numbers, got {type(cells).__name__}", path=path, row=row
+        )
     try:
         return list(map(float, cells))
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         return [_parse_float(cell, path, row) for cell in cells]
+
+
+def _json_list(items: list, depth: int) -> str:
+    """The JSON texts ``items`` as a list laid out the way
+    ``json.dump(..., indent=2)`` lays one out at nesting ``depth``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}" + f",{pad}".join(items) + "\n" + "  " * depth + "]"
+
+
+def _repr_list(values: list, depth: int) -> str:
+    """:func:`_json_list` of the ``repr`` strings of ``values``; a
+    float's repr holds no character that JSON escapes."""
+    return _json_list([f'"{r}"' for r in map(repr, values)], depth)
+
+
+def _sidecar_text(system: SampledSystem) -> str:
+    """``json.dump(meta, sort_keys=True, indent=2)`` of the sidecar plus
+    "\n", with the point and weight lists joined directly: ``indent``
+    would put them through the pure-Python encoder."""
+    pts = np.atleast_2d(system.points.T).T
+    head = json.dumps(
+        {
+            "field": system.field,
+            "fingerprint": system.fingerprint(),
+            "m": system.m,
+            "n": system.n,
+        },
+        sort_keys=True,
+        indent=2,
+    )
+    # head ends in "\n}"; the remaining keys sort after "n", in this order
+    return (
+        f'{head[:-2]},\n  "point_weights": '
+        f"{_repr_list(system.point_weights.tolist(), 1)},\n"
+        f'  "points": {_json_list([_repr_list(p, 2) for p in pts.tolist()], 1)},\n'
+        f'  "schema_version": {json.dumps(SCHEMA_VERSION)}\n}}\n'
+    )
 
 
 def save_system(system: SampledSystem, path: str) -> None:
@@ -150,72 +200,129 @@ def save_system(system: SampledSystem, path: str) -> None:
 
     Complex values occupy two adjacent columns per point (re, im).
     Floats are exact decimal strings, so loading reproduces the arrays
-    bit for bit.
+    bit for bit.  ``path + ".f64"`` gets the sha256 of the CSV bytes
+    followed by the same cells as row-major little-endian float64.
     """
     # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
     # each row; streamed so the text is never held whole
     flat = np.ascontiguousarray(system.values).view(np.float64)
-    with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in flat)
-    pts = np.atleast_2d(system.points.T).T
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "field": system.field,
-        "n": system.n,
-        "m": system.m,
-        "points": [list(map(repr, p)) for p in pts.tolist()],
-        "point_weights": list(map(repr, system.point_weights.tolist())),
-        "fingerprint": system.fingerprint(),
-    }
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for row in flat:
+            line = (",".join(map(repr, row.tolist())) + "\r\n").encode()
+            digest.update(line)
+            fh.write(line)
+    with open(path + CACHE_SUFFIX, "wb") as fh:
+        fh.write(digest.digest())
+        fh.write(flat.astype("<f8", copy=False).tobytes())
     with open(path + ".json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_sidecar_text(system))
+
+
+def _cached_values(path: str, csv_bytes: bytes, n: int, width: int):
+    """The (n, width) cells stored in ``path``, or None unless the file
+    holds exactly n * width of them after a digest that is the sha256
+    of ``csv_bytes``."""
+    if n < 1 or width < 1:
+        return None
+    size = _DIGEST_SIZE + 8 * n * width
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != size:
+                return None
+            data = fh.read()
+    except OSError:
+        return None
+    if len(data) != size or data[:_DIGEST_SIZE] != hashlib.sha256(csv_bytes).digest():
+        return None
+    cells = np.frombuffer(data, "<f8", offset=_DIGEST_SIZE)
+    return cells.astype(np.float64, copy=False).reshape(n, width)
+
+
+def _parsed_values(csv_bytes: bytes, path: str, n: int, width: int) -> np.ndarray:
+    """The (n, width) cells of the CSV text ``csv_bytes``."""
+    rows = []
+    text = io.TextIOWrapper(io.BytesIO(csv_bytes), encoding="utf-8", newline="")
+    try:
+        for i, row in enumerate(csv.reader(text)):
+            if len(row) != width:
+                raise ParseError(
+                    f"expected {width} columns, found {len(row)}", path=path, row=i
+                )
+            rows.append(_parse_floats(row, path, i))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=path) from None
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", path=path) from None
+    if len(rows) != n:
+        raise ParseError(f"expected {n} rows, found {len(rows)}", path=path)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _parse_points(raw, side: str) -> np.ndarray:
+    """Sidecar points as (m,) for one coordinate each, else (m, d)."""
+    if not isinstance(raw, list):
+        raise ParseError(f"points must be a list, got {type(raw).__name__}", path=side)
+    points = None
+    # one float pass over all coordinates when every point is a list of d
+    if raw and set(map(type, raw)) == {list} and len(set(map(len, raw))) == 1:
+        try:
+            points = np.array(list(map(float, chain.from_iterable(raw))))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            points = points.reshape(len(raw), len(raw[0]))
+    if points is None:
+        rows = [_parse_floats(p if isinstance(p, list) else [p], side, None) for p in raw]
+        if len({len(r) for r in rows}) != 1:
+            raise ParseError("points need the same number of coordinates", path=side)
+        points = np.asarray(rows, dtype=np.float64)
+    return points[:, 0] if points.shape[1] == 1 else points
 
 
 def load_system(path: str) -> SampledSystem:
-    """Inverse of :func:`save_system`; checks shape and fingerprint."""
+    """Inverse of :func:`save_system`; checks shape and fingerprint.
+
+    The values come from ``path + ".f64"`` when the sidecar has a
+    fingerprint to check them against and that file is the binary copy
+    of exactly these CSV bytes; otherwise the CSV text is parsed.
+    Loading never writes a file.
+    """
     side = path + ".json"
     if not os.path.exists(side):
         raise ParseError("missing metadata sidecar", path=side)
     try:
         with open(side) as fh:
             meta = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", path=side) from None
+    if not isinstance(meta, dict):
+        raise ParseError("metadata is not a JSON object", path=side)
     for key in ("field", "n", "m", "points", "point_weights"):
         if key not in meta:
             raise ParseError(f"metadata lacks {key!r}", path=side)
-    n, m = int(meta["n"]), int(meta["m"])
+    try:
+        n, m = int(meta["n"]), int(meta["m"])
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError("n and m must be integers", path=side) from None
     complex_values = meta["field"] == "complex"
     width = 2 * m if complex_values else m
+    stored = meta.get("fingerprint")
 
-    rows = []
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if len(row) != width:
-                raise ParseError(
-                    f"expected {width} columns, found {len(row)}", path=path, row=i
-                )
-            rows.append(_parse_floats(row, path, i))
-    if len(rows) != n:
-        raise ParseError(f"expected {n} rows, found {len(rows)}", path=path)
-    values = np.asarray(rows, dtype=np.float64)
+    with open(path, "rb") as fh:
+        csv_bytes = fh.read()
+    values = None
+    if stored is not None:
+        values = _cached_values(path + CACHE_SUFFIX, csv_bytes, n, width)
+    if values is None:
+        values = _parsed_values(csv_bytes, path, n, width)
     if complex_values:
         # reinterpret (re, im) pairs; arithmetic would turn -0.0 into 0.0
         values = values.view(np.complex128)
 
-    points = np.asarray(
-        [
-            _parse_floats(p if isinstance(p, list) else [p], side, None)
-            for p in meta["points"]
-        ],
-        dtype=np.float64,
-    )
-    if points.shape[1] == 1:
-        points = points[:, 0]
+    points = _parse_points(meta["points"], side)
     weights = np.asarray(_parse_floats(meta["point_weights"], side, None))
     system = SampledSystem(values, points, weights)
-    stored = meta.get("fingerprint")
     if stored is not None and not fingerprint_matches(system, stored):
         raise ParseError("fingerprint mismatch: file contents were altered", path=path)
     return system
@@ -286,19 +393,27 @@ def load_certificate(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", path=path) from None
+    if not isinstance(doc, dict):
+        raise ParseError("certificate is not a JSON object", path=path)
     for key in ("kind", "point_indices", "constants", "input_fingerprint"):
         if key not in doc:
             raise ParseError(f"certificate lacks {key!r}", path=path)
     consts = doc["constants"]
-    if "lower" not in consts or "upper" not in consts:
+    if not isinstance(consts, dict) or "lower" not in consts or "upper" not in consts:
         raise ParseError("constants need lower and upper", path=path)
     doc["constants_decoded"] = FrameBounds(
         _parse_float(consts["lower"], path, None),
         _parse_float(consts["upper"], path, None),
     )
-    doc["point_indices"] = [int(i) for i in doc["point_indices"]]
+    bad_indices = ParseError("point_indices must be a list of integers", path=path)
+    if not isinstance(doc["point_indices"], list):
+        raise bad_indices
+    try:
+        doc["point_indices"] = [int(i) for i in doc["point_indices"]]
+    except (TypeError, ValueError, OverflowError):
+        raise bad_indices from None
     if doc.get("weights") is not None:
         doc["weights"] = _parse_floats(doc["weights"], path, None)
     if doc.get("theta") is not None:

@@ -1,11 +1,16 @@
 """Generators, file round trips, and certificate verification."""
 
+import hashlib
 import json
+import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampdisc import (
     FrameBounds,
@@ -24,6 +29,7 @@ from sampdisc import (
     save_system,
     verify_certificate,
 )
+from sampdisc import systems_io
 from sampdisc.cli import main
 
 
@@ -148,9 +154,15 @@ def test_load_invalid_sidecar_json(tmp_path):
     system = make_system(SystemDescriptor("trig", n=3, m=8))
     path = str(tmp_path / "sys.csv")
     save_system(system, path)
-    (tmp_path / "sys.csv.json").write_text("{not json")
-    with pytest.raises(ParseError, match="invalid JSON"):
-        load_system(path)
+    side = tmp_path / "sys.csv.json"
+    for text, message in (
+        (b"{not json", "invalid JSON"),
+        (b'{"field": "r\xe9al"}', "invalid JSON"),  # not UTF-8
+        (b"[1, 2]", "not a JSON object"),
+    ):
+        side.write_bytes(text)
+        with pytest.raises(ParseError, match=message):
+            load_system(path)
 
 
 def test_load_missing_metadata_key(tmp_path):
@@ -215,6 +227,44 @@ def test_load_bad_number(tmp_path):
         assert info.value.row is None and info.value.path == path + ".json"
 
 
+def test_load_malformed_csv_and_points(tmp_path):
+    system = SampledSystem(
+        np.array([[1.0, -0.5, 2.0]]),
+        np.array([[0.0, 1.0], [1.5, 2.25], [3.0, 4.0]]),
+        point_weights=np.array([0.25, 0.5, 0.25]),
+    )
+    path = tmp_path / "sys.csv"
+    save_system(system, str(path))
+    csv_bytes = path.read_bytes()
+    for text, message in (
+        (b"1.0,-0.5,2.\xff0\r\n", "not UTF-8 text"),
+        (b'"' + b"1" * 140_000, "invalid CSV"),  # an unclosed quote
+    ):
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=message) as info:
+            load_system(str(path))
+        assert info.value.path == str(path)
+    path.write_bytes(csv_bytes)
+
+    side = Path(f"{path}.json")
+    meta = json.loads(side.read_text())
+    # a 2-character string is not a planar point, nor is a ragged list
+    for points, message in (
+        (["12", ["1.5", "2.25"], ["3.0", "4.0"]], "same number of coordinates"),
+        ([["0.0"], ["1.5", "2.25"], ["3.0", "4.0"]], "same number of coordinates"),
+        ([], "same number of coordinates"),
+        ("0.0", "points must be a list"),
+        ([["0.0", None], ["1.5", "2.25"], ["3.0", "4.0"]], "bad number None"),
+    ):
+        side.write_text(json.dumps(dict(meta, points=points)))
+        with pytest.raises(ParseError, match=message):
+            load_system(str(path))
+    for n, message in (("x", "n and m must be integers"), (3.0, "expected 3 rows")):
+        side.write_text(json.dumps(dict(meta, n=n)))
+        with pytest.raises(ParseError, match=message):
+            load_system(str(path))
+
+
 def test_save_csv_golden_bytes(tmp_path):
     # Fortran-ordered complex values, as random_orthonormal produces them
     values = np.asfortranarray(
@@ -236,6 +286,42 @@ def test_save_csv_golden_bytes(tmp_path):
     assert np.signbit(back.values[0, 1].real)
 
 
+def test_save_sidecar_golden_bytes(tmp_path):
+    # the layout json.dump(meta, sort_keys=True, indent=2) gives, plus "\n"
+    dft = tmp_path / "dft.csv"
+    save_system(make_system(SystemDescriptor("dft", n=2, m=3)), str(dft))
+    assert Path(f"{dft}.json").read_bytes() == (
+        b'{\n  "field": "complex",\n'
+        b'  "fingerprint": "sha256v2:'
+        b'1cc322fe3c6a508cbcbf0d50ce81644b4e27ed7df0857bdc5196c84265223672",\n'
+        b'  "m": 3,\n  "n": 2,\n'
+        b'  "point_weights": [\n    "0.3333333333333333",\n'
+        b'    "0.3333333333333333",\n    "0.3333333333333333"\n  ],\n'
+        b'  "points": [\n    [\n      "0.0"\n    ],\n'
+        b'    [\n      "0.3333333333333333"\n    ],\n'
+        b'    [\n      "0.6666666666666666"\n    ]\n  ],\n'
+        b'  "schema_version": "1"\n}\n'
+    )
+    planar = tmp_path / "planar.csv"
+    system = SampledSystem(
+        np.array([[1.0, -0.5, 2.0]]),
+        np.array([[0.0, -0.0], [1.5, 2.25], [-1e-300, 1e22]]),
+        point_weights=np.array([0.25, 0.5, 0.25]),
+    )
+    save_system(system, str(planar))
+    assert Path(f"{planar}.json").read_bytes() == (
+        b'{\n  "field": "real",\n'
+        b'  "fingerprint": "sha256v2:'
+        b'471ef73c2002c662d249b11312e97132b9566fc748b6d7b0b988d4391fc3c6b3",\n'
+        b'  "m": 3,\n  "n": 1,\n'
+        b'  "point_weights": [\n    "0.25",\n    "0.5",\n    "0.25"\n  ],\n'
+        b'  "points": [\n    [\n      "0.0",\n      "-0.0"\n    ],\n'
+        b'    [\n      "1.5",\n      "2.25"\n    ],\n'
+        b'    [\n      "-1e-300",\n      "1e+22"\n    ]\n  ],\n'
+        b'  "schema_version": "1"\n}\n'
+    )
+
+
 def test_load_fingerprint_tamper(tmp_path):
     system = make_system(SystemDescriptor("trig", n=3, m=8))
     path = str(tmp_path / "sys.csv")
@@ -244,6 +330,214 @@ def test_load_fingerprint_tamper(tmp_path):
     (tmp_path / "sys.csv").write_text(text.replace("1.0", "1.5", 1))
     with pytest.raises(ParseError, match="fingerprint mismatch"):
         load_system(path)
+
+
+# ------------------------------------------------------------- binary copy
+
+
+def _edge_system(field):
+    # signed zeros, subnormals and large exponents, as Fortran-ordered
+    # complex values or their real parts
+    values = np.asfortranarray(
+        [
+            [complex(-0.0, 1e-300), 5e-324 - 0.0j, 1e22 + 0.5j, 0.1 - 5e-324j],
+            [1.0 + 0.0j, complex(-1e-300, -0.0), -2.5 + 1e22j, 3.0 + 0.25j],
+        ]
+    )
+    if field == "real":
+        values = np.asfortranarray(values.real)
+    points = np.array([-0.0, 1e-300, 5e-324, 1e22])
+    weights = np.array([0.125, 0.375, 0.25, 0.25])
+    return SampledSystem(values, points, weights)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.float64).view(np.int64)
+
+
+def _no_parse(*args):
+    raise AssertionError("the CSV text was parsed")
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_cache_values_bit_identical_to_parse(tmp_path, monkeypatch, field):
+    system = _edge_system(field)
+    path = str(tmp_path / "edge.csv")
+    save_system(system, path)
+    cache = Path(path + ".f64").read_bytes()
+    csv_bytes = Path(path).read_bytes()
+    assert cache[:32] == hashlib.sha256(csv_bytes).digest()
+    assert len(cache) == 32 + 8 * system.values.size * (2 if field == "complex" else 1)
+
+    parsed = load_system(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(systems_io, "_parsed_values", _no_parse)
+        cached = load_system(path)
+    Path(path + ".f64").unlink()
+    reparsed = load_system(path)
+    for back in (parsed, cached, reparsed):
+        assert back.field == field
+        assert np.array_equal(_bits(back.values), _bits(system.values))
+        assert np.array_equal(_bits(back.points), _bits(system.points))
+        assert np.array_equal(_bits(back.point_weights), _bits(system.point_weights))
+        assert back.fingerprint() == system.fingerprint()
+
+
+def test_cache_ignored_after_csv_edit(tmp_path):
+    system = make_system(SystemDescriptor("trig", n=3, m=8))
+    path = tmp_path / "sys.csv"
+    save_system(system, str(path))
+    text = path.read_bytes()
+    # same length, so only the digest can tell
+    path.write_bytes(text.replace(b"1.0", b"1.5", 1))
+    with pytest.raises(ParseError, match="fingerprint mismatch"):
+        load_system(str(path))
+    path.write_bytes(b"".join(text.splitlines(keepends=True)[:-1]))
+    with pytest.raises(ParseError, match="expected 3 rows, found 2"):
+        load_system(str(path))
+
+
+def test_bad_cache_falls_back_to_the_csv(tmp_path):
+    system = make_system(SystemDescriptor("dft", n=2, m=8), field="complex")
+    path = str(tmp_path / "sys.csv")
+    save_system(system, path)
+    good = Path(path + ".f64").read_bytes()
+    other = str(tmp_path / "other.csv")
+    foreign = make_system(
+        SystemDescriptor("random_orthonormal", n=2, m=8, seed=1), field="complex"
+    )
+    save_system(foreign, other)
+    rng = np.random.default_rng(0)
+    for cache in (
+        good[:-1],
+        good + b"\0",
+        b"",
+        Path(other + ".f64").read_bytes(),  # same size, other CSV's digest
+        rng.bytes(len(good)),
+    ):
+        Path(path + ".f64").write_bytes(cache)
+        back = load_system(path)
+        assert np.array_equal(_bits(back.values), _bits(system.values))
+
+
+def test_cache_with_flipped_value_bits_is_a_mismatch(tmp_path):
+    system = make_system(SystemDescriptor("trig", n=3, m=8))
+    path = tmp_path / "sys.csv"
+    save_system(system, str(path))
+    cache = bytearray(Path(f"{path}.f64").read_bytes())
+    cache[-1] ^= 0x01
+    Path(f"{path}.f64").write_bytes(bytes(cache))
+    with pytest.raises(ParseError, match="fingerprint mismatch"):
+        load_system(str(path))
+    # without a fingerprint nothing can check the copy, so the CSV is read
+    side = Path(f"{path}.json")
+    meta = json.loads(side.read_text())
+    del meta["fingerprint"]
+    side.write_text(json.dumps(meta))
+    assert np.array_equal(load_system(str(path)).values, system.values)
+
+
+def _snapshot(directory):
+    return {
+        entry.name: (entry.stat().st_mtime_ns, Path(entry.path).read_bytes())
+        for entry in os.scandir(directory)
+    }
+
+
+def test_load_writes_nothing(tmp_path):
+    system = make_system(SystemDescriptor("walsh", n=4, m=16))
+    folder = tmp_path / "ro"
+    folder.mkdir()
+    path = str(folder / "sys.csv")
+    save_system(system, path)
+    for cached in (True, False):
+        if not cached:
+            os.chmod(folder, 0o755)
+            Path(path + ".f64").unlink()
+        before = _snapshot(folder)
+        for name in before:
+            os.chmod(folder / name, 0o444)
+        os.chmod(folder, 0o555)
+        try:
+            back = load_system(path)
+        finally:
+            os.chmod(folder, 0o755)
+        assert back.fingerprint() == system.fingerprint()
+        assert _snapshot(folder) == before
+
+
+# ------------------------------------------------------------------- fuzzing
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """Bytes of a tiny complex system, its sidecar and binary copy, and a
+    certificate."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    system = make_system(SystemDescriptor("dft", n=2, m=8), field="complex")
+    path = str(folder / "sys.csv")
+    save_system(system, path)
+    cert = str(folder / "cert.json")
+    save_certificate(discretize_weighted(system, OracleConfig(seed=1)), cert)
+    files = {
+        "csv": path,
+        "json": path + ".json",
+        "f64": path + ".f64",
+        "cert": cert,
+    }
+    return system, {key: Path(name).read_bytes() for key, name in files.items()}
+
+
+MUTATION = st.tuples(
+    st.sampled_from(("flip", "truncate", "insert")),
+    st.integers(0, 2**20),
+    st.integers(0, 255),
+)
+
+
+def _mutate(data, kind, position, byte):
+    if kind == "flip" and data:
+        at = position % len(data)
+        return data[:at] + bytes([data[at] ^ (1 << byte % 8)]) + data[at + 1 :]
+    at = position % (len(data) + 1)
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + bytes([byte]) + data[at:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(("csv", "json", "f64", "cert")),
+    mutations=st.lists(MUTATION, min_size=1, max_size=3),
+)
+def test_loaders_raise_only_typed_errors(saved_files, target, mutations):
+    # any byte damage ends in ParseError or PreconditionError; a load that
+    # succeeds on intact metadata returns exactly the saved system
+    system, originals = saved_files
+    files = dict(originals)
+    for mutation in mutations:
+        files[target] = _mutate(files[target], *mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sys.csv")
+        names = {
+            "csv": path,
+            "json": path + ".json",
+            "f64": path + ".f64",
+            "cert": os.path.join(tmp, "cert.json"),
+        }
+        for key, data in files.items():
+            Path(names[key]).write_bytes(data)
+        try:
+            back = load_system(path)
+        except (ParseError, PreconditionError):
+            pass
+        else:
+            if target != "json":
+                assert back.fingerprint() == system.fingerprint()
+        try:
+            load_certificate(names["cert"])
+        except (ParseError, PreconditionError):
+            pass
 
 
 # ---------------------------------------------------------------- certificates
@@ -309,6 +603,30 @@ def test_certificate_missing_keys(tmp_path):
 
     with open(path, "w") as fh:
         fh.write("{")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_certificate(path)
+
+    good = {
+        "kind": "equal_weight",
+        "point_indices": [0, 1],
+        "input_fingerprint": "sha256:0",
+        "constants": {"lower": "0.5", "upper": "2.0"},
+    }
+    for doc, message in (
+        ([good], "not a JSON object"),
+        (dict(good, constants="0.5"), "lower and upper"),
+        (dict(good, point_indices="01"), "point_indices must be a list of integers"),
+        (dict(good, point_indices=[0, "x"]), "point_indices must be a list of integers"),
+        (dict(good, weights=0.5), "expected a list of numbers, got float"),
+        (dict(good, weights=["0.5", [1]]), r"bad number \[1\]"),
+        (dict(good, theta=[2]), r"bad number \[2\]"),
+    ):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ParseError, match=message):
+            load_certificate(path)
+    with open(path, "wb") as fh:
+        fh.write(b'{"kind": "\xff"}')
     with pytest.raises(ParseError, match="invalid JSON"):
         load_certificate(path)
 
