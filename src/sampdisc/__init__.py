@@ -30,7 +30,6 @@ from .frame_core import (
     subset_bounds,
     verify_tight,
     weighted_bounds,
-    weighted_frame_operator,
 )
 from .partition_oracle import (
     OracleConfig,
@@ -45,7 +44,6 @@ from .halving_select import (
     check_cardinality_sandwich,
     halving_schedule,
     halving_select,
-    halving_select_frame,
 )
 from .weighted_sparsify import (
     DuplicationMap,
@@ -125,7 +123,6 @@ __all__ = [
     "frame_operator",
     "halving_schedule",
     "halving_select",
-    "halving_select_frame",
     "load_certificate",
     "load_system",
     "make_system",
@@ -141,6 +138,5 @@ __all__ = [
     "verify_certificate",
     "verify_tight",
     "weighted_bounds",
-    "weighted_frame_operator",
     "weighted_select",
 ]

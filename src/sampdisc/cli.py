@@ -241,8 +241,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_select_weighted(args) -> int:
     config = _oracle(args)
-    # the weighted pipeline re-bases any residual above
-    # ORTHONORMALITY_TOL itself, onto a basis no file would hold
+    # the weighted pipeline refuses any residual above ORTHONORMALITY_TOL
     system = _rebased(_resolve_system(args), ORTHONORMALITY_TOL, args.out_system)
     cert = discretize_weighted(system, config, cap=args.cap)
     save_certificate(

@@ -30,7 +30,7 @@ from .errors import (
     RefinementError,
     StageError,
 )
-from .frame_core import FrameBounds, FrameSystem, extreme_eigenvalues, hermitian_part
+from .frame_core import FrameBounds, FrameSystem, _gram, _gram_bounds
 from .halving_select import HalvingCertificate, halving_select
 from .partition_oracle import OracleConfig
 from .weighted_sparsify import COPY_CAP, weighted_select
@@ -38,13 +38,6 @@ from .weighted_sparsify import COPY_CAP, weighted_select
 ORTHONORMALITY_TOL = 1e-8
 CONDITION_TOL = 1e-6
 RANK_RTOL = 1e-10
-
-
-def _weighted_gram(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Hermitian matrix whose form in coefficients c gives
-    sum_j w_j |f(x_j)|^2 for f = sum_i c_i u_i (up to transposition,
-    which preserves the spectrum)."""
-    return hermitian_part((values * weights) @ values.conj().T)
 
 
 def recompute_constants(
@@ -59,13 +52,11 @@ def recompute_constants(
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return FrameBounds(0.0, 0.0)
-    cols = system.values[:, idx]
     if weights is None:
         lam = np.full(idx.size, 1.0 / idx.size)
     else:
         lam = np.asarray(weights, dtype=np.float64)
-    lo, hi = extreme_eigenvalues(_weighted_gram(cols, lam))
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    return _gram_bounds(system.values[:, idx], lam)
 
 
 def _fmt(x: float) -> str:
@@ -143,7 +134,7 @@ class SampledSystem:
 
     def gram(self) -> np.ndarray:
         """Discrete Gram matrix sum_j w_j u_i(x_j) conj(u_k(x_j))."""
-        return _weighted_gram(self.values, self.point_weights)
+        return _gram(self.values, self.point_weights)
 
     def orthonormality_residual(self) -> float:
         """Spectral norm of gram() - identity.
@@ -244,6 +235,16 @@ class NikolskiiReport:
     n: int
 
 
+def _checked_residual(system: SampledSystem, tol: float) -> float:
+    """Orthonormality residual of ``system``; PreconditionError above ``tol``."""
+    resid = system.orthonormality_residual()
+    if resid > tol:
+        raise PreconditionError(
+            f"system is not orthonormal: residual {resid:.3e} > {tol}"
+        )
+    return resid
+
+
 def condition_e_constant(system: SampledSystem) -> NikolskiiReport:
     """Exact concentration constant t of a sampled orthonormal system.
 
@@ -251,11 +252,7 @@ def condition_e_constant(system: SampledSystem) -> NikolskiiReport:
     satisfies t^2 >= 1 - residual, since the weighted average of the
     per-point sums equals trace(Gram) = n up to the residual.
     """
-    resid = system.orthonormality_residual()
-    if resid > CONDITION_TOL:
-        raise PreconditionError(
-            f"system is not orthonormal: residual {resid:.3e} > {CONDITION_TOL}"
-        )
+    resid = _checked_residual(system, CONDITION_TOL)
     sums = np.einsum("ij,ij->j", system.values, system.values.conj()).real
     j = int(np.argmax(sums))
     t2 = float(sums[j]) / system.n
@@ -339,11 +336,7 @@ def discretize_equal_weight(
         raise PreconditionError(
             "equal-weight selection requires uniform point weights"
         )
-    resid = system.orthonormality_residual()
-    if resid > ORTHONORMALITY_TOL:
-        raise PreconditionError(
-            f"system is not orthonormal: residual {resid:.3e} > {ORTHONORMALITY_TOL}"
-        )
+    _checked_residual(system, ORTHONORMALITY_TOL)
     report = condition_e_constant(system)
     theta_used = report.t_squared if theta is None else float(theta)
     frame = build_frame_from_samples(system)
@@ -598,52 +591,48 @@ def discretize_weighted(
 ) -> DiscretizationCertificate:
     """Weighted point selection; handles unequal per-point mass.
 
-    The system is re-orthonormalized first when needed.  Points where
-    every basis function vanishes cannot carry weight and are skipped.
-    Returned weights lambda_nu absorb the base point weights, so the
-    certified sums are plain sum_nu lambda_nu |f(xi_nu)|^2.
+    Requires orthonormality residual at most 1e-8; re-base other input
+    with :func:`reorthonormalize` first, so that the certificate binds
+    the system it was measured on.  Points where every basis function
+    vanishes cannot carry weight and are skipped.  Returned weights
+    lambda_nu absorb the base point weights, so the certified sums are
+    plain sum_nu lambda_nu |f(xi_nu)|^2.
     """
-    log = []
-    work = system
-    resid = system.orthonormality_residual()
-    if resid > ORTHONORMALITY_TOL:
-        work = reorthonormalize(system)
-        log.append({"stage": "reorthonormalize", "rank": work.n, "residual": resid})
-
-    mass = np.einsum("ij,ij->j", work.values, work.values.conj()).real
-    keep = np.flatnonzero(mass * work.point_weights > 0.0)
+    _checked_residual(system, ORTHONORMALITY_TOL)
+    mass = np.einsum("ij,ij->j", system.values, system.values.conj()).real
+    keep = np.flatnonzero(mass * system.point_weights > 0.0)
     if keep.size == 0:
         raise PreconditionError("all points carry zero mass")
-    vectors = work.values[:, keep] * np.sqrt(work.point_weights[keep])
+    vectors = system.values[:, keep] * np.sqrt(system.point_weights[keep])
     wcert = weighted_select(FrameSystem(vectors), config, cap=cap)
 
     frame_weights = np.asarray(wcert.weights)
     support_local = np.asarray(wcert.support, dtype=np.int64)
     support = keep[support_local]
-    point_weights = frame_weights[support_local] * work.point_weights[support]
+    point_weights = frame_weights[support_local] * system.point_weights[support]
 
-    constants = recompute_constants(work, support, point_weights)
+    constants = recompute_constants(system, support, point_weights)
     if abs(constants.lower - wcert.bounds.lower) > 1e-9 * max(1.0, wcert.bounds.upper):
         raise DiscretizationError("weighted constants failed cross-verification")
-    log.append(
+    log = (
         {
             "stage": "weighted",
             "copies": wcert.duplication.m_prime,
             "support_budget": wcert.support_budget,
             "selected_copies": len(wcert.halving.J),
-        }
+        },
+        _halving_stage(wcert.halving),
     )
-    log.append(_halving_stage(wcert.halving))
     return DiscretizationCertificate(
         kind="weighted",
         point_indices=tuple(support.tolist()),
-        points=work.points[support],
+        points=system.points[support],
         m=int(support.size),
         weights=tuple(point_weights.tolist()),
         constants=constants,
         theta=2.0,
         input_fingerprint=system.fingerprint(),
-        pipeline_log=tuple(log),
+        pipeline_log=log,
     )
 
 
@@ -701,11 +690,7 @@ def transfer_certificate(
         )
     if system.fingerprint() != mapping.source_fingerprint:
         raise MappingMismatchError("mapping does not describe this complex system")
-    resid = system.orthonormality_residual()
-    if resid > CONDITION_TOL:
-        raise PreconditionError(
-            f"complex system must be orthonormal, residual {resid:.3e}"
-        )
+    _checked_residual(system, CONDITION_TOL)
     idx = np.asarray(real_cert.point_indices, dtype=np.int64)
     constants = recompute_constants(system, idx, real_cert.weights)
     if constants.lower < real_cert.constants.lower - 1e-10 or (

@@ -9,7 +9,7 @@ eigensolve; nothing is certified by estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,23 +103,40 @@ def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
     return float(ev[0]), float(ev[-1])
 
 
+def _gram(vectors: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Hermitian part of sum_j w_j v_j v_j* over the columns v_j of
+    ``vectors``; w_j = 1 when ``weights`` is None.
+
+    Every Gram matrix and frame operator in the package is built here.
+    """
+    scaled = vectors if weights is None else vectors * weights
+    return hermitian_part(scaled @ vectors.conj().T)
+
+
+def _gram_bounds(
+    vectors: np.ndarray, weights: Optional[np.ndarray] = None
+) -> FrameBounds:
+    """Extreme eigenvalues of :func:`_gram`, the only constants the
+    package measures.
+
+    The operator is positive semidefinite by construction, so tiny
+    negative eigenvalues produced by roundoff are clamped to zero.
+    """
+    lo, hi = extreme_eigenvalues(_gram(vectors, weights))
+    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+
+
 def frame_operator(frame: FrameSystem) -> np.ndarray:
     """Sum of outer products v_j v_j* of all frame vectors.
 
     Returns an (n, n) Hermitian matrix (explicitly symmetrized).
     """
-    s = frame.vectors @ frame.vectors.conj().T
-    return hermitian_part(s)
+    return _gram(frame.vectors)
 
 
 def frame_bounds(frame: FrameSystem) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator.
-
-    The operator is positive semidefinite by construction, so tiny
-    negative eigenvalues produced by roundoff are clamped to zero.
-    """
-    lo, hi = extreme_eigenvalues(frame_operator(frame))
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    """Extreme eigenvalues of the frame operator."""
+    return _gram_bounds(frame.vectors)
 
 
 def verify_tight(frame: FrameSystem, tol: float) -> bool:
@@ -164,13 +181,12 @@ def subset_bounds(frame: FrameSystem, subset: Iterable[int]) -> FrameBounds:
     idx = _validated_indices(subset, frame.m)
     if idx.size == 0:
         return FrameBounds(0.0, 0.0)
-    cols = frame.vectors[:, idx]
-    lo, hi = extreme_eigenvalues(cols @ cols.conj().T)
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    return _gram_bounds(frame.vectors[:, idx])
 
 
-def weighted_frame_operator(frame: FrameSystem, weights: Sequence[float]) -> np.ndarray:
-    """Weighted sum of outer products, sum_j w_j v_j v_j*."""
+def weighted_bounds(frame: FrameSystem, weights: Sequence[float]) -> FrameBounds:
+    """Extreme eigenvalues of the weighted frame operator
+    sum_j w_j v_j v_j*; weights must be finite and nonnegative."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (frame.m,):
         raise PreconditionError(
@@ -178,10 +194,4 @@ def weighted_frame_operator(frame: FrameSystem, weights: Sequence[float]) -> np.
         )
     if not np.isfinite(w).all() or (w < 0).any():
         raise PreconditionError("weights must be finite and nonnegative")
-    return hermitian_part((frame.vectors * w) @ frame.vectors.conj().T)
-
-
-def weighted_bounds(frame: FrameSystem, weights: Sequence[float]) -> FrameBounds:
-    """Extreme eigenvalues of the weighted frame operator."""
-    lo, hi = extreme_eigenvalues(weighted_frame_operator(frame, weights))
-    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+    return _gram_bounds(frame.vectors, w)

@@ -1,15 +1,16 @@
-"""Iterated spectral halving of tight (or two-sided) frames.
+"""Iterated spectral halving of tight frames.
 
 Starting from all m vectors, each round splits the surviving index set
 into two verified halves and keeps the smaller one.  The target bounds
-for round j come from a precomputed schedule
+for round j come from a precomputed schedule seeded at
+alpha_0 = beta_0 = 1,
 
     alpha_{j+1} = alpha_j (1 - 5 sqrt(delta/alpha_j)) / 2
     beta_{j+1}  = beta_j  (1 + 5 sqrt(delta/alpha_j)) / 2
 
 with delta = theta * n / m fixed once from the a-priori norm bound.
 Rounds run while alpha_j >= 100 delta; the final lower bound always
-lands in [25 delta, 100 delta).  When already alpha_0 <= 100 delta
+lands in [25 delta, 100 delta).  When already 1 <= 100 delta
 there is nothing to gain and the full index set is returned (fast
 path).  Every certificate carries eigensolve-measured bounds of the
 selected set next to the scheduled theoretical pair.
@@ -88,15 +89,6 @@ class HalvingSchedule:
         return self.steps[-1][1]
 
 
-def _build_schedule(alpha0: float, beta0: float, delta: float) -> HalvingSchedule:
-    steps = [(alpha0, beta0)]
-    a, b = alpha0, beta0
-    while a >= 100.0 * delta:
-        a, b = partition_targets(a, b, delta)
-        steps.append((a, b))
-    return HalvingSchedule(delta=delta, steps=tuple(steps))
-
-
 def halving_schedule(delta: float) -> HalvingSchedule:
     """Schedule seeded at alpha_0 = beta_0 = 1.
 
@@ -105,7 +97,12 @@ def halving_schedule(delta: float) -> HalvingSchedule:
     """
     if not (0.0 < delta < 0.01):
         raise DomainError(f"delta must lie in (0, 1/100), got {delta}")
-    return _build_schedule(1.0, 1.0, delta)
+    steps = [(1.0, 1.0)]
+    a, b = 1.0, 1.0
+    while a >= 100.0 * delta:
+        a, b = partition_targets(a, b, delta)
+        steps.append((a, b))
+    return HalvingSchedule(delta=delta, steps=tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -195,75 +192,38 @@ def halving_select(
         bound is at least 25 delta (within 1e-10 slack).
 
     Zero vectors never affect bounds and are dropped from J after
-    selection.  This is :func:`halving_select_frame` at bounds (1, 1),
-    except that theta = m / n (delta = 1 = A) is accepted.
+    selection.
     """
     if theta > frame.m / frame.n * (1.0 + 1e-12):
         raise PreconditionError(
             f"theta={theta} exceeds m/n={frame.m / frame.n}"
         )
-    return _select(frame, 1.0, 1.0, theta, config)
-
-
-def halving_select_frame(
-    frame: FrameSystem,
-    bounds: FrameBounds,
-    theta: float,
-    config: Optional[OracleConfig] = None,
-) -> HalvingCertificate:
-    """Halving seeded at declared frame bounds (A, B) instead of (1, 1).
-
-    The declared bounds must be valid for the frame (measured bounds
-    inside [A(1 - 1e-8), B(1 + 1e-8)]) and A must exceed delta.  With
-    A = B = 1 this reduces exactly to :func:`halving_select` for the
-    same seed.  The fast path triggers when A <= 100 delta.
-    """
-    a, b = float(bounds[0]), float(bounds[1])
-    delta = theta * frame.n / frame.m
-    if not (a > 0):
-        raise PreconditionError(f"declared lower bound must be positive, got {a}")
-    if not (a > delta):
-        raise PreconditionError(
-            f"declared lower bound {a} must exceed delta={delta}"
-        )
-    if b < a:
-        raise PreconditionError(f"declared bounds out of order: ({a}, {b})")
-    return _select(frame, a, b, theta, config)
-
-
-def _select(
-    frame: FrameSystem,
-    a: float,
-    b: float,
-    theta: float,
-    config: Optional[OracleConfig],
-) -> HalvingCertificate:
     cfg = config or OracleConfig()
     delta = theta * frame.n / frame.m
     measured = frame_bounds(frame)
-    if measured.lower < a * (1.0 - TIGHTNESS_TOL) or (
-        measured.upper > b * (1.0 + TIGHTNESS_TOL)
-    ):
+    if measured.lower < 1.0 - TIGHTNESS_TOL or measured.upper > 1.0 + TIGHTNESS_TOL:
         raise PreconditionError(
-            f"declared bounds ({a}, {b}) do not hold: measured "
+            f"frame is not tight: measured bounds "
             f"({measured.lower:.12f}, {measured.upper:.12f})"
         )
     _check_norms(frame, delta)
-    if a <= 100.0 * delta:
+    # compared as 100 delta, like the schedule's loop, so that rounding at
+    # delta = 1/100 picks the same branch
+    if 1.0 <= 100.0 * delta:
         kept = _drop_zero_vectors(frame, np.arange(frame.m))
         return HalvingCertificate(
             J=tuple(kept.tolist()),
             theta=theta,
             delta=delta,
             schedule=None,
-            theoretical_lower=a,
-            theoretical_upper=b,
+            theoretical_lower=1.0,
+            theoretical_upper=1.0,
             actual=subset_bounds(frame, kept),
             rescale=frame.m / frame.n,
             fast_path=True,
             rounds=(),
         )
-    schedule = _build_schedule(a, b, delta)
+    schedule = halving_schedule(delta)
     kept, log = _run_rounds(frame, schedule, cfg)
     kept = _drop_zero_vectors(frame, kept)
     actual = subset_bounds(frame, kept)

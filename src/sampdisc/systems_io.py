@@ -31,7 +31,7 @@ from .discretize import (
 from .errors import ParseError, PreconditionError
 from .frame_core import FrameBounds
 
-SYSTEM_KINDS = ("trig", "dft", "walsh", "random_orthonormal", "file")
+SYSTEM_KINDS = ("trig", "dft", "walsh", "random_orthonormal")
 SCHEMA_VERSION = "1"
 # the binary copy: sha256 of the CSV bytes, then the cells as "<f8"
 CACHE_SUFFIX = ".f64"
@@ -42,17 +42,15 @@ _DIGEST_SIZE = 32
 class SystemDescriptor:
     """Recipe for a sampled system.
 
-    kind : one of trig, dft, walsh, random_orthonormal, file.
-    n, m : dimensions (ignored for kind="file").
+    kind : one of trig, dft, walsh, random_orthonormal.
+    n, m : dimensions.
     seed : required for random_orthonormal.
-    path : required for kind="file".
     """
 
     kind: str
     n: int = 0
     m: int = 0
     seed: Optional[int] = None
-    path: Optional[str] = None
 
 
 def _dft_system(n: int, m: int) -> SampledSystem:
@@ -119,10 +117,6 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
         raise PreconditionError(
             f"unknown system kind {desc.kind!r}, expected one of {SYSTEM_KINDS}"
         )
-    if desc.kind == "file":
-        if not desc.path:
-            raise PreconditionError("kind='file' needs a path")
-        return load_system(desc.path)
     if desc.n < 1 or desc.m < 1:
         raise PreconditionError(f"need n, m >= 1, got n={desc.n}, m={desc.m}")
     if desc.kind == "dft":
@@ -309,8 +303,11 @@ def load_system(path: str) -> SampledSystem:
     width = 2 * m if complex_values else m
     stored = meta.get("fingerprint")
 
-    with open(path, "rb") as fh:
-        csv_bytes = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            csv_bytes = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read values: {exc.strerror}", path=path) from None
     values = None
     if stored is not None:
         values = _cached_values(path + CACHE_SUFFIX, csv_bytes, n, width)
@@ -387,12 +384,14 @@ def load_certificate(path: str) -> dict:
 
     Returns a plain dict (the JSON document) with ``constants`` turned
     back into :class:`FrameBounds` under the key "constants_decoded",
-    weights decoded to floats, and indices to ints.  Verification works
-    from this document plus the system file.
+    weights decoded to floats, and indices checked to be integers.
+    Verification works from this document plus the system file.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read certificate: {exc.strerror}", path=path) from None
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", path=path) from None
     if not isinstance(doc, dict):
@@ -407,13 +406,10 @@ def load_certificate(path: str) -> dict:
         _parse_float(consts["lower"], path, None),
         _parse_float(consts["upper"], path, None),
     )
-    bad_indices = ParseError("point_indices must be a list of integers", path=path)
-    if not isinstance(doc["point_indices"], list):
-        raise bad_indices
-    try:
-        doc["point_indices"] = [int(i) for i in doc["point_indices"]]
-    except (TypeError, ValueError, OverflowError):
-        raise bad_indices from None
+    indices = doc["point_indices"]
+    # exact ints only: int() would turn 1.5 into 1 and true into 1
+    if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        raise ParseError("point_indices must be a list of integers", path=path)
     if doc.get("weights") is not None:
         doc["weights"] = _parse_floats(doc["weights"], path, None)
     if doc.get("theta") is not None:

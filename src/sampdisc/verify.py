@@ -9,6 +9,7 @@ the certificate's pipeline log is trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +40,8 @@ def verify_certificate(
     """Check a loaded certificate document against a system.
 
     Fails (without raising) when the fingerprint does not match, the
-    indices are invalid, weights are negative or miscounted, the
+    stored constants are not finite, the indices are not distinct
+    in-range integers, weights are negative or miscounted, the
     recomputed constants differ from the stored ones by more than
     ``tol``, or the lower constant is not strictly positive.
     """
@@ -48,16 +50,23 @@ def verify_certificate(
     if stored is None:
         return report.fail("document has no decoded constants")
     report.stored = stored
+    if not all(map(math.isfinite, stored)):
+        return report.fail("stored constants are not finite")
 
     if not fingerprint_matches(system, document.get("input_fingerprint")):
         report.fail("system fingerprint does not match the certificate")
 
-    indices = document.get("point_indices", [])
-    if len(indices) == 0:
+    try:
+        idx = np.asarray(document.get("point_indices", []), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return report.fail("point indices are not 64-bit integers")
+    if idx.ndim != 1:
+        return report.fail("point indices are not a flat list")
+    if idx.size == 0:
         return report.fail("certificate selects no points")
-    if document.get("m") is not None and int(document["m"]) != len(indices):
-        report.fail(f"m={document['m']} but {len(indices)} indices stored")
-    idx = np.asarray(indices, dtype=np.int64)
+    m = document.get("m")
+    if m is not None and m != idx.size:
+        report.fail(f"m={m!r} but {idx.size} indices stored")
     if (idx < 0).any() or (idx >= system.m).any():
         return report.fail("point indices out of range for this system")
     if np.unique(idx).size != idx.size:
@@ -65,7 +74,10 @@ def verify_certificate(
 
     weights = document.get("weights")
     if weights is not None:
-        lam = np.asarray(weights, dtype=np.float64)
+        try:
+            lam = np.asarray(weights, dtype=np.float64)
+        except (TypeError, ValueError):
+            return report.fail("weights are not numbers")
         if lam.shape != (idx.size,):
             return report.fail(
                 f"{lam.size} weights for {idx.size} points"

@@ -56,16 +56,19 @@ def test_verify_exit_2_on_tampering(tmp_path, capsys):
     run(capsys, "gen", "--kind", "trig", "--n", "3", "--m", "30", "--out", system)
     run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)
 
-    doc = json.loads(open(cert).read())
-    doc["point_indices"] = doc["point_indices"][:-1]
-    doc["m"] -= 1
-    with open(cert, "w") as fh:
-        json.dump(doc, fh)
-
-    code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
-    assert code == 2
-    assert "verification FAILED" in out
-    assert "mismatch:" in out
+    original = json.loads(open(cert).read())
+    dropped = dict(original, point_indices=original["point_indices"][:-1])
+    dropped["m"] -= 1
+    # a non-integer count and an index beyond int64 fail, never crash
+    bad_m = dict(original, m="x")
+    huge = dict(original, point_indices=original["point_indices"][:-1] + [2**70])
+    for doc in (dropped, bad_m, huge):
+        with open(cert, "w") as fh:
+            json.dump(doc, fh)
+        code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
+        assert code == 2
+        assert "verification FAILED" in out
+        assert "mismatch:" in out
 
 
 def test_nikolskii_frozen_output(capsys):

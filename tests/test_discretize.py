@@ -28,6 +28,7 @@ from sampdisc import (
     reorthonormalize,
     spectral_partition,
     transfer_certificate,
+    verify_certificate,
     weighted_select,
 )
 
@@ -440,12 +441,26 @@ def test_weighted_support_leaner_than_equal_weight():
 
 
 def test_weighted_reorthonormalizes_first():
+    # non-orthonormal input is refused, not silently re-based: a certificate
+    # measured on a re-based basis would not verify against the input
     system = SampledSystem(np.array([[2.0, 1.0, 1.0, 1.0]]), np.arange(4.0))
-    cert = discretize_weighted(system)
+    with pytest.raises(PreconditionError, match="not orthonormal"):
+        discretize_weighted(system)
+    rebased = reorthonormalize(system)
+    cert = discretize_weighted(rebased)
     stages = [entry["stage"] for entry in cert.pipeline_log]
-    assert stages[0] == "reorthonormalize"
-    assert "weighted" in stages and "halving" in stages
-    assert cert.input_fingerprint == system.fingerprint()
+    assert stages == ["weighted", "halving"]
+    assert cert.input_fingerprint == rebased.fingerprint()
+    document = {
+        "input_fingerprint": cert.input_fingerprint,
+        "point_indices": list(cert.point_indices),
+        "m": cert.m,
+        "weights": list(cert.weights),
+        "constants_decoded": cert.constants,
+    }
+    report = verify_certificate(rebased, document)
+    assert report.passed, report.messages
+    assert not verify_certificate(system, document).passed
     # certificate speaks about the normalized span u/||u||
     scale = np.sqrt(7.0 / 4.0)
     u = system.values[0] / scale

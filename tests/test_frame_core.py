@@ -13,7 +13,6 @@ from sampdisc import (
     subset_bounds,
     verify_tight,
     weighted_bounds,
-    weighted_frame_operator,
 )
 from sampdisc.frame_core import hermitian_part
 
@@ -161,8 +160,31 @@ def test_weight_validation():
         weighted_bounds(frame, [1.0, 1.0])
     with pytest.raises(PreconditionError):
         weighted_bounds(frame, [1.0, np.inf, 1.0])
-    op = weighted_frame_operator(frame, [2.0, 3.0, 4.0])
-    assert np.allclose(op, np.diag([2.0, 3.0, 4.0]))
+    lo, hi = weighted_bounds(frame, [2.0, 3.0, 4.0])
+    assert abs(lo - 2.0) < 1e-14 and abs(hi - 4.0) < 1e-14
+
+
+def _clamped(matrix):
+    lo, hi = extreme_eigenvalues(matrix)
+    return FrameBounds(max(lo, 0.0), max(hi, 0.0))
+
+
+def test_bounds_keep_each_callers_arithmetic():
+    # the shared Gram kernel reproduces, bit for bit, the product each
+    # measurement formed before it existed
+    rng = np.random.default_rng(17)
+    for field in ("real", "complex"):
+        frame = random_tight_frame(rng, 4, 40, field=field)
+        v = frame.vectors
+        subset = np.array([3, 1, 7, 20, 33])
+        lam = rng.uniform(0.0, 2.0, 40)
+        cols = v[:, subset]
+        assert subset_bounds(frame, subset) == _clamped(cols @ cols.conj().T)
+        assert frame_bounds(frame) == _clamped(hermitian_part(v @ v.conj().T))
+        assert weighted_bounds(frame, lam) == _clamped(
+            hermitian_part((v * lam) @ v.conj().T)
+        )
+        assert np.array_equal(frame_operator(frame), hermitian_part(v @ v.conj().T))
 
 
 def test_verify_tight_rejects_scaled():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sampdisc import (
     DiscretizationError,
     DomainError,
-    FrameBounds,
     FrameSystem,
     HalvingSchedule,
     OracleConfig,
@@ -18,7 +17,6 @@ from sampdisc import (
     check_cardinality_sandwich,
     halving_schedule,
     halving_select,
-    halving_select_frame,
     partition_targets,
 )
 
@@ -166,8 +164,7 @@ def test_iterative_determinism():
 
 
 def test_theta_at_ratio_fast_path_and_randomized_only():
-    # theta = m/n gives delta = 1 = A, which halving_select_frame rejects
-    # (it needs A > delta) but the plain entry accepts on the fast path
+    # theta = m/n gives delta = 1, the largest level, on the fast path
     frame = dft_frame(2, 8)
     cert = halving_select(frame, 4.0)
     assert cert.fast_path
@@ -177,61 +174,12 @@ def test_theta_at_ratio_fast_path_and_randomized_only():
     assert abs(cert.actual.lower - 1.0) < 1e-14
     with pytest.raises(PreconditionError):
         halving_select(frame, 4.0 * (1.0 + 1e-9))
-    with pytest.raises(PreconditionError):
-        halving_select_frame(frame, FrameBounds(1.0, 1.0), 4.0)
     # a halving round needs m > 100 n theta >= 100 vectors, beyond the
     # exhaustive enumeration limit of 24, so only the randomized search
     # is configurable
     with pytest.raises(PreconditionError):
         OracleConfig(strategy="exhaustive")
     assert OracleConfig(strategy="randomized") == OracleConfig()
-
-
-def test_frame_variant_matches_plain_on_tight():
-    frame = dft_frame(2, 256)
-    plain = halving_select(frame, 1.0, OracleConfig(seed=4))
-    seeded = halving_select_frame(
-        frame, FrameBounds(1.0, 1.0), 1.0, OracleConfig(seed=4)
-    )
-    assert plain.J == seeded.J
-    assert plain.actual == seeded.actual
-    assert seeded.schedule.steps == plain.schedule.steps
-
-
-def test_frame_variant_scaled_iterative():
-    base = dft_frame(2, 256)
-    frame = FrameSystem(base.vectors * np.sqrt(0.3))
-    theta = 0.3
-    delta = theta * 2.0 / 256.0
-    cert = halving_select_frame(
-        frame, FrameBounds(0.3, 0.3), theta, OracleConfig(seed=6)
-    )
-    assert not cert.fast_path
-    assert cert.schedule.steps[0] == (0.3, 0.3)
-    assert len(cert.J) <= 128
-    assert cert.actual.lower >= 25.0 * delta - 1e-10
-    assert cert.actual.upper <= cert.theoretical_upper + 1e-10
-
-
-def test_frame_variant_fast_path_scaled():
-    base = dft_frame(2, 64)
-    frame = FrameSystem(base.vectors * np.sqrt(0.3))
-    cert = halving_select_frame(frame, FrameBounds(0.3, 0.3), 0.3)
-    assert cert.fast_path
-    assert cert.theoretical_lower == 0.3 and cert.theoretical_upper == 0.3
-    assert abs(cert.actual.lower - 0.3) < 1e-12
-
-
-def test_frame_variant_validation():
-    frame = dft_frame(2, 64)
-    with pytest.raises(PreconditionError):
-        halving_select_frame(frame, FrameBounds(0.0, 1.0), 1.0)
-    with pytest.raises(PreconditionError):
-        halving_select_frame(frame, FrameBounds(0.01, 1.0), 1.0)  # A <= delta
-    with pytest.raises(PreconditionError):
-        halving_select_frame(frame, FrameBounds(1.0, 0.5), 1.0)
-    with pytest.raises(PreconditionError):
-        halving_select_frame(frame, FrameBounds(0.5, 0.5), 1.0)  # does not hold
 
 
 def test_cardinality_sandwich_rejections():

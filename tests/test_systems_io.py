@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sampdisc import (
+    DiscretizationError,
     FrameBounds,
     OracleConfig,
     ParseError,
@@ -72,7 +73,7 @@ def test_generator_validation():
         make_system(SystemDescriptor("fourier", n=2, m=8))
     with pytest.raises(PreconditionError, match="n, m >= 1"):
         make_system(SystemDescriptor("dft", n=0, m=8))
-    with pytest.raises(PreconditionError, match="needs a path"):
+    with pytest.raises(PreconditionError, match="unknown system kind"):
         make_system(SystemDescriptor("file"))
 
 
@@ -88,9 +89,6 @@ def test_roundtrip_real(tmp_path):
     assert np.array_equal(back.points, system.points)
     assert np.array_equal(back.point_weights, system.point_weights)
     assert back.fingerprint() == system.fingerprint()
-    # the file kind routes through the loader
-    again = make_system(SystemDescriptor("file", path=path))
-    assert again.fingerprint() == system.fingerprint()
 
 
 def test_roundtrip_complex(tmp_path):
@@ -322,6 +320,26 @@ def test_save_sidecar_golden_bytes(tmp_path):
     )
 
 
+def test_missing_files_are_parse_errors(tmp_path, capsys):
+    system = make_system(SystemDescriptor("trig", n=3, m=8))
+    path = str(tmp_path / "sys.csv")
+    save_system(system, path)
+    cert = str(tmp_path / "cert.json")
+    save_certificate(discretize_equal_weight(system), cert)
+    os.rename(path, path + ".moved")
+    with pytest.raises(ParseError, match="cannot read values") as info:
+        load_system(path)
+    assert info.value.path == path
+    assert main(["verify", "--system", path, "--certificate", cert]) == 1
+    assert "cannot read values" in capsys.readouterr().err
+    os.rename(path + ".moved", path)
+    missing = str(tmp_path / "none.json")
+    with pytest.raises(ParseError, match="cannot read certificate") as info:
+        load_certificate(missing)
+    assert info.value.path == missing
+    assert main(["verify", "--system", path, "--certificate", missing]) == 1
+
+
 def test_load_fingerprint_tamper(tmp_path):
     system = make_system(SystemDescriptor("trig", n=3, m=8))
     path = str(tmp_path / "sys.csv")
@@ -540,6 +558,66 @@ def test_loaders_raise_only_typed_errors(saved_files, target, mutations):
             pass
 
 
+@pytest.fixture(scope="module")
+def weighted_document(tmp_path_factory):
+    """A real system and the JSON text of a weighted certificate for it
+    with several points and unequal weights."""
+    system = make_system(SystemDescriptor("random_orthonormal", n=2, m=64, seed=5))
+    cert = str(tmp_path_factory.mktemp("verify-fuzz") / "cert.json")
+    save_certificate(discretize_weighted(system, OracleConfig(seed=1)), cert)
+    text = Path(cert).read_text()
+    doc = json.loads(text)
+    assert len(doc["point_indices"]) > 1 and len(set(doc["weights"])) > 1
+    return system, text
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**62, max_value=2**80),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.lists(st.integers(-2, 40), max_size=2), max_size=3),
+    st.dictionaries(st.sampled_from(("lower", "upper")), st.integers(-2, 2), max_size=2),
+)
+# every part of a certificate that verification reads
+CLAIM = st.one_of(
+    st.tuples(
+        st.sampled_from(("input_fingerprint", "point_indices", "m", "weights", "constants"))
+    ),
+    st.tuples(st.sampled_from(("point_indices", "weights")), st.integers(0, 2**10)),
+    st.tuples(st.just("constants"), st.sampled_from(("lower", "upper"))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(claim=CLAIM, value=JUNK, drop=st.booleans())
+def test_verify_fails_every_mutated_certificate(weighted_document, claim, value, drop):
+    # replacing or dropping any claim ends in a failed report or a typed
+    # error; "m" alone may be absent, since it only repeats the index count
+    system, text = weighted_document
+    doc = json.loads(text)
+    parent = doc
+    for key in claim[:-1]:
+        parent = parent[key]
+    key = claim[-1] % len(parent) if isinstance(parent, list) else claim[-1]
+    if drop:
+        assume(claim != ("m",))
+        del parent[key]
+    else:
+        assume(value != parent[key] and not (claim == ("m",) and value is None))
+        parent[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = os.path.join(tmp, "cert.json")
+        Path(cert).write_text(json.dumps(doc))
+        try:
+            report = verify_certificate(system, load_certificate(cert))
+        except DiscretizationError:
+            return
+    assert not report.passed
+
+
 # ---------------------------------------------------------------- certificates
 
 
@@ -617,6 +695,8 @@ def test_certificate_missing_keys(tmp_path):
         (dict(good, constants="0.5"), "lower and upper"),
         (dict(good, point_indices="01"), "point_indices must be a list of integers"),
         (dict(good, point_indices=[0, "x"]), "point_indices must be a list of integers"),
+        (dict(good, point_indices=[0, 1.5]), "point_indices must be a list of integers"),
+        (dict(good, point_indices=[True, 1]), "point_indices must be a list of integers"),
         (dict(good, weights=0.5), "expected a list of numbers, got float"),
         (dict(good, weights=["0.5", [1]]), r"bad number \[1\]"),
         (dict(good, theta=[2]), r"bad number \[2\]"),
@@ -679,6 +759,14 @@ def test_verify_detects_tampering(tmp_path):
     assert not report.passed
     assert any("lower constant mismatch" in msg for msg in report.messages)
 
+    # 4. non-finite constants: nan and inf compare within any tolerance
+    for lower, upper in ((np.nan, np.nan), (doc3["constants_decoded"].lower, np.inf)):
+        doc4 = load_certificate(path)
+        doc4["constants_decoded"] = FrameBounds(lower, upper)
+        report = verify_certificate(system, doc4)
+        assert not report.passed
+        assert any("not finite" in msg for msg in report.messages)
+
 
 def test_verify_document_checks():
     system = make_system(SystemDescriptor("trig", n=3, m=12))
@@ -709,6 +797,17 @@ def test_verify_document_checks():
     report = verify_certificate(system, doc_for(system, [0, 1, 2], weights=[0.1, 0.2]))
     assert not report.passed
     assert any("weights for" in msg for msg in report.messages)
+
+    # documents built in memory skip the loader's type checks
+    good = doc_for(system, [0, 1, 2])
+    for doc, message in (
+        (dict(good, point_indices=[[0, 1], [2, 3]]), "not a flat list"),
+        (dict(good, point_indices=[0, 1, 2**70]), "not 64-bit integers"),
+        (dict(good, weights=["a", "b", "c"]), "not numbers"),
+    ):
+        report = verify_certificate(system, doc)
+        assert not report.passed
+        assert any(message in msg for msg in report.messages)
 
 
 def test_verify_rejects_rank_loss_and_skew():
