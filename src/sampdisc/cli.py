@@ -29,6 +29,7 @@ from .discretize import (
 from .errors import DiscretizationError
 from .partition_oracle import OracleConfig
 from .systems_io import (
+    SYSTEM_KINDS,
     SystemDescriptor,
     load_certificate,
     load_system,
@@ -53,7 +54,7 @@ def _add_source_args(sub, needs_out=False):
     src.add_argument("--system", help="load a system from this CSV file")
     src.add_argument(
         "--kind",
-        choices=("trig", "dft", "walsh", "random_orthonormal"),
+        choices=SYSTEM_KINDS,
         help="generate a built-in system instead of loading one",
     )
     src.add_argument("--n", type=int, help="number of functions")
@@ -69,33 +70,26 @@ def _add_search_args(sub):
     sub.add_argument("--budget", type=int, default=10_000)
 
 
-def _add_rebase_args(sub, with_delta=True):
-    if with_delta:
-        sub.add_argument(
-            "--delta",
-            type=float,
-            default=ORTHONORMALITY_TOL,
-            help="largest orthonormality residual accepted without re-basing",
-        )
+def _add_rebase_args(sub):
     sub.add_argument(
         "--out-system",
         help="where to save the re-orthonormalized system if re-basing is needed",
     )
 
 
-def _rebased(system, delta, out_system):
+def _rebased(system, out_system):
     """The system a certificate will refer to.
 
-    A system whose orthonormality residual exceeds ``delta`` is
-    re-orthonormalized and saved to ``out_system``, so the certificate
-    verifies against a file on disk; without ``out_system`` that is a
-    usage error.
+    Both selection pipelines refuse an orthonormality residual above
+    ``ORTHONORMALITY_TOL``, so such a system is re-orthonormalized and
+    saved to ``out_system``, and the certificate verifies against a file
+    on disk; without ``out_system`` that is a usage error.
     """
     resid = system.orthonormality_residual()
-    if resid > delta:
+    if resid > ORTHONORMALITY_TOL:
         if not out_system:
             raise UsageError(
-                f"orthonormality residual {resid:.3e} exceeds {delta}; "
+                f"orthonormality residual {resid:.3e} exceeds {ORTHONORMALITY_TOL}; "
                 "pass --out-system to save the re-based system the certificate "
                 "will refer to"
             )
@@ -150,7 +144,7 @@ def build_parser() -> _Parser:
     selw = subs.add_parser("select-weighted", help="weighted point selection")
     _add_source_args(selw, needs_out=True)
     _add_search_args(selw)
-    _add_rebase_args(selw, with_delta=False)
+    _add_rebase_args(selw)
     selw.add_argument("--cap", type=int, default=1_000_000)
 
     ver = subs.add_parser("verify", help="recompute certificate constants")
@@ -159,11 +153,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--tol", type=float, default=1e-10)
 
     swp = subs.add_parser("sweep", help="select over a grid of sizes")
-    swp.add_argument(
-        "--kind",
-        required=True,
-        choices=("trig", "dft", "walsh", "random_orthonormal"),
-    )
+    swp.add_argument("--kind", required=True, choices=SYSTEM_KINDS)
     swp.add_argument("--n-list", required=True, help="comma-separated dimensions")
     swp.add_argument("--m-list", required=True, help="comma-separated point counts")
     swp.add_argument("--field", choices=("real", "complex"), default="real")
@@ -229,10 +219,11 @@ def _print_certificate(cert) -> None:
 
 def _cmd_select(args) -> int:
     config = _oracle(args)
-    system = _rebased(_resolve_system(args), args.delta, args.out_system)
+    system = _rebased(_resolve_system(args), args.out_system)
     cert = discretize_equal_weight(system, config, theta=args.theta)
+    # recorded for certificate readers: the residual re-basing starts above
     save_certificate(
-        cert, args.out, settings=_settings(args, {"delta": args.delta})
+        cert, args.out, settings=_settings(args, {"delta": ORTHONORMALITY_TOL})
     )
     _print_certificate(cert)
     print(f"wrote {args.out}")
@@ -241,8 +232,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_select_weighted(args) -> int:
     config = _oracle(args)
-    # the weighted pipeline refuses any residual above ORTHONORMALITY_TOL
-    system = _rebased(_resolve_system(args), ORTHONORMALITY_TOL, args.out_system)
+    system = _rebased(_resolve_system(args), args.out_system)
     cert = discretize_weighted(system, config, cap=args.cap)
     save_certificate(
         cert, args.out, settings=_settings(args, {"cap": args.cap})
@@ -339,7 +329,7 @@ def main(argv=None) -> int:
         sys.stderr.write(parser.format_usage())
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except DiscretizationError as exc:
+    except (DiscretizationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

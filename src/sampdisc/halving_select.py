@@ -27,10 +27,9 @@ from .errors import DiscretizationError, DomainError, PreconditionError
 from .frame_core import FrameBounds, FrameSystem, frame_bounds, subset_bounds
 from .partition_oracle import (
     OracleConfig,
-    PartitionRequest,
     _check_norms,
+    _randomized,
     partition_targets,
-    spectral_partition,
 )
 
 TIGHTNESS_TOL = 1e-8
@@ -143,28 +142,17 @@ def _drop_zero_vectors(frame: FrameSystem, indices: np.ndarray) -> np.ndarray:
 
 
 def _run_rounds(frame: FrameSystem, schedule: HalvingSchedule, config: OracleConfig):
-    kept = np.arange(frame.m)
+    # halving_select has checked every norm against delta; round j's
+    # targets are the schedule's next step, partition_targets of step j
+    kept = np.arange(frame.m, dtype=np.int64)
     log = []
     for j in range(schedule.rounds):
-        alpha_j, beta_j = schedule.steps[j]
-        req = PartitionRequest(
-            frame=frame, active=kept, delta=schedule.delta, alpha=alpha_j, beta=beta_j
+        lo_t, up_t = schedule.steps[j + 1]
+        s1, s2, b1, b2, tried = _randomized(
+            frame, kept, lo_t, up_t, config.budget, config.seed + j
         )
-        res = spectral_partition(req, budget=config.budget, seed=config.seed + j)
-        if len(res.s1) <= len(res.s2):
-            kept, kept_tuple, measured = res._s1, res.s1, res.bounds_s1
-        else:
-            kept, kept_tuple, measured = res._s2, res.s2, res.bounds_s2
-        log.append(
-            HalvingRound(
-                index=j,
-                kept=kept_tuple,
-                measured=measured,
-                target_lower=res.lower_target,
-                target_upper=res.upper_target,
-                candidates_tried=res.candidates_tried,
-            )
-        )
+        kept, measured = (s1, b1) if s1.size <= s2.size else (s2, b2)
+        log.append(HalvingRound(j, tuple(kept.tolist()), measured, lo_t, up_t, tried))
     return kept, tuple(log)
 
 

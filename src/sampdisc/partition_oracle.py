@@ -11,7 +11,9 @@ Both sides of a returned split are nonempty.  The exhaustive strategy
 enumerates every such split of up to ``EXHAUSTIVE_LIMIT`` vectors and is
 exact: a failure means no split meets the targets under the same
 verifier.  The randomized strategy draws seeded balanced splits and
-returns the first one that verifies.
+returns the first one that verifies.  :func:`spectral_partition` is the
+one-step entry that validates a request; halving rounds call
+``_randomized`` on int64 index arrays directly.
 """
 
 from __future__ import annotations
@@ -88,9 +90,6 @@ class PartitionRequest:
             raise PreconditionError(
                 f"active indices must lie in 0..{self.frame.m - 1}"
             )
-        # the search reads the sorted array, callers the tuple
-        active.setflags(write=False)
-        object.__setattr__(self, "_active", active)
         object.__setattr__(self, "active", tuple(active.tolist()))
         if not (self.delta > 0):
             raise PreconditionError(f"delta must be positive, got {self.delta}")
@@ -106,7 +105,11 @@ class PartitionRequest:
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """A verified split.  Bounds are eigensolve-measured, not inferred."""
+    """A verified split.  Bounds are eigensolve-measured, not inferred.
+
+    ``s1`` and ``s2`` may be any integer array-like; they are kept as
+    tuples of ints.
+    """
 
     s1: tuple
     s2: tuple
@@ -117,12 +120,8 @@ class PartitionResult:
     candidates_tried: int
 
     def __post_init__(self):
-        # halving carries the kept side on as a private array copy
-        # (``_s1``/``_s2``); the caller's array is left writable
         for name in ("s1", "s2"):
-            side = np.array(getattr(self, name), dtype=np.int64)
-            side.setflags(write=False)
-            object.__setattr__(self, "_" + name, side)
+            side = _index_array(getattr(self, name))
             object.__setattr__(self, name, tuple(side.tolist()))
 
 
@@ -176,14 +175,15 @@ def _batched_extremes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ev[..., 0], ev[..., -1]
 
 
-def _exhaustive(req: PartitionRequest, lo_t: float, up_t: float) -> PartitionResult:
-    active = req._active
+def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float):
+    """Best split of ``active`` as ``(s1, s2, bounds_s1, bounds_s2,
+    candidates_tried)`` with the sides tuples of ints."""
     k = active.size
     if k > EXHAUSTIVE_LIMIT:
         raise PartitionSizeError(
             f"exhaustive search limited to {EXHAUSTIVE_LIMIT} vectors, got {k}"
         )
-    v = req.frame.vectors[:, active]
+    v = frame.vectors[:, active]
     n = v.shape[0]
     outers = np.einsum("ij,kj->jik", v, v.conj())
     flat_rest = outers[1:].reshape(k - 1, n * n) if k > 1 else outers[:0].reshape(0, n * n)
@@ -240,21 +240,21 @@ def _exhaustive(req: PartitionRequest, lo_t: float, up_t: float) -> PartitionRes
             f"no split of {k} vectors meets targets "
             f"[{lo_t:.6e}, {up_t:.6e}] (exhaustive over {tried} candidates)"
         )
-    return PartitionResult(
-        s1=best[0],
-        s2=best[1],
-        bounds_s1=best[2],
-        bounds_s2=best[3],
-        lower_target=lo_t,
-        upper_target=up_t,
-        candidates_tried=tried,
-    )
+    return (*best, tried)
 
 
 def _randomized(
-    req: PartitionRequest, lo_t: float, up_t: float, budget: int, seed: int
-) -> PartitionResult:
-    active = req._active
+    frame: FrameSystem,
+    active: np.ndarray,
+    lo_t: float,
+    up_t: float,
+    budget: int,
+    seed: int,
+):
+    """First seeded balanced split of the sorted int64 array ``active``
+    whose sides both meet [lo_t, up_t], as
+    ``(s1, s2, bounds_s1, bounds_s2, candidates_tried)`` with the sides
+    sorted int64 arrays."""
     k = active.size
     if k < 2:
         raise SearchFailureError(
@@ -267,18 +267,10 @@ def _randomized(
         perm = rng.permutation(k)
         s1 = np.sort(active[perm[:half]])
         s2 = np.sort(active[perm[half:]])
-        b1 = subset_bounds(req.frame, s1)
-        b2 = subset_bounds(req.frame, s2)
+        b1 = subset_bounds(frame, s1)
+        b2 = subset_bounds(frame, s2)
         if _split_ok(b1, b2, lo_t, up_t):
-            return PartitionResult(
-                s1=s1,
-                s2=s2,
-                bounds_s1=b1,
-                bounds_s2=b2,
-                lower_target=lo_t,
-                upper_target=up_t,
-                candidates_tried=attempt,
-            )
+            return s1, s2, b1, b2, attempt
         gap = max(
             lo_t - min(b1.lower, b2.lower), max(b1.upper, b2.upper) - up_t, 0.0
         )
@@ -325,8 +317,12 @@ def spectral_partition(
         raise PreconditionError(f"unknown strategy {strategy!r}")
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
-    _check_norms(req.frame, req.delta, req._active)
+    active = np.array(req.active, dtype=np.int64)
+    _check_norms(req.frame, req.delta, active)
     lo_t, up_t = partition_targets(req.alpha, req.beta, req.delta)
     if strategy == "exhaustive":
-        return _exhaustive(req, lo_t, up_t)
-    return _randomized(req, lo_t, up_t, budget, seed)
+        found = _exhaustive(req.frame, active, lo_t, up_t)
+    else:
+        found = _randomized(req.frame, active, lo_t, up_t, budget, seed)
+    s1, s2, b1, b2, tried = found
+    return PartitionResult(s1, s2, b1, b2, lo_t, up_t, tried)

@@ -283,11 +283,13 @@ def load_system(path: str) -> SampledSystem:
     Loading never writes a file.
     """
     side = path + ".json"
-    if not os.path.exists(side):
-        raise ParseError("missing metadata sidecar", path=side)
     try:
         with open(side) as fh:
             meta = json.load(fh)
+    except FileNotFoundError:
+        raise ParseError("missing metadata sidecar", path=side) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read metadata: {exc.strerror}", path=side) from None
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"invalid JSON: {exc}", path=side) from None
     if not isinstance(meta, dict):

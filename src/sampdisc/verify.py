@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .discretize import SampledSystem, fingerprint_matches, recompute_constants
+from .errors import PreconditionError
 from .frame_core import FrameBounds
 
 VERIFY_TOL = 1e-10
@@ -43,8 +44,11 @@ def verify_certificate(
     stored constants are not finite, the indices are not distinct
     in-range integers, weights are negative or miscounted, the
     recomputed constants differ from the stored ones by more than
-    ``tol``, or the lower constant is not strictly positive.
+    ``tol``, or the lower constant is not strictly positive.  Raises
+    :class:`PreconditionError` when ``tol`` is not finite or negative.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
     report = VerifyReport(passed=True)
     stored = document.get("constants_decoded")
     if stored is None:

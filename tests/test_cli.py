@@ -158,6 +158,11 @@ def test_select_weighted_rebases_skewed_system(tmp_path, capsys):
     assert code == 1
     assert "unrecognized arguments: --delta" in err
     assert not os.path.exists(cert)
+    # select re-bases at the same residual and has no --delta either
+    code, _, err = run(capsys, "select", *argv[1:], "--delta", "0.1")
+    assert code == 1
+    assert "unrecognized arguments: --delta" in err
+    assert not os.path.exists(cert)
 
     code, out, _ = run(capsys, *argv, "--out-system", rebased)
     assert code == 0

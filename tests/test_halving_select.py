@@ -13,11 +13,18 @@ from sampdisc import (
     FrameSystem,
     HalvingSchedule,
     OracleConfig,
+    PartitionRequest,
     PreconditionError,
+    SystemDescriptor,
+    build_frame_from_samples,
     check_cardinality_sandwich,
+    condition_e_constant,
+    duplicate_normalize,
     halving_schedule,
     halving_select,
+    make_system,
     partition_targets,
+    spectral_partition,
 )
 
 from helpers import svd_subset_bounds
@@ -153,6 +160,46 @@ def test_iterative_dft_two_rounds_nested():
         lo, up = svd_subset_bounds(frame, rnd.kept)
         assert abs(rnd.measured.lower - lo) < 1e-12
         assert abs(rnd.measured.upper - up) < 1e-12
+
+
+def _trig_golden_case():
+    system = make_system(SystemDescriptor("trig", n=5, m=2048))
+    frame = build_frame_from_samples(system)
+    return frame, condition_e_constant(system).t_squared
+
+
+def _weighted_copy_case():
+    system = make_system(SystemDescriptor("random_orthonormal", n=4, m=1024, seed=11))
+    copies, _ = duplicate_normalize(build_frame_from_samples(system))
+    return copies, min(2.0, copies.m / system.n)
+
+
+@pytest.mark.parametrize("case", [_trig_golden_case, _weighted_copy_case])
+def test_rounds_agree_with_the_one_step_api(case):
+    # each round, replayed through PartitionRequest/spectral_partition,
+    # keeps the same side with the same bounds, targets and candidates
+    frame, theta = case()
+    cfg = OracleConfig(seed=3)
+    cert = halving_select(frame, theta, cfg)
+    assert len(cert.rounds) >= 2
+    active = tuple(range(frame.m))
+    for j, rnd in enumerate(cert.rounds):
+        alpha, beta = cert.schedule.steps[j]
+        req = PartitionRequest(
+            frame=frame, active=active, delta=cert.delta, alpha=alpha, beta=beta
+        )
+        res = spectral_partition(req, budget=cfg.budget, seed=cfg.seed + j)
+        if len(res.s1) <= len(res.s2):
+            kept, measured = res.s1, res.bounds_s1
+        else:
+            kept, measured = res.s2, res.bounds_s2
+        assert rnd.kept == kept and rnd.measured == measured
+        assert (rnd.target_lower, rnd.target_upper) == (
+            res.lower_target,
+            res.upper_target,
+        )
+        assert rnd.candidates_tried == res.candidates_tried
+        active = rnd.kept
 
 
 def test_iterative_determinism():

@@ -340,6 +340,56 @@ def test_missing_files_are_parse_errors(tmp_path, capsys):
     assert main(["verify", "--system", path, "--certificate", missing]) == 1
 
 
+def test_unreadable_paths_are_errors_not_tracebacks(tmp_path, capsys):
+    system = str(tmp_path / "sys.csv")
+    cert = str(tmp_path / "cert.json")
+    nodir = tmp_path / "nodir"
+    assert main(["gen", "--kind", "trig", "--n", "3", "--m", "64", "--out", system]) == 0
+    assert main(["select", "--system", system, "--seed", "0", "--out", cert]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["gen", "--kind", "trig", "--n", "3", "--m", "64", "--out", str(nodir / "s.csv")],
+        ["select", "--system", system, "--seed", "0", "--out", str(nodir / "c.json")],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert "Traceback" not in err
+    assert not nodir.exists()
+
+    # a sidecar that is a directory
+    shutil.copy(system, tmp_path / "dir.csv")
+    (tmp_path / "dir.csv.json").mkdir()
+    with pytest.raises(ParseError, match="cannot read metadata: "):
+        load_system(str(tmp_path / "dir.csv"))
+    code = main(["verify", "--system", str(tmp_path / "dir.csv"), "--certificate", cert])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and "cannot read metadata" in err
+
+
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys):
+    # stored constants far from the true (1, 1) of this selection
+    system = make_system(SystemDescriptor("trig", n=3, m=64))
+    path = str(tmp_path / "sys.csv")
+    cert = str(tmp_path / "cert.json")
+    save_system(system, path)
+    assert main(["select", "--system", path, "--seed", "0", "--out", cert]) == 0
+    doc = json.loads(Path(cert).read_text())
+    doc["constants"] = {"lower": "0.5", "upper": "7.0"}
+    Path(cert).write_text(json.dumps(doc))
+    capsys.readouterr()
+    for tol in ("nan", "inf", "-1"):
+        with pytest.raises(PreconditionError, match="tol must be finite and nonnegative"):
+            verify_certificate(system, load_certificate(cert), tol=float(tol))
+        code = main(["verify", "--system", path, "--certificate", cert, "--tol", tol])
+        out, err = capsys.readouterr()
+        assert code == 1, out
+        assert "verification passed" not in out
+        assert "tol must be finite and nonnegative" in err
+    assert main(["verify", "--system", path, "--certificate", cert, "--tol", "0"]) == 2
+
+
 def test_load_fingerprint_tamper(tmp_path):
     system = make_system(SystemDescriptor("trig", n=3, m=8))
     path = str(tmp_path / "sys.csv")
