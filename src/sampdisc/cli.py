@@ -16,6 +16,8 @@ All outputs are deterministic: same command, same bytes.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .discretize import (
@@ -97,6 +99,20 @@ def _rebased(system, out_system):
         save_system(system, out_system)
         print(f"re-based system written to {out_system} (rank {system.n})")
     return system
+
+
+def _check_destinations(args) -> None:
+    """Fail before any work when ``--out`` or ``--out-system`` names a
+    file whose directory is missing or not a directory, so that a
+    command never writes one output and then fails on the other."""
+    for path in (getattr(args, "out", None), getattr(args, "out_system", None)):
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.exists(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _oracle(args) -> OracleConfig:
@@ -324,6 +340,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required")
+        _check_destinations(args)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

@@ -122,7 +122,13 @@ def _gram_bounds(
     The operator is positive semidefinite by construction, so tiny
     negative eigenvalues produced by roundoff are clamped to zero.
     """
-    lo, hi = extreme_eigenvalues(_gram(vectors, weights))
+    return _operator_bounds(_gram(vectors, weights))
+
+
+def _operator_bounds(operator: np.ndarray) -> FrameBounds:
+    """Extreme eigenvalues of a positive semidefinite frame operator,
+    with roundoff below zero clamped to zero."""
+    lo, hi = extreme_eigenvalues(operator)
     return FrameBounds(max(lo, 0.0), max(hi, 0.0))
 
 

@@ -24,7 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DiscretizationError, DomainError, PreconditionError
-from .frame_core import FrameBounds, FrameSystem, frame_bounds, subset_bounds
+from .frame_core import (
+    FrameBounds,
+    FrameSystem,
+    _operator_bounds,
+    frame_operator,
+    subset_bounds,
+)
 from .partition_oracle import (
     OracleConfig,
     _check_norms,
@@ -141,17 +147,23 @@ def _drop_zero_vectors(frame: FrameSystem, indices: np.ndarray) -> np.ndarray:
     return indices[frame.norms_squared()[indices] > 0.0]
 
 
-def _run_rounds(frame: FrameSystem, schedule: HalvingSchedule, config: OracleConfig):
+def _run_rounds(
+    frame: FrameSystem,
+    schedule: HalvingSchedule,
+    config: OracleConfig,
+    operator: np.ndarray,
+):
     # halving_select has checked every norm against delta; round j's
-    # targets are the schedule's next step, partition_targets of step j
+    # targets are the schedule's next step, partition_targets of step j.
+    # ``operator`` is the frame operator of ``kept``: the whole frame's,
+    # then the kept side's of the round before.
     kept = np.arange(frame.m, dtype=np.int64)
     log = []
     for j in range(schedule.rounds):
         lo_t, up_t = schedule.steps[j + 1]
-        s1, s2, b1, b2, tried = _randomized(
-            frame, kept, lo_t, up_t, config.budget, config.seed + j
+        kept, _, measured, _, tried, operator = _randomized(
+            frame, kept, operator, lo_t, up_t, config.budget, config.seed + j
         )
-        kept, measured = (s1, b1) if s1.size <= s2.size else (s2, b2)
         log.append(HalvingRound(j, tuple(kept.tolist()), measured, lo_t, up_t, tried))
     return kept, tuple(log)
 
@@ -188,7 +200,8 @@ def halving_select(
         )
     cfg = config or OracleConfig()
     delta = theta * frame.n / frame.m
-    measured = frame_bounds(frame)
+    operator = frame_operator(frame)
+    measured = _operator_bounds(operator)
     if measured.lower < 1.0 - TIGHTNESS_TOL or measured.upper > 1.0 + TIGHTNESS_TOL:
         raise PreconditionError(
             f"frame is not tight: measured bounds "
@@ -212,7 +225,7 @@ def halving_select(
             rounds=(),
         )
     schedule = halving_schedule(delta)
-    kept, log = _run_rounds(frame, schedule, cfg)
+    kept, log = _run_rounds(frame, schedule, cfg, operator)
     kept = _drop_zero_vectors(frame, kept)
     actual = subset_bounds(frame, kept)
     t_lo, t_up = schedule.steps[-1]

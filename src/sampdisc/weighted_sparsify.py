@@ -101,7 +101,7 @@ def duplicate_normalize(
 
     src = np.repeat(np.arange(frame.m), counts)
     scale = 1.0 / np.sqrt(counts.astype(np.float64))
-    vectors = frame.vectors[:, src] * scale[src]
+    vectors = np.repeat(frame.vectors * scale, counts, axis=1)
     dup = DuplicationMap(counts=counts, copy_to_source=src, anchor=anchor)
     return FrameSystem(vectors), dup
 

@@ -176,6 +176,39 @@ def test_select_weighted_rebases_skewed_system(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_destination_fails_before_any_work(tmp_path, capsys):
+    # a skewed system would be re-based and saved to --out-system; the
+    # command must refuse a bad --out before it writes anything
+    skew = SampledSystem(
+        np.array([[1.0, 1.0, 1.0, 1.0], [1.1, 0.9, 1.05, 0.95]]), np.arange(4.0)
+    )
+    src = str(tmp_path / "skew.csv")
+    save_system(skew, src)
+    (tmp_path / "file").write_text("")
+    cert = str(tmp_path / "c.json")
+    rebased = str(tmp_path / "r.csv")
+    for command in ("select", "select-weighted"):
+        for out, out_system, reason in (
+            (str(tmp_path / "nodir" / "c.json"), rebased, "No such file or directory"),
+            (str(tmp_path / "file" / "c.json"), rebased, "Not a directory"),
+            (cert, str(tmp_path / "nodir" / "r.csv"), "No such file or directory"),
+        ):
+            code, out_text, err = run(
+                capsys, command, "--system", src, "--seed", "0",
+                "--out", out, "--out-system", out_system,
+            )
+            assert code == 1
+            assert err.startswith("error: ") and reason in err
+            assert out_text == ""
+            assert not os.path.exists(rebased) and not os.path.exists(cert)
+    code, _, err = run(
+        capsys, "sweep", "--kind", "trig", "--n-list", "3", "--m-list", "64",
+        "--seed", "0", "--out", str(tmp_path / "nodir" / "s.csv"),
+    )
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "nodir").exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(("select", "select-weighted")),

@@ -1,10 +1,11 @@
 """Golden certificate bytes.
 
-Pins the sha256 of the ``save_certificate`` output for one weighted and
-one equal-weight selection.  Refactors of the selection pipelines must
-keep these bytes; a change here means selections, weights or measured
-constants moved.  The digests were recorded with numpy 2.4 on x86-64
-OpenBLAS; another BLAS may round the eigensolves differently.
+Pins the sha256 of the ``save_certificate`` output for one weighted
+selection and two equal-weight selections, one real and one complex.
+Refactors of the selection pipelines must keep these bytes; a change
+here means selections, weights or measured constants moved.  The
+digests were recorded with numpy 2.4 on x86-64 OpenBLAS; another BLAS
+may round the eigensolves differently.
 """
 
 import hashlib
@@ -34,6 +35,13 @@ CASES = {
             OracleConfig(seed=3),
         ),
         "4dd6d2d4788caa712e2eba1fea24628675e80a0217704f8c3b8b12a9fb3a1885",
+    ),
+    "equal_weight-dft-complex-8x4096": (
+        lambda: discretize_equal_weight(
+            make_system(SystemDescriptor("dft", n=8, m=4096), field="complex"),
+            OracleConfig(seed=3),
+        ),
+        "9ef4d4ab87d61936cc5afc2bb011079e466e6c9cacd5c81d7508b96f1288fabd",
     ),
 }
 

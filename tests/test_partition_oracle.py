@@ -5,14 +5,24 @@ import pytest
 
 from sampdisc import (
     FrameSystem,
+    OracleConfig,
     PartitionRequest,
     PartitionResult,
     PartitionSizeError,
     PreconditionError,
     SearchFailureError,
+    SystemDescriptor,
+    build_frame_from_samples,
+    condition_e_constant,
+    duplicate_normalize,
+    halving_select,
+    make_system,
     partition_targets,
     spectral_partition,
+    subset_bounds,
 )
+from sampdisc.frame_core import _gram, frame_operator
+from sampdisc.partition_oracle import VERIFY_SLACK, _randomized, _split_ok
 
 from helpers import random_tight_frame, svd_subset_bounds
 
@@ -291,3 +301,80 @@ def test_strategy_and_budget_validation():
         spectral_partition(req, strategy="greedy")
     with pytest.raises(PreconditionError):
         spectral_partition(req, strategy="randomized", budget=0)
+
+
+def _equal_weight_case(kind, n, m, field="real"):
+    system = make_system(SystemDescriptor(kind, n=n, m=m), field=field)
+    return build_frame_from_samples(system), condition_e_constant(system).t_squared
+
+
+def _weighted_copy_case():
+    system = make_system(SystemDescriptor("random_orthonormal", n=4, m=1024, seed=11))
+    copies, _ = duplicate_normalize(build_frame_from_samples(system))
+    return copies, min(2.0, copies.m / system.n)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _equal_weight_case("trig", 5, 2048),
+        _weighted_copy_case,
+        lambda: _equal_weight_case("dft", 8, 8192, field="complex"),
+    ],
+    ids=["trig-5x2048", "weighted-copies-4x1024", "dft-complex-8x8192"],
+)
+def test_side_two_by_subtraction_matches_direct(case):
+    # replay every halving round: side 1 is measured exactly as
+    # subset_bounds measures it, side 2 (active operator minus side 1's)
+    # to rounding, and the kept side's operator carries into the next round
+    frame, theta = case()
+    cfg = OracleConfig(seed=3)
+    cert = halving_select(frame, theta, cfg)
+    assert len(cert.rounds) >= 2
+    active = np.arange(frame.m, dtype=np.int64)
+    active_op = frame_operator(frame)
+    for j, rnd in enumerate(cert.rounds):
+        s1, s2, b1, b2, tried, op1 = _randomized(
+            frame, active, active_op, rnd.target_lower, rnd.target_upper,
+            cfg.budget, cfg.seed + j,
+        )
+        assert tuple(s1.tolist()) == rnd.kept and tried == rnd.candidates_tried
+        assert np.array_equal(np.union1d(s1, s2), active)
+        assert s1.size + s2.size == active.size and s1.size <= s2.size
+        assert b1 == subset_bounds(frame, s1) == rnd.measured
+        direct = subset_bounds(frame, s2)
+        tol = 1e-12 * max(1.0, direct.upper)
+        assert abs(b2.lower - direct.lower) <= tol
+        assert abs(b2.upper - direct.upper) <= tol
+        assert np.array_equal(op1, _gram(frame.vectors[:, s1]))
+        active, active_op = s1, op1
+
+
+def test_side_two_near_a_target_takes_the_direct_verdict():
+    # a target within rounding of side 2's bound is judged on a direct
+    # measurement of side 2, so subtraction rounding cannot flip a verdict
+    frame, _ = _equal_weight_case("trig", 5, 2048)
+    active = np.arange(frame.m, dtype=np.int64)
+    active_op = frame_operator(frame)
+    for seed in range(50):
+        perm = np.random.default_rng(seed).permutation(frame.m)
+        s1 = np.sort(perm[: frame.m // 2])
+        s2 = np.sort(perm[frame.m // 2:])
+        d1, d2 = subset_bounds(frame, s1), subset_bounds(frame, s2)
+        if d2.lower < d1.lower:
+            break
+    else:
+        pytest.fail("no candidate whose side 2 has the smaller lower bound")
+    up_t = 2.0 * max(d1.upper, d2.upper)
+    verdicts = set()
+    for step in (-1e-13, -1e-15, -1e-16, 0.0, 1e-16, 1e-15, 1e-13):
+        lo_t = d2.lower + step + VERIFY_SLACK
+        expected = _split_ok(d1, d2, lo_t, up_t)
+        verdicts.add(expected)
+        if expected:
+            found = _randomized(frame, active, active_op, lo_t, up_t, 1, seed)
+            assert found[3] == d2
+        else:
+            with pytest.raises(SearchFailureError):
+                _randomized(frame, active, active_op, lo_t, up_t, 1, seed)
+    assert verdicts == {True, False}

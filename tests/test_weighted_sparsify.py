@@ -8,7 +8,10 @@ from sampdisc import (
     FrameSystem,
     OracleConfig,
     PreconditionError,
+    SystemDescriptor,
+    build_frame_from_samples,
     duplicate_normalize,
+    make_system,
     weighted_select,
 )
 from sampdisc.frame_core import weighted_bounds
@@ -97,6 +100,29 @@ def test_duplication_preserves_operator_and_trace():
         assert norms.max() < 2.0 * 3.0 / dup.m_prime
         # copies of one source are contiguous, sources ascending
         assert list(dup.copy_to_source) == sorted(dup.copy_to_source)
+
+
+def test_copies_match_the_gathered_construction():
+    # np.repeat of the scaled sources forms the products of a per-copy
+    # gather, vectors[:, src] * scale[src], bit for bit (signed zeros too)
+    system = make_system(SystemDescriptor("random_orthonormal", n=4, m=1024, seed=11))
+    z = complex(-0.0, -0.0)
+    signed_zeros = FrameSystem(
+        np.array([[complex(-0.0, 0.6), complex(0.8, -0.0), z], [z, 0.0, 1.0]])
+    )
+    for frame in (build_frame_from_samples(system), signed_zeros):
+        copies, dup = duplicate_normalize(frame)
+        counts = np.array(dup.counts)
+        src = np.repeat(np.arange(frame.m), counts)
+        scale = 1.0 / np.sqrt(counts.astype(np.float64))
+        gathered = np.ascontiguousarray(frame.vectors[:, src] * scale[src])
+        assert copies.vectors.dtype == gathered.dtype
+        assert np.array_equal(
+            copies.vectors.view(np.int64), gathered.view(np.int64)
+        )
+    # the signed-zero frame, checked last, is duplicated and keeps its -0.0
+    assert counts.tolist() == [1, 1, 2]
+    assert np.signbit(copies.vectors.real[0, 0])
 
 
 def test_duplication_preserves_quadratic_form():
