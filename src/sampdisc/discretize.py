@@ -30,7 +30,15 @@ from .errors import (
     RefinementError,
     StageError,
 )
-from .frame_core import FrameBounds, FrameSystem, _gram, _gram_bounds
+from .frame_core import (
+    FrameBounds,
+    FrameSystem,
+    _frozen_matrix,
+    _gram,
+    _gram_bounds,
+    _validated_indices,
+    _validated_weights,
+)
 from .halving_select import HalvingCertificate, halving_select
 from .partition_oracle import OracleConfig
 from .weighted_sparsify import COPY_CAP, weighted_select
@@ -45,17 +53,18 @@ def recompute_constants(
 ) -> FrameBounds:
     """Extreme eigenvalues of sum_nu lambda_nu u(x_nu) u(x_nu)^*.
 
-    ``weights`` None means uniform 1/len(indices).  Every certificate's
-    constants are measured here, both when a pipeline builds it and
-    when :func:`sampdisc.verify.verify_certificate` checks it again.
+    ``indices`` must be distinct integer indices in 0..m-1 and
+    ``weights`` one finite, nonnegative weight per index, or None for
+    uniform 1/len(indices).  Every certificate's constants are measured
+    here, both when a pipeline builds it and when
+    :func:`sampdisc.verify.verify_certificate` checks it again.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _validated_indices(indices, system.m, "point index set")
+    if weights is not None:
+        weights = _validated_weights(weights, idx.size, "weights")
     if idx.size == 0:
         return FrameBounds(0.0, 0.0)
-    if weights is None:
-        lam = np.full(idx.size, 1.0 / idx.size)
-    else:
-        lam = np.asarray(weights, dtype=np.float64)
+    lam = np.full(idx.size, 1.0 / idx.size) if weights is None else weights
     return _gram_bounds(system.values[:, idx], lam)
 
 
@@ -88,14 +97,7 @@ class SampledSystem:
     basis_change: Optional[BasisChange] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise PreconditionError(f"values must be (n, m) with n, m >= 1, got {v.shape}")
-        if not np.isfinite(v).all():
-            raise PreconditionError("sampled values contain non-finite entries")
-        dtype = np.complex128 if np.iscomplexobj(v) else np.float64
-        v = v.astype(dtype, copy=True)
-        v.setflags(write=False)
+        v = _frozen_matrix(self.values, "sampled values")
         object.__setattr__(self, "values", v)
 
         pts = np.asarray(self.points, dtype=np.float64)
@@ -107,14 +109,11 @@ class SampledSystem:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-        if self.point_weights is None:
-            w = np.full(v.shape[1], 1.0 / v.shape[1])
-        else:
-            w = np.asarray(self.point_weights, dtype=np.float64).copy()
-        if w.shape != (v.shape[1],):
-            raise PreconditionError(f"point weights must have shape ({v.shape[1]},)")
-        if (w <= 0).any() or not np.isfinite(w).all():
-            raise PreconditionError("point weights must be positive and finite")
+        m = v.shape[1]
+        w = np.full(m, 1.0 / m) if self.point_weights is None else self.point_weights
+        w = _validated_weights(w, m, "point weights").copy()
+        if (w == 0).any():
+            raise PreconditionError("point weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise PreconditionError(f"point weights sum to {w.sum()}, expected 1")
         w.setflags(write=False)

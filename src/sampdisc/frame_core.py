@@ -40,19 +40,8 @@ class FrameSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors)
-        if v.ndim != 2:
-            raise PreconditionError(
-                f"frame vectors must form a 2-d array, got ndim={v.ndim}"
-            )
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise PreconditionError(f"frame must be non-empty, got shape {v.shape}")
-        dtype = np.complex128 if np.iscomplexobj(v) else np.float64
-        v = v.astype(dtype, copy=True)
-        if not np.isfinite(v).all():
-            raise PreconditionError("frame vectors contain non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        vectors = _frozen_matrix(self.vectors, "frame vectors")
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def n(self) -> int:
@@ -83,23 +72,27 @@ class FrameSystem:
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Explicitly symmetrize a nominally Hermitian matrix."""
-    return (matrix + matrix.conj().T) / 2
+    """Explicitly symmetrize a nominally Hermitian matrix, or each matrix
+    of a stack of shape (..., k, k)."""
+    return (matrix + np.swapaxes(matrix.conj(), -1, -2)) / 2
 
 
-def extreme_eigenvalues(matrix: np.ndarray) -> tuple[float, float]:
+def extreme_eigenvalues(matrix: np.ndarray):
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
     The input is symmetrized before the solve so roundoff in its
-    assembly cannot leak into complex eigenvalues.
+    assembly cannot leak into complex eigenvalues.  A stack of shape
+    (..., k, k) gives two arrays of shape (...) instead of two floats.
     """
     h = hermitian_part(np.asarray(matrix))
     try:
         ev = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
-            f"dense eigensolver failed on a {h.shape[0]}x{h.shape[1]} matrix: {exc}"
+            f"dense eigensolver failed on a {h.shape[-2]}x{h.shape[-1]} matrix: {exc}"
         ) from exc
+    if ev.ndim > 1:
+        return ev[..., 0], ev[..., -1]
     return float(ev[0]), float(ev[-1])
 
 
@@ -153,38 +146,80 @@ def verify_tight(frame: FrameSystem, tol: float) -> bool:
     return b.lower >= 1.0 - tol and b.upper <= 1.0 + tol
 
 
-def _index_array(indices: Iterable[int]) -> np.ndarray:
-    """Indices as an int64 array; an int64 array is returned as is."""
-    if not isinstance(indices, np.ndarray):
-        indices = list(indices)
-    return np.asarray(indices, dtype=np.int64)
+def _frozen_matrix(values, what: str) -> np.ndarray:
+    """A read-only float64 (or complex128) copy of a non-empty, finite
+    2-d array; ``what`` names it in error messages."""
+    try:
+        v = np.asarray(values)
+        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{what} are not numbers") from None
+    if v.ndim != 2 or 0 in v.shape:
+        raise PreconditionError(
+            f"{what} must form a non-empty 2-d array, got shape {v.shape}"
+        )
+    if not np.isfinite(v).all():
+        raise PreconditionError(f"{what} contain non-finite entries")
+    v.setflags(write=False)
+    return v
 
 
-def _validated_indices(indices: Iterable[int], m: int) -> np.ndarray:
-    idx = _index_array(indices)
+def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
+    """Distinct integer indices in 0..m-1 as an int64 array.
+
+    Any flat integer array-like is accepted; an int64 array is returned
+    as is.  Floats, bools, values outside int64, nested lists, values
+    outside 0..m-1 and duplicates raise :class:`PreconditionError`;
+    ``what`` names the input in its message.
+    """
+    try:
+        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{what} is not a flat list") from None
+    if idx.ndim != 1:
+        raise PreconditionError(f"{what} is not a flat list")
     if idx.size == 0:
-        return idx
+        return idx.astype(np.int64, copy=False)
+    if idx.dtype != np.int64:
+        if idx.dtype.kind not in "iu" or idx.max() > np.iinfo(np.int64).max:
+            raise PreconditionError(f"{what} entries are not 64-bit integers")
+        idx = idx.astype(np.int64)
     lo, hi = idx.min(), idx.max()
     if lo < 0 or hi >= m:
         raise PreconditionError(
-            f"index set not contained in 0..{m - 1}: offending value "
+            f"{what} out of range 0..{m - 1}: offending value "
             f"{lo if lo < 0 else hi}"
         )
     # a strictly increasing set has no duplicates; skip the unique pass
     if not (np.diff(idx) > 0).all() and np.unique(idx).size != idx.size:
-        raise PreconditionError("index set contains duplicates")
+        raise PreconditionError(f"{what} contains duplicates")
     return idx
+
+
+def _validated_weights(weights, size: int, what: str) -> np.ndarray:
+    """One finite, nonnegative weight per entry as a float64 array of
+    shape (size,); ``what`` names the weights in error messages."""
+    try:
+        w = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"{what} are not numbers") from None
+    if w.shape != (size,):
+        raise PreconditionError(f"{what} for {size} entries have shape {w.shape}")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise PreconditionError(f"{what} must be finite and nonnegative")
+    return w
 
 
 def subset_bounds(frame: FrameSystem, subset: Iterable[int]) -> FrameBounds:
     """Extreme eigenvalues of the operator restricted to a vector subset.
 
     ``subset`` may be any integer array-like (a tuple, a list, a numpy
-    array) without duplicates; columns are summed in the given order.
-    The empty subset yields (0, 0).  Bounds are reported without any
-    rescaling; callers working per-point apply their own m/n factor.
+    array) of distinct integer indices in 0..m-1; columns are summed in
+    the given order.  The empty subset yields (0, 0).  Bounds are
+    reported without any rescaling; callers working per-point apply
+    their own m/n factor.
     """
-    idx = _validated_indices(subset, frame.m)
+    idx = _validated_indices(subset, frame.m, "index set")
     if idx.size == 0:
         return FrameBounds(0.0, 0.0)
     return _gram_bounds(frame.vectors[:, idx])
@@ -192,12 +227,6 @@ def subset_bounds(frame: FrameSystem, subset: Iterable[int]) -> FrameBounds:
 
 def weighted_bounds(frame: FrameSystem, weights: Sequence[float]) -> FrameBounds:
     """Extreme eigenvalues of the weighted frame operator
-    sum_j w_j v_j v_j*; weights must be finite and nonnegative."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (frame.m,):
-        raise PreconditionError(
-            f"weights must have shape ({frame.m},), got {w.shape}"
-        )
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise PreconditionError("weights must be finite and nonnegative")
-    return _gram_bounds(frame.vectors, w)
+    sum_j w_j v_j v_j*; one finite, nonnegative weight per frame
+    vector."""
+    return _gram_bounds(frame.vectors, _validated_weights(weights, frame.m, "weights"))

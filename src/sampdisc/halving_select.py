@@ -28,6 +28,7 @@ from .frame_core import (
     FrameBounds,
     FrameSystem,
     _operator_bounds,
+    _validated_indices,
     frame_operator,
     subset_bounds,
 )
@@ -262,17 +263,16 @@ def check_cardinality_sandwich(cert: HalvingCertificate, frame: FrameSystem) -> 
     n * actual.lower / max_j ||v_j||^2  <=  |J|  <=
     n * actual.upper / min_j ||v_j||^2
 
-    over j in J (J never contains zero vectors).  Empty J fails.
+    over j in J (J never contains zero vectors).  Empty J fails; J must
+    hold distinct integer indices in 0..m-1.
     """
-    if len(cert.J) == 0:
+    idx = _validated_indices(cert.J, frame.m, "certificate index set")
+    if idx.size == 0:
         return False
-    idx = np.asarray(cert.J, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= frame.m:
-        raise PreconditionError("certificate indices do not fit the frame")
     norms = frame.norms_squared()[idx]
     if norms.min() <= 0.0:
         return False
     low_req = frame.n * cert.actual.lower / norms.max()
     high_req = frame.n * cert.actual.upper / norms.min()
-    count = len(cert.J)
+    count = idx.size
     return count >= low_req - 1e-9 and count <= high_req + 1e-9

@@ -27,12 +27,12 @@ import numpy as np
 
 from .errors import PartitionSizeError, PreconditionError, SearchFailureError
 from .frame_core import (
-    EigensolverError,
     FrameBounds,
     FrameSystem,
     _gram,
-    _index_array,
     _operator_bounds,
+    _validated_indices,
+    extreme_eigenvalues,
     subset_bounds,
 )
 
@@ -89,16 +89,10 @@ class PartitionRequest:
     beta: float
 
     def __post_init__(self):
-        active = np.sort(_index_array(self.active))
+        active = _validated_indices(self.active, self.frame.m, "active index set")
         if active.size == 0:
             raise PreconditionError("active index set is empty")
-        if (np.diff(active) == 0).any():
-            raise PreconditionError("active index set contains duplicates")
-        if active[0] < 0 or active[-1] >= self.frame.m:
-            raise PreconditionError(
-                f"active indices must lie in 0..{self.frame.m - 1}"
-            )
-        object.__setattr__(self, "active", tuple(active.tolist()))
+        object.__setattr__(self, "active", tuple(np.sort(active).tolist()))
         if not (self.delta > 0):
             raise PreconditionError(f"delta must be positive, got {self.delta}")
         if not (self.alpha > self.delta):
@@ -129,8 +123,7 @@ class PartitionResult:
 
     def __post_init__(self):
         for name in ("s1", "s2"):
-            side = _index_array(getattr(self, name))
-            object.__setattr__(self, name, tuple(side.tolist()))
+            object.__setattr__(self, name, tuple(int(j) for j in getattr(self, name)))
 
 
 def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, float]:
@@ -184,15 +177,6 @@ def _check_norms(frame: FrameSystem, delta: float, active=None):
         )
 
 
-def _batched_extremes(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h = (stack + np.conj(np.swapaxes(stack, -1, -2))) / 2
-    try:
-        ev = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"batched eigensolve failed: {exc}") from exc
-    return ev[..., 0], ev[..., -1]
-
-
 def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float):
     """Best split of ``active`` as ``(s1, s2, bounds_s1, bounds_s2,
     candidates_tried)`` with the sides tuples of ints."""
@@ -216,8 +200,8 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
         bits = ((masks[:, None] >> np.arange(k - 1)) & 1).astype(np.float64)
         s1_ops = (bits @ flat_rest).reshape(-1, n, n) + outers[0]
         s2_ops = ((1.0 - bits) @ flat_rest).reshape(-1, n, n)
-        lo1, up1 = _batched_extremes(s1_ops)
-        lo2, up2 = _batched_extremes(s2_ops)
+        lo1, up1 = extreme_eigenvalues(s1_ops)
+        lo2, up2 = extreme_eigenvalues(s2_ops)
         lo1, lo2 = np.maximum(lo1, 0.0), np.maximum(lo2, 0.0)
 
         size1 = 1 + bits.sum(axis=1)

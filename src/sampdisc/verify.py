@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .discretize import SampledSystem, fingerprint_matches, recompute_constants
+from .discretize import (
+    CONDITION_TOL,
+    SampledSystem,
+    fingerprint_matches,
+    recompute_constants,
+)
 from .errors import PreconditionError
 from .frame_core import FrameBounds
 
@@ -41,10 +44,11 @@ def verify_certificate(
     """Check a loaded certificate document against a system.
 
     Fails (without raising) when the fingerprint does not match, the
-    stored constants are not finite, the indices are not distinct
-    in-range integers, weights are negative or miscounted, the
-    recomputed constants differ from the stored ones by more than
-    ``tol``, or the lower constant is not strictly positive.  Raises
+    stored constants are not finite, :func:`recompute_constants` rejects
+    the indices or weights (they must be distinct integer indices in
+    0..m-1 with one finite, nonnegative weight each), the selection is
+    empty, the recomputed constants differ from the stored ones by more
+    than ``tol``, or the lower constant is not strictly positive.  Raises
     :class:`PreconditionError` when ``tol`` is not finite or negative.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -60,43 +64,24 @@ def verify_certificate(
     if not fingerprint_matches(system, document.get("input_fingerprint")):
         report.fail("system fingerprint does not match the certificate")
 
+    indices = document.get("point_indices", [])
     try:
-        idx = np.asarray(document.get("point_indices", []), dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return report.fail("point indices are not 64-bit integers")
-    if idx.ndim != 1:
-        return report.fail("point indices are not a flat list")
-    if idx.size == 0:
+        recomputed = recompute_constants(system, indices, document.get("weights"))
+    except PreconditionError as exc:
+        return report.fail(str(exc))
+    if len(indices) == 0:
         return report.fail("certificate selects no points")
     m = document.get("m")
-    if m is not None and m != idx.size:
-        report.fail(f"m={m!r} but {idx.size} indices stored")
-    if (idx < 0).any() or (idx >= system.m).any():
-        return report.fail("point indices out of range for this system")
-    if np.unique(idx).size != idx.size:
-        return report.fail("point indices contain duplicates")
-
-    weights = document.get("weights")
-    if weights is not None:
-        try:
-            lam = np.asarray(weights, dtype=np.float64)
-        except (TypeError, ValueError):
-            return report.fail("weights are not numbers")
-        if lam.shape != (idx.size,):
-            return report.fail(
-                f"{lam.size} weights for {idx.size} points"
-            )
-        if not np.isfinite(lam).all() or (lam < 0).any():
-            return report.fail("weights must be finite and nonnegative")
+    if m is not None and m != len(indices):
+        report.fail(f"m={m!r} but {len(indices)} indices stored")
 
     resid = system.orthonormality_residual()
-    if resid > 1e-6:
+    if resid > CONDITION_TOL:
         report.fail(
             f"system is not orthonormal (residual {resid:.3e}); "
             "constants are not comparable"
         )
 
-    recomputed = recompute_constants(system, idx, weights)
     report.recomputed = recomputed
     scale = max(1.0, abs(stored.upper))
     if abs(recomputed.lower - stored.lower) > tol * scale:

@@ -6,11 +6,17 @@ import pytest
 from sampdisc import (
     FrameBounds,
     FrameSystem,
+    HalvingCertificate,
+    PartitionRequest,
     PreconditionError,
+    SampledSystem,
+    check_cardinality_sandwich,
     extreme_eigenvalues,
     frame_bounds,
     frame_operator,
+    recompute_constants,
     subset_bounds,
+    verify_certificate,
     verify_tight,
     weighted_bounds,
 )
@@ -162,6 +168,73 @@ def test_weight_validation():
         weighted_bounds(frame, [1.0, np.inf, 1.0])
     lo, hi = weighted_bounds(frame, [2.0, 3.0, 4.0])
     assert abs(lo - 2.0) < 1e-14 and abs(hi - 4.0) < 1e-14
+
+
+# one bad input each; weight cases pair their weights with indices 0, 1, 2
+BAD_INPUTS = [
+    ("float indices", [0.9, 1.9, 2.9], None),
+    ("bool indices", [False, True], None),
+    ("index -1", [0, -1], None),
+    ("index m", [0, 3], None),
+    ("duplicate index", [0, 0, 1], None),
+    ("index 2**70", [0, 2**70], None),
+    ("weight count", [0, 1, 2], [0.5, 0.5]),
+    ("negative weight", [0, 1, 2], [0.5, -1.0, 0.5]),
+    ("nan weight", [0, 1, 2], [0.5, np.nan, 0.5]),
+]
+
+
+@pytest.mark.parametrize(
+    "indices, weights",
+    [case[1:] for case in BAD_INPUTS],
+    ids=[case[0] for case in BAD_INPUTS],
+)
+def test_every_entry_rejects_the_same_bad_input(indices, weights):
+    # m = 3 everywhere: the system is orthonormal under uniform weights
+    # and its frame is the identity
+    frame = FrameSystem(np.eye(3))
+    system = SampledSystem(np.sqrt(3.0) * np.eye(3), np.arange(3.0))
+    if weights is None:
+        cert = HalvingCertificate(
+            J=tuple(indices),
+            theta=1.0,
+            delta=1.0,
+            schedule=None,
+            theoretical_lower=1.0,
+            theoretical_upper=1.0,
+            actual=FrameBounds(1.0, 1.0),
+            rescale=1.0,
+            fast_path=True,
+            rounds=(),
+        )
+        entries = [
+            lambda: subset_bounds(frame, indices),
+            lambda: recompute_constants(system, indices),
+            lambda: PartitionRequest(
+                frame=frame, active=indices, delta=0.1, alpha=1.0, beta=1.0
+            ),
+            lambda: check_cardinality_sandwich(cert, frame),
+        ]
+    else:
+        entries = [
+            lambda: recompute_constants(system, indices, weights),
+            lambda: weighted_bounds(frame, weights),
+        ]
+    for entry in entries:
+        with pytest.raises(PreconditionError):
+            entry()
+
+    with pytest.raises(PreconditionError) as rejected:
+        recompute_constants(system, indices, weights)
+    document = {
+        "constants_decoded": FrameBounds(1.0, 1.0),
+        "input_fingerprint": system.fingerprint(),
+        "point_indices": indices,
+        "weights": weights,
+    }
+    report = verify_certificate(system, document)
+    assert not report.passed
+    assert report.messages == [str(rejected.value)]
 
 
 def _clamped(matrix):

@@ -97,8 +97,8 @@ def test_request_validation():
         ((), "active index set is empty"),
         ((2, 0, 2), "active index set contains duplicates"),
         ((1, 1, 2), "active index set contains duplicates"),
-        ((0, 3), r"active indices must lie in 0\.\.2"),
-        ((1, -1), r"active indices must lie in 0\.\.2"),
+        ((0, 3), r"active index set out of range 0\.\.2: offending value 3"),
+        ((1, -1), r"active index set out of range 0\.\.2: offending value -1"),
     ],
 )
 def test_request_rejects_arrays_like_tuples(active, message):

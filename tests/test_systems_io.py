@@ -767,7 +767,7 @@ def test_certificate_missing_keys(tmp_path):
 def doc_for(system, indices, weights=None, fingerprint=None, m=None):
     # constants over whatever part of the request is well formed; malformed
     # pieces are the point of several cases and must reach the verifier
-    valid = [i for i in indices if 0 <= i < system.m]
+    valid = list(dict.fromkeys(i for i in indices if 0 <= i < system.m))
     usable = weights if valid == list(indices) and weights is not None and len(
         weights
     ) == len(valid) and min(weights, default=0) >= 0 else None
