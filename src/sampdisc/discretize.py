@@ -100,12 +100,16 @@ class SampledSystem:
         v = _frozen_matrix(self.values, "sampled values")
         object.__setattr__(self, "values", v)
 
-        pts = np.asarray(self.points, dtype=np.float64)
+        try:
+            pts = np.array(self.points, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError("points are not numbers") from None
         if pts.ndim not in (1, 2) or pts.shape[0] != v.shape[1]:
             raise PreconditionError(
                 f"points must list {v.shape[1]} coordinates, got shape {pts.shape}"
             )
-        pts = pts.copy()
+        if not np.isfinite(pts).all():
+            raise PreconditionError("points contain non-finite entries")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

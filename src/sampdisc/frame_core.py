@@ -168,12 +168,18 @@ def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
     """Distinct integer indices in 0..m-1 as an int64 array.
 
     Any flat integer array-like is accepted; an int64 array is returned
-    as is.  Floats, bools, values outside int64, nested lists, values
-    outside 0..m-1 and duplicates raise :class:`PreconditionError`;
-    ``what`` names the input in its message.
+    as is.  Floats, bools (also among ints, where numpy would infer
+    int64), values outside int64, nested lists, values outside 0..m-1
+    and duplicates raise :class:`PreconditionError`; ``what`` names the
+    input in its message.
     """
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+        types = set(map(type, indices))
+        if bool in types or np.bool_ in types:
+            raise PreconditionError(f"{what} entries are not 64-bit integers")
     try:
-        idx = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        idx = np.asarray(indices)
     except (TypeError, ValueError):
         raise PreconditionError(f"{what} is not a flat list") from None
     if idx.ndim != 1:

@@ -18,8 +18,9 @@ selected set next to the scheduled theoretical pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .errors import DiscretizationError, DomainError, PreconditionError
 from .frame_core import (
     FrameBounds,
     FrameSystem,
+    _gram,
+    _gram_bounds,
     _operator_bounds,
     _validated_indices,
     frame_operator,
@@ -38,6 +41,9 @@ from .partition_oracle import (
     _randomized,
     partition_targets,
 )
+
+if TYPE_CHECKING:
+    from .weighted_sparsify import DuplicationMap
 
 TIGHTNESS_TOL = 1e-8
 BOUND_SLACK = 1e-10
@@ -113,14 +119,37 @@ def halving_schedule(delta: float) -> HalvingSchedule:
 
 @dataclass(frozen=True)
 class HalvingRound:
-    """Diagnostics for one executed round."""
+    """Diagnostics for one executed round.
+
+    ``kept_indices`` is the kept side as a sorted read-only int64 array;
+    ``kept``, the same indices as a tuple of ints, is built on first
+    read.  Rounds compare equal when their scalars and kept sides do.
+    """
 
     index: int
-    kept: tuple
+    kept_indices: np.ndarray = field(repr=False, compare=False)
     measured: FrameBounds
     target_lower: float
     target_upper: float
     candidates_tried: int
+
+    def __post_init__(self):
+        kept = np.array(self.kept_indices, dtype=np.int64)
+        kept.setflags(write=False)
+        object.__setattr__(self, "kept_indices", kept)
+
+    @cached_property
+    def kept(self) -> tuple:
+        return tuple(self.kept_indices.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, HalvingRound):
+            return NotImplemented
+        return self.kept == other.kept and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.compare
+        )
 
 
 @dataclass(frozen=True)
@@ -129,7 +158,8 @@ class HalvingCertificate:
 
     ``actual`` is recomputed by a dense eigensolve of the selected
     sub-operator; ``rescale`` documents the m/n factor that converts
-    these operator bounds into per-point averages.
+    these operator bounds into per-point averages.  When halving runs on
+    copies, m counts copies and every index names a copy.
     """
 
     J: tuple
@@ -144,33 +174,34 @@ class HalvingCertificate:
     rounds: tuple
 
 
-def _drop_zero_vectors(frame: FrameSystem, indices: np.ndarray) -> np.ndarray:
-    return indices[frame.norms_squared()[indices] > 0.0]
-
-
 def _run_rounds(
     frame: FrameSystem,
+    m: int,
     schedule: HalvingSchedule,
     config: OracleConfig,
     operator: np.ndarray,
+    src,
 ):
     # halving_select has checked every norm against delta; round j's
     # targets are the schedule's next step, partition_targets of step j.
     # ``operator`` is the frame operator of ``kept``: the whole frame's,
     # then the kept side's of the round before.
-    kept = np.arange(frame.m, dtype=np.int64)
+    kept = np.arange(m, dtype=np.int64)
     log = []
     for j in range(schedule.rounds):
         lo_t, up_t = schedule.steps[j + 1]
         kept, _, measured, _, tried, operator = _randomized(
-            frame, kept, operator, lo_t, up_t, config.budget, config.seed + j
+            frame, kept, operator, lo_t, up_t, config.budget, config.seed + j, src
         )
-        log.append(HalvingRound(j, tuple(kept.tolist()), measured, lo_t, up_t, tried))
+        log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
     return kept, tuple(log)
 
 
 def halving_select(
-    frame: FrameSystem, theta: float, config: Optional[OracleConfig] = None
+    frame: FrameSystem,
+    theta: float,
+    config: Optional[OracleConfig] = None,
+    copies: Optional[DuplicationMap] = None,
 ) -> HalvingCertificate:
     """Select a small index subset of a tight frame with two-sided bounds.
 
@@ -183,6 +214,13 @@ def halving_select(
         delta = theta * n / m, and theta <= m / n.
     config : OracleConfig, optional
         Partition search budget and seed (defaults: 10000, 0).
+    copies : DuplicationMap, optional
+        Halve the multiset in which column j of ``frame`` appears
+        ``copies.counts[j]`` times instead of the frame itself.  m is
+        then the number of copies m', tightness is that of
+        sum_j counts[j] v_j v_j*, and J and every round's kept side
+        name copies: copy i is column ``copies.copy_to_source[i]``.
+        The result equals that of halving the frame of the copies.
 
     Returns
     -------
@@ -195,54 +233,60 @@ def halving_select(
     Zero vectors never affect bounds and are dropped from J after
     selection.
     """
-    if theta > frame.m / frame.n * (1.0 + 1e-12):
-        raise PreconditionError(
-            f"theta={theta} exceeds m/n={frame.m / frame.n}"
-        )
+    if copies is None:
+        m, src = frame.m, None
+        operator = frame_operator(frame)
+    else:
+        if len(copies.counts) != frame.m:
+            raise PreconditionError(
+                f"{len(copies.counts)} copy counts for {frame.m} vectors"
+            )
+        m, src = copies.m_prime, copies._copy_to_source
+        operator = _gram(frame.vectors, copies._counts)
+    if theta > m / frame.n * (1.0 + 1e-12):
+        raise PreconditionError(f"theta={theta} exceeds m/n={m / frame.n}")
     cfg = config or OracleConfig()
-    delta = theta * frame.n / frame.m
-    operator = frame_operator(frame)
+    delta = theta * frame.n / m
     measured = _operator_bounds(operator)
     if measured.lower < 1.0 - TIGHTNESS_TOL or measured.upper > 1.0 + TIGHTNESS_TOL:
         raise PreconditionError(
             f"frame is not tight: measured bounds "
             f"({measured.lower:.12f}, {measured.upper:.12f})"
         )
-    _check_norms(frame, delta)
+    _check_norms(frame, delta, src=src)
     # compared as 100 delta, like the schedule's loop, so that rounding at
     # delta = 1/100 picks the same branch
     if 1.0 <= 100.0 * delta:
-        kept = _drop_zero_vectors(frame, np.arange(frame.m))
-        return HalvingCertificate(
-            J=tuple(kept.tolist()),
-            theta=theta,
-            delta=delta,
-            schedule=None,
-            theoretical_lower=1.0,
-            theoretical_upper=1.0,
-            actual=subset_bounds(frame, kept),
-            rescale=frame.m / frame.n,
-            fast_path=True,
-            rounds=(),
-        )
-    schedule = halving_schedule(delta)
-    kept, log = _run_rounds(frame, schedule, cfg, operator)
-    kept = _drop_zero_vectors(frame, kept)
-    actual = subset_bounds(frame, kept)
-    t_lo, t_up = schedule.steps[-1]
-    if actual.lower < 25.0 * delta - BOUND_SLACK or actual.lower < t_lo - BOUND_SLACK:
-        raise DiscretizationError(
-            f"verified lower bound {actual.lower} fell below schedule value {t_lo}"
-        )
-    if actual.upper > t_up + BOUND_SLACK:
-        raise DiscretizationError(
-            f"verified upper bound {actual.upper} exceeds schedule value {t_up}"
-        )
-    if len(kept) > frame.m / 2 ** schedule.rounds + 1e-9:
-        raise DiscretizationError(
-            f"selected {len(kept)} of {frame.m} indices, exceeding "
-            f"m / 2^{schedule.rounds}"
-        )
+        schedule, kept, log = None, np.arange(m, dtype=np.int64), ()
+        t_lo, t_up = 1.0, 1.0
+    else:
+        schedule = halving_schedule(delta)
+        kept, log = _run_rounds(frame, m, schedule, cfg, operator, src)
+        t_lo, t_up = schedule.steps[-1]
+    # zero vectors never affect bounds and are dropped from J
+    norms = frame.norms_squared()
+    kept = kept[norms[kept if src is None else src[kept]] > 0.0]
+    # copies are measured on their gathered columns, bit for bit what
+    # subset_bounds gives on the frame of the copies
+    actual = (
+        subset_bounds(frame, kept)
+        if src is None
+        else _gram_bounds(frame.vectors[:, src[kept]])
+    )
+    if schedule is not None:
+        if actual.lower < 25.0 * delta - BOUND_SLACK or actual.lower < t_lo - BOUND_SLACK:
+            raise DiscretizationError(
+                f"verified lower bound {actual.lower} fell below schedule value {t_lo}"
+            )
+        if actual.upper > t_up + BOUND_SLACK:
+            raise DiscretizationError(
+                f"verified upper bound {actual.upper} exceeds schedule value {t_up}"
+            )
+        if len(kept) > m / 2 ** schedule.rounds + 1e-9:
+            raise DiscretizationError(
+                f"selected {len(kept)} of {m} indices, exceeding "
+                f"m / 2^{schedule.rounds}"
+            )
     return HalvingCertificate(
         J=tuple(kept.tolist()),
         theta=theta,
@@ -251,8 +295,8 @@ def halving_select(
         theoretical_lower=t_lo,
         theoretical_upper=t_up,
         actual=actual,
-        rescale=frame.m / frame.n,
-        fast_path=False,
+        rescale=m / frame.n,
+        fast_path=schedule is None,
         rounds=log,
     )
 
@@ -264,7 +308,9 @@ def check_cardinality_sandwich(cert: HalvingCertificate, frame: FrameSystem) -> 
     n * actual.upper / min_j ||v_j||^2
 
     over j in J (J never contains zero vectors).  Empty J fails; J must
-    hold distinct integer indices in 0..m-1.
+    hold distinct integer indices in 0..m-1.  ``frame`` is the frame J
+    indexes: for a certificate of halving on copies, the frame of the
+    copies that :func:`duplicate_normalize` builds.
     """
     idx = _validated_indices(cert.J, frame.m, "certificate index set")
     if idx.size == 0:

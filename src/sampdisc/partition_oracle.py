@@ -7,7 +7,8 @@ degraded bounds.  This module does not reprove that existence; it
 searches candidate splits and certifies a winner by eigensolving both
 sides' operators.  The randomized search builds side 1's operator from
 its vectors and takes side 2's as the active set's operator minus side
-1's.
+1's.  It also splits multisets of columns (the equal-norm copies of
+weighted selection) given only the column each copy repeats.
 
 Both sides of a returned split are nonempty.  The exhaustive strategy
 enumerates every such split of up to ``EXHAUSTIVE_LIMIT`` vectors and is
@@ -30,6 +31,7 @@ from .frame_core import (
     FrameBounds,
     FrameSystem,
     _gram,
+    _gram_bounds,
     _operator_bounds,
     _validated_indices,
     extreme_eigenvalues,
@@ -164,17 +166,32 @@ def _near_verdict(b: FrameBounds, lo: float, up: float) -> bool:
     )
 
 
-def _check_norms(frame: FrameSystem, delta: float, active=None):
+def _check_norms(frame: FrameSystem, delta: float, active=None, src=None):
     """Reject a squared vector norm above delta (relative slack 1e-9),
-    over all vectors or only the ``active`` index array."""
+    over all vectors or only the ``active`` index array.
+
+    With ``src`` the vectors are copies, copy i being column ``src[i]``
+    of the frame (nondecreasing, every column copied at least once), and
+    the message names the first copy of the offending column."""
     idx = np.arange(frame.m) if active is None else active
     norms = frame.norms_squared()[idx]
     if norms.max() > delta * (1.0 + 1e-9):
         offender = int(idx[np.argmax(norms)])
+        if src is not None:
+            offender = int(np.searchsorted(src, offender))
         raise PreconditionError(
             f"vector {offender} has squared norm {norms.max():.6e} "
             f"exceeding delta={delta:.6e}"
         )
+
+
+def _direct_bounds(frame: FrameSystem, positions: np.ndarray, src=None) -> FrameBounds:
+    """Bounds of the vectors at the sorted ``positions``, measured on
+    their gathered columns; with ``src`` the positions are copies, copy
+    i being column ``src[i]`` of the frame."""
+    if src is None:
+        return subset_bounds(frame, positions)
+    return _gram_bounds(frame.vectors[:, src[positions]])
 
 
 def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float):
@@ -253,22 +270,29 @@ def _randomized(
     up_t: float,
     budget: int,
     seed: int,
+    src=None,
 ):
     """First seeded balanced split of the sorted int64 array ``active``
     whose sides both meet [lo_t, up_t], as
     ``(s1, s2, bounds_s1, bounds_s2, candidates_tried, op_s1)`` with the
     sides sorted int64 arrays.
 
-    ``active_op`` is ``_gram`` of ``active``'s vectors.  Side 1 is the
-    first floor(k/2) entries of each candidate permutation, so it is
-    never the larger side, and it is the side halving keeps.  Its
-    operator ``op_s1`` is built from its vectors in sorted order, exactly
-    as ``subset_bounds`` builds it, and is returned so that the next round
-    can split ``s1`` without forming it again.  Side 2's operator is
-    ``active_op - op_s1``; its bounds match a direct ``subset_bounds`` of
-    ``s2`` only to rounding, so a side 2 within ``SUBTRACTION_MARGIN`` of
-    a target is measured directly and every verdict is the one the
-    direct measurement gives."""
+    ``active_op`` is the frame operator of ``active``'s vectors.  Side 1
+    is the first floor(k/2) entries of each candidate permutation, so it
+    is never the larger side, and it is the side halving keeps.  Its
+    operator ``op_s1`` is returned so that the next round can split
+    ``s1`` without forming it again.  Side 2's operator is
+    ``active_op - op_s1``.
+
+    On a plain frame ``op_s1`` is built from side 1's vectors in sorted
+    order, exactly as ``subset_bounds`` builds it.  With ``src`` the
+    entries of ``active`` are copies, copy i being column ``src[i]`` of
+    the frame, and ``op_s1`` is ``_gram`` of the distinct columns side 1
+    copies, weighted by how often it copies them.  Bounds that are not
+    measured on gathered columns match a direct measurement only to
+    rounding, so such a bound within ``SUBTRACTION_MARGIN`` of a target
+    is measured directly and every verdict is the one the direct
+    measurement gives."""
     k = active.size
     if k < 2:
         raise SearchFailureError(
@@ -276,16 +300,28 @@ def _randomized(
         )
     rng = np.random.default_rng(seed)
     half = k // 2
+    active_src = None if src is None else src[active]
     best_gap = math.inf
     for attempt in range(1, budget + 1):
         perm = rng.permutation(k)
-        s1 = np.sort(active[perm[:half]])
-        op1 = _gram(frame.vectors[:, s1])
+        if src is None:
+            s1 = np.sort(active[perm[:half]])
+            op1 = _gram(frame.vectors[:, s1])
+        else:
+            s1 = None  # sorted only when measured directly or returned
+            copied = np.bincount(active_src[perm[:half]])
+            cols = np.flatnonzero(copied)
+            op1 = _gram(frame.vectors[:, cols], copied[cols])
         b1 = _operator_bounds(op1)
+        if src is not None and _near_verdict(b1, lo_t, up_t):
+            s1 = np.sort(active[perm[:half]])
+            b1 = _direct_bounds(frame, s1, src)
         b2 = _operator_bounds(active_op - op1)
         if _near_verdict(b2, lo_t, up_t):
-            b2 = subset_bounds(frame, np.sort(active[perm[half:]]))
+            b2 = _direct_bounds(frame, np.sort(active[perm[half:]]), src)
         if _split_ok(b1, b2, lo_t, up_t):
+            if s1 is None:
+                s1 = np.sort(active[perm[:half]])
             return s1, np.sort(active[perm[half:]]), b1, b2, attempt, op1
         gap = max(
             lo_t - min(b1.lower, b2.lower), max(b1.upper, b2.upper) - up_t, 0.0

@@ -14,6 +14,7 @@ into per-vector weights lambda_j = (m' / 2n) * (selected copies of j) / n_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,45 +40,48 @@ COPY_CAP = 1_000_000
 class DuplicationMap:
     """How source vectors map onto normalized copies.
 
-    ``counts`` and ``copy_to_source`` may be given as any integer
-    array-like; they are kept as tuples of ints, and as private int64
-    array copies (``_counts``, ``_copy_to_source``) for the fold back
-    into weights.
+    Source j has ``counts[j]`` >= 1 copies; copies of one source are
+    contiguous and sources ascend, so copy i is a copy of source
+    ``copy_to_source[i]``.  ``counts`` may be given as any integer
+    array-like; it is kept as a tuple of ints and as a private int64
+    array ``_counts``.  ``copy_to_source`` (a tuple of m' ints) and its
+    int64 array ``_copy_to_source`` are derived from the counts on first
+    read.
     """
 
     counts: tuple
-    copy_to_source: tuple
     anchor: int
 
     def __post_init__(self):
-        for name in ("counts", "copy_to_source"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_" + name, arr)
-            object.__setattr__(self, name, tuple(arr.tolist()))
+        try:
+            counts = np.array(self.counts, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError("copy counts are not integers") from None
+        if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
+            raise PreconditionError("copy counts must be a non-empty list of integers >= 1")
+        counts.setflags(write=False)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
     @property
     def m_prime(self) -> int:
-        return len(self.copy_to_source)
+        return int(self._counts.sum())
+
+    @cached_property
+    def _copy_to_source(self) -> np.ndarray:
+        src = np.repeat(np.arange(self._counts.size, dtype=np.int64), self._counts)
+        src.setflags(write=False)
+        return src
+
+    @cached_property
+    def copy_to_source(self) -> tuple:
+        return tuple(self._copy_to_source.tolist())
 
 
-def duplicate_normalize(
-    frame: FrameSystem, cap: int = COPY_CAP
-) -> tuple[FrameSystem, DuplicationMap]:
-    """Equalize norms of a tight frame by counted duplication.
-
-    Returns the duplicated frame (same frame operator, every squared
-    copy norm below 2n/m') and the map back to source indices.  Copies
-    of vector j are contiguous and sources appear in ascending order.
-
-    Raises
-    ------
-    PreconditionError
-        If the frame is not tight within 1e-8 or contains a zero
-        vector.
-    DuplicationOverflowError
-        If the total number of copies would exceed ``cap``.
-    """
+def _scaled_sources(frame: FrameSystem, cap: int) -> tuple[np.ndarray, DuplicationMap]:
+    """The columns v_j / sqrt(n_j) of the copies, one per source, and
+    the map that repeats column j n_j times; see
+    :func:`duplicate_normalize` for the rules and errors."""
     if not verify_tight(frame, TIGHTNESS_TOL):
         raise PreconditionError("duplication requires a tight frame (tol 1e-8)")
     norms = frame.norms_squared()
@@ -99,11 +103,31 @@ def duplicate_normalize(
     if (ratios < base * (1.0 - 1e-12)).any() or (ratios >= 2.0 * base).any():
         raise DiscretizationError("copy norm identity violated during duplication")
 
-    src = np.repeat(np.arange(frame.m), counts)
     scale = 1.0 / np.sqrt(counts.astype(np.float64))
-    vectors = np.repeat(frame.vectors * scale, counts, axis=1)
-    dup = DuplicationMap(counts=counts, copy_to_source=src, anchor=anchor)
-    return FrameSystem(vectors), dup
+    return frame.vectors * scale, DuplicationMap(counts=counts, anchor=anchor)
+
+
+def duplicate_normalize(
+    frame: FrameSystem, cap: int = COPY_CAP
+) -> tuple[FrameSystem, DuplicationMap]:
+    """Equalize norms of a tight frame by counted duplication.
+
+    Returns the duplicated frame (same frame operator, every squared
+    copy norm below 2n/m') and the map back to source indices.  Copies
+    of vector j are contiguous and sources appear in ascending order.
+    :func:`weighted_select` halves the same copies without building
+    them.
+
+    Raises
+    ------
+    PreconditionError
+        If the frame is not tight within 1e-8 or contains a zero
+        vector.
+    DuplicationOverflowError
+        If the total number of copies would exceed ``cap``.
+    """
+    scaled, dup = _scaled_sources(frame, cap)
+    return FrameSystem(np.repeat(scaled, dup._counts, axis=1)), dup
 
 
 @dataclass(frozen=True)
@@ -130,18 +154,20 @@ def weighted_select(
 ) -> WeightedCertificate:
     """Select sparse nonnegative weights on a tight frame.
 
-    Runs :func:`duplicate_normalize` followed by equal-weight halving at
-    theta = 2 on the copies (clamped to m'/n when there are fewer than
-    2n copies, which keeps every copy), then folds selected copies into
-    weights.  On the iterative path the verified lower bound is at least
-    25 by construction (the m'/2n scaling exactly cancels delta' = 2n/m').
+    Runs equal-weight halving at theta = 2 on the copies of
+    :func:`duplicate_normalize` (clamped to m'/n when there are fewer
+    than 2n copies, which keeps every copy), then folds selected copies
+    into weights.  The copies are never built: halving runs on the
+    scaled source columns and the copy counts.  On the iterative path
+    the verified lower bound is at least 25 by construction (the m'/2n
+    scaling exactly cancels delta' = 2n/m').
     """
-    copies, dup = duplicate_normalize(frame, cap=cap)
+    scaled, dup = _scaled_sources(frame, cap)
     # fewer than 2n copies cannot host the full level-2 norm allowance;
     # the clamped level forces delta = 1, i.e. the keep-everything fast
     # path, and the m'/2n weight scaling below is unaffected
-    level = min(2.0, copies.m / frame.n)
-    hcert = halving_select(copies, level, config)
+    level = min(2.0, dup.m_prime / frame.n)
+    hcert = halving_select(FrameSystem(scaled), level, config, copies=dup)
     scale = dup.m_prime / (2.0 * frame.n)
 
     counts = dup._counts

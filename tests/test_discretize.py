@@ -139,6 +139,21 @@ def test_system_validation():
         SampledSystem(np.eye(2), np.arange(2.0), point_weights=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (["a", "b"], "not numbers"),
+        ([[0.0, 1.0], [2.0]], "not numbers"),
+        ([0.0, np.nan], "non-finite"),
+        ([[0.0, 1.0], [np.inf, 2.0]], "non-finite"),
+    ],
+    ids=["strings", "ragged", "nan", "inf"],
+)
+def test_points_must_be_finite_numbers(points, message):
+    with pytest.raises(PreconditionError, match=message):
+        SampledSystem(np.sqrt(2.0) * np.eye(2), points)
+
+
 def test_fingerprint_sensitivity():
     base = make_system(SystemDescriptor("trig", n=3, m=8))
     same = SampledSystem(base.values, base.points, base.point_weights)

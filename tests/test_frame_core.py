@@ -174,6 +174,7 @@ def test_weight_validation():
 BAD_INPUTS = [
     ("float indices", [0.9, 1.9, 2.9], None),
     ("bool indices", [False, True], None),
+    ("bool among ints", [True, 2], None),
     ("index -1", [0, -1], None),
     ("index m", [0, 3], None),
     ("duplicate index", [0, 0, 1], None),

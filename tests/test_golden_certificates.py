@@ -1,7 +1,8 @@
 """Golden certificate bytes.
 
-Pins the sha256 of the ``save_certificate`` output for one weighted
-selection and two equal-weight selections, one real and one complex.
+Pins the sha256 of the ``save_certificate`` output for two weighted
+selections and two equal-weight selections, one real and one complex
+each.
 Refactors of the selection pipelines must keep these bytes; a change
 here means selections, weights or measured constants moved.  The
 digests were recorded with numpy 2.4 on x86-64 OpenBLAS; another BLAS
@@ -28,6 +29,16 @@ CASES = {
             OracleConfig(seed=3),
         ),
         "ecd7481d63dd14a9b6f42eb0424f35a201211b925c36cb9fe77d6183c9b6b8b4",
+    ),
+    "weighted-random_orthonormal-complex-4x1024": (
+        lambda: discretize_weighted(
+            make_system(
+                SystemDescriptor("random_orthonormal", n=4, m=1024, seed=11),
+                field="complex",
+            ),
+            OracleConfig(seed=3),
+        ),
+        "c58fb237a740c5fa792a3107f7328635bd34811da62ca652c38d5d18368693cd",
     ),
     "equal_weight-trig-5x2048": (
         lambda: discretize_equal_weight(

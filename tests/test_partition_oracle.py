@@ -21,8 +21,9 @@ from sampdisc import (
     spectral_partition,
     subset_bounds,
 )
-from sampdisc.frame_core import _gram, frame_operator
+from sampdisc.frame_core import _gram, _gram_bounds, frame_operator
 from sampdisc.partition_oracle import VERIFY_SLACK, _randomized, _split_ok
+from sampdisc.weighted_sparsify import COPY_CAP, _scaled_sources
 
 from helpers import random_tight_frame, svd_subset_bounds
 
@@ -378,3 +379,43 @@ def test_side_two_near_a_target_takes_the_direct_verdict():
             with pytest.raises(SearchFailureError):
                 _randomized(frame, active, active_op, lo_t, up_t, 1, seed)
     assert verdicts == {True, False}
+
+
+def test_side_one_near_a_target_takes_the_direct_verdict():
+    # on copies, side 1's operator is formed from its distinct columns
+    # weighted by copy counts, which matches the gathered copies only to
+    # rounding; a target within rounding of side 1's bound is judged on
+    # the gathered copies, so that rounding cannot flip a verdict
+    system = make_system(SystemDescriptor("random_orthonormal", n=4, m=1024, seed=11))
+    scaled, dup = _scaled_sources(build_frame_from_samples(system), COPY_CAP)
+    frame, src, k = FrameSystem(scaled), dup._copy_to_source, dup.m_prime
+    active = np.arange(k, dtype=np.int64)
+    active_op = _gram(frame.vectors, dup._counts)
+    for seed in range(50):
+        perm = np.random.default_rng(seed).permutation(k)
+        s1, s2 = np.sort(perm[: k // 2]), np.sort(perm[k // 2:])
+        d1 = _gram_bounds(frame.vectors[:, src[s1]])
+        d2 = _gram_bounds(frame.vectors[:, src[s2]])
+        copied = np.bincount(src[s1])
+        cols = np.flatnonzero(copied)
+        by_counts = _gram_bounds(frame.vectors[:, cols], copied[cols])
+        if d1.lower < d2.lower and by_counts.lower != d1.lower:
+            break
+    else:
+        pytest.fail("no candidate whose side 1 decides and rounds differently")
+    up_t = 2.0 * max(d1.upper, d2.upper)
+    verdicts, flips = set(), 0
+    ulp = np.spacing(d1.lower)
+    for step in range(-40, 41):
+        lo_t = d1.lower + step * ulp + VERIFY_SLACK
+        expected = _split_ok(d1, d2, lo_t, up_t)
+        verdicts.add(expected)
+        flips += expected != _split_ok(by_counts, d2, lo_t, up_t)
+        if expected:
+            found = _randomized(frame, active, active_op, lo_t, up_t, 1, seed, src)
+            assert found[2] == d1
+        else:
+            with pytest.raises(SearchFailureError):
+                _randomized(frame, active, active_op, lo_t, up_t, 1, seed, src)
+    assert verdicts == {True, False}
+    assert flips  # the counted operator alone would have judged otherwise

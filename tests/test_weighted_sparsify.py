@@ -1,9 +1,12 @@
 """Norm-equalizing duplication and weighted selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sampdisc import (
+    DuplicationMap,
     DuplicationOverflowError,
     FrameSystem,
     OracleConfig,
@@ -11,10 +14,12 @@ from sampdisc import (
     SystemDescriptor,
     build_frame_from_samples,
     duplicate_normalize,
+    halving_select,
     make_system,
     weighted_select,
 )
 from sampdisc.frame_core import weighted_bounds
+from sampdisc.weighted_sparsify import COPY_CAP, _scaled_sources
 
 from helpers import loop_frame_operator, quad_form, random_tight_frame
 
@@ -211,3 +216,88 @@ def test_weighted_reconstruction_identity():
         w /= np.linalg.norm(w)
         val = quad_form(frame, lam, w)
         assert cert.bounds.lower - 1e-9 <= val <= cert.bounds.upper + 1e-9
+
+
+def _multiset_case(seed, field):
+    system = make_system(
+        SystemDescriptor("random_orthonormal", n=4, m=1024, seed=seed), field=field
+    )
+    return build_frame_from_samples(system)
+
+
+@pytest.mark.parametrize(
+    "gen_seed, field, search_seed",
+    [(11, "real", 3), (11, "complex", 3), (5, "real", 8)],
+    ids=["golden-weighted", "complex", "other-seed"],
+)
+def test_multiset_halving_equals_halving_the_copies(gen_seed, field, search_seed):
+    # halving the scaled sources with their copy counts selects what
+    # halving the built copies selects, and measures J bit for bit alike
+    frame = _multiset_case(gen_seed, field)
+    cfg = OracleConfig(seed=search_seed)
+    copies, dup = duplicate_normalize(frame)
+    scaled, dup2 = _scaled_sources(frame, COPY_CAP)
+    assert dup2 == dup
+    level = min(2.0, dup.m_prime / frame.n)
+    multiset = halving_select(FrameSystem(scaled), level, cfg, copies=dup)
+    direct = halving_select(copies, level, cfg)
+    assert len(direct.rounds) >= 2
+    assert multiset.J == direct.J
+    assert multiset.actual == direct.actual
+    assert (multiset.delta, multiset.rescale) == (direct.delta, direct.rescale)
+    for got, want in zip(multiset.rounds, direct.rounds, strict=True):
+        assert got.kept == want.kept
+        assert got.candidates_tried == want.candidates_tried
+        tol = 1e-12 * max(1.0, want.measured.upper)
+        assert abs(got.measured.lower - want.measured.lower) <= tol
+        assert abs(got.measured.upper - want.measured.upper) <= tol
+
+
+def test_multiset_norm_check_names_the_copy():
+    # sources of squared norm 0.1 and 0.35 with 3 and 2 copies form a
+    # tight multiset of copies 0 1 2 | 3 4; at delta = 1/5 the heavy
+    # source offends and the message names its first copy
+    frame = FrameSystem(np.sqrt([[0.1, 0.35]]))
+    with pytest.raises(PreconditionError, match="vector 3 "):
+        halving_select(frame, 1.0, copies=DuplicationMap(counts=[3, 2], anchor=0))
+    with pytest.raises(PreconditionError, match="1 copy counts for 2 vectors"):
+        halving_select(frame, 1.0, copies=DuplicationMap(counts=[5], anchor=0))
+
+
+def test_copy_map_and_round_tuples_are_built_when_read():
+    wcert = weighted_select(_multiset_case(11, "real"), OracleConfig(seed=3))
+    dup = wcert.duplication
+    assert "copy_to_source" not in vars(dup)
+    assert dup.m_prime == sum(dup.counts)
+    assert dup.copy_to_source == tuple(np.repeat(np.arange(len(dup.counts)), dup.counts))
+    for rnd in wcert.halving.rounds:
+        assert "kept" not in vars(rnd)
+        assert rnd.kept == tuple(rnd.kept_indices.tolist())
+        assert not rnd.kept_indices.flags.writeable
+
+
+def test_copy_counts_must_be_positive_integers():
+    for counts in ([1, 0], [], [[1, 2]], ["a"]):
+        with pytest.raises(PreconditionError):
+            DuplicationMap(counts=counts, anchor=0)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weighted_select_builds_no_copy_columns():
+    # building the copies takes at least one n x m' array; selecting
+    # weights on the same frame stays below what building them takes
+    frame = build_frame_from_samples(
+        make_system(SystemDescriptor("random_orthonormal", n=16, m=4096, seed=11))
+    )
+    copies_bytes = frame.n * duplicate_normalize(frame)[1].m_prime * 8
+    building = _peak_bytes(lambda: duplicate_normalize(frame))
+    assert building >= copies_bytes
+    assert _peak_bytes(lambda: weighted_select(frame, OracleConfig(seed=3))) < building
