@@ -164,32 +164,44 @@ def _frozen_matrix(values, what: str) -> np.ndarray:
     return v
 
 
-def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
-    """Distinct integer indices in 0..m-1 as an int64 array.
+def _validated_integers(values: Iterable[int], what: str) -> np.ndarray:
+    """A flat integer array-like as an int64 array; an int64 array is
+    returned as is.
 
-    Any flat integer array-like is accepted; an int64 array is returned
-    as is.  Floats, bools (also among ints, where numpy would infer
-    int64), values outside int64, nested lists, values outside 0..m-1
-    and duplicates raise :class:`PreconditionError`; ``what`` names the
-    input in its message.
+    Floats, bools (also among ints, where numpy would infer int64),
+    strings, values outside int64 and nested lists raise
+    :class:`PreconditionError`; ``what`` names the input in its message.
     """
-    if not isinstance(indices, np.ndarray):
-        indices = list(indices)
-        types = set(map(type, indices))
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        types = set(map(type, values))
         if bool in types or np.bool_ in types:
             raise PreconditionError(f"{what} entries are not 64-bit integers")
     try:
-        idx = np.asarray(indices)
+        ints = np.asarray(values)
     except (TypeError, ValueError):
         raise PreconditionError(f"{what} is not a flat list") from None
-    if idx.ndim != 1:
+    if ints.ndim != 1:
         raise PreconditionError(f"{what} is not a flat list")
-    if idx.size == 0:
-        return idx.astype(np.int64, copy=False)
-    if idx.dtype != np.int64:
-        if idx.dtype.kind not in "iu" or idx.max() > np.iinfo(np.int64).max:
+    if ints.size == 0:
+        return ints.astype(np.int64, copy=False)
+    if ints.dtype != np.int64:
+        if ints.dtype.kind not in "iu" or ints.max() > np.iinfo(np.int64).max:
             raise PreconditionError(f"{what} entries are not 64-bit integers")
-        idx = idx.astype(np.int64)
+        ints = ints.astype(np.int64)
+    return ints
+
+
+def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
+    """Distinct integer indices in 0..m-1 as an int64 array.
+
+    Entries follow the rules of :func:`_validated_integers`; values
+    outside 0..m-1 and duplicates also raise
+    :class:`PreconditionError`.
+    """
+    idx = _validated_integers(indices, what)
+    if idx.size == 0:
+        return idx
     lo, hi = idx.min(), idx.max()
     if lo < 0 or hi >= m:
         raise PreconditionError(

@@ -32,8 +32,7 @@ from .frame_core import (
     _gram_bounds,
     _operator_bounds,
     _validated_indices,
-    frame_operator,
-    subset_bounds,
+    subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
 from .partition_oracle import (
     OracleConfig,
@@ -176,22 +175,21 @@ class HalvingCertificate:
 
 def _run_rounds(
     frame: FrameSystem,
-    m: int,
+    src: np.ndarray,
     schedule: HalvingSchedule,
     config: OracleConfig,
     operator: np.ndarray,
-    src,
 ):
     # halving_select has checked every norm against delta; round j's
     # targets are the schedule's next step, partition_targets of step j.
-    # ``operator`` is the frame operator of ``kept``: the whole frame's,
-    # then the kept side's of the round before.
-    kept = np.arange(m, dtype=np.int64)
+    # ``operator`` is the frame operator of ``kept``: all copies', then
+    # the kept side's of the round before.
+    kept = np.arange(src.size, dtype=np.int64)
     log = []
     for j in range(schedule.rounds):
         lo_t, up_t = schedule.steps[j + 1]
-        kept, _, measured, _, tried, operator = _randomized(
-            frame, kept, operator, lo_t, up_t, config.budget, config.seed + j, src
+        kept, measured, _, tried, operator = _randomized(
+            frame, src, kept, operator, lo_t, up_t, config.budget, config.seed + j
         )
         log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
     return kept, tuple(log)
@@ -215,12 +213,13 @@ def halving_select(
     config : OracleConfig, optional
         Partition search budget and seed (defaults: 10000, 0).
     copies : DuplicationMap, optional
-        Halve the multiset in which column j of ``frame`` appears
-        ``copies.counts[j]`` times instead of the frame itself.  m is
-        then the number of copies m', tightness is that of
+        The multiset to halve: column j of ``frame`` appears
+        ``copies.counts[j]`` times; by default every column appears
+        once.  m is the number of copies, tightness is that of
         sum_j counts[j] v_j v_j*, and J and every round's kept side
         name copies: copy i is column ``copies.copy_to_source[i]``.
-        The result equals that of halving the frame of the copies.
+        J, the kept sides and ``actual`` equal those of halving the
+        frame of the copies.
 
     Returns
     -------
@@ -233,16 +232,17 @@ def halving_select(
     Zero vectors never affect bounds and are dropped from J after
     selection.
     """
+    # a plain frame is the multiset that copies each column once
     if copies is None:
-        m, src = frame.m, None
-        operator = frame_operator(frame)
+        src, counts = np.arange(frame.m, dtype=np.int64), None
     else:
         if len(copies.counts) != frame.m:
             raise PreconditionError(
                 f"{len(copies.counts)} copy counts for {frame.m} vectors"
             )
-        m, src = copies.m_prime, copies._copy_to_source
-        operator = _gram(frame.vectors, copies._counts)
+        src, counts = copies._copy_to_source, copies._counts
+    m = src.size
+    operator = _gram(frame.vectors, counts)
     if theta > m / frame.n * (1.0 + 1e-12):
         raise PreconditionError(f"theta={theta} exceeds m/n={m / frame.n}")
     cfg = config or OracleConfig()
@@ -253,7 +253,7 @@ def halving_select(
             f"frame is not tight: measured bounds "
             f"({measured.lower:.12f}, {measured.upper:.12f})"
         )
-    _check_norms(frame, delta, src=src)
+    _check_norms(frame, delta, src)
     # compared as 100 delta, like the schedule's loop, so that rounding at
     # delta = 1/100 picks the same branch
     if 1.0 <= 100.0 * delta:
@@ -261,18 +261,14 @@ def halving_select(
         t_lo, t_up = 1.0, 1.0
     else:
         schedule = halving_schedule(delta)
-        kept, log = _run_rounds(frame, m, schedule, cfg, operator, src)
+        kept, log = _run_rounds(frame, src, schedule, cfg, operator)
         t_lo, t_up = schedule.steps[-1]
     # zero vectors never affect bounds and are dropped from J
     norms = frame.norms_squared()
-    kept = kept[norms[kept if src is None else src[kept]] > 0.0]
-    # copies are measured on their gathered columns, bit for bit what
+    kept = kept[norms[src[kept]] > 0.0]
+    # measured on the gathered columns of the copies, bit for bit what
     # subset_bounds gives on the frame of the copies
-    actual = (
-        subset_bounds(frame, kept)
-        if src is None
-        else _gram_bounds(frame.vectors[:, src[kept]])
-    )
+    actual = _gram_bounds(frame.vectors[:, src[kept]])
     if schedule is not None:
         if actual.lower < 25.0 * delta - BOUND_SLACK or actual.lower < t_lo - BOUND_SLACK:
             raise DiscretizationError(

@@ -5,10 +5,11 @@ bounds (alpha, beta) and individually small norms (at most delta), a
 partition into two halves exists whose sides each satisfy explicit
 degraded bounds.  This module does not reprove that existence; it
 searches candidate splits and certifies a winner by eigensolving both
-sides' operators.  The randomized search builds side 1's operator from
-its vectors and takes side 2's as the active set's operator minus side
-1's.  It also splits multisets of columns (the equal-norm copies of
-weighted selection) given only the column each copy repeats.
+sides' operators.  The randomized search splits a multiset of columns,
+given the column each copy repeats; a plain frame is the multiset that
+copies each column once.  It builds side 1's operator from the columns
+side 1 copies and takes side 2's as the active set's operator minus
+side 1's.
 
 Both sides of a returned split are nonempty.  The exhaustive strategy
 enumerates every such split of up to ``EXHAUSTIVE_LIMIT`` vectors and is
@@ -35,15 +36,16 @@ from .frame_core import (
     _operator_bounds,
     _validated_indices,
     extreme_eigenvalues,
-    subset_bounds,
+    subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
 
 EXHAUSTIVE_LIMIT = 24
 DEFAULT_BUDGET = 10_000
 VERIFY_SLACK = 1e-10
-# Side 2's bounds by subtraction differ from a direct measurement by
-# rounding (below 1e-15 at unit operator norm); a verdict this close to a
-# target is decided on the direct measurement instead.
+# Bounds of a side's operator formed by subtraction or from counted
+# columns differ from a measurement on its gathered copies by rounding
+# (below 1e-15 at unit operator norm); a verdict this close to a target
+# is decided on the gathered copies instead.
 SUBTRACTION_MARGIN = 1e-12
 _CHUNK = 1 << 13
 
@@ -156,42 +158,35 @@ def _split_ok(b1: FrameBounds, b2: FrameBounds, lo: float, up: float) -> bool:
     )
 
 
-def _near_verdict(b: FrameBounds, lo: float, up: float) -> bool:
-    """Whether rounding of size ``SUBTRACTION_MARGIN * max(1, up)`` in
-    ``b`` could flip a :func:`_split_ok` comparison."""
-    margin = SUBTRACTION_MARGIN * max(1.0, up)
-    return (
-        abs(b.lower - (lo - VERIFY_SLACK)) <= margin
-        or abs(b.upper - (up + VERIFY_SLACK)) <= margin
-    )
-
-
-def _check_norms(frame: FrameSystem, delta: float, active=None, src=None):
-    """Reject a squared vector norm above delta (relative slack 1e-9),
-    over all vectors or only the ``active`` index array.
-
-    With ``src`` the vectors are copies, copy i being column ``src[i]``
-    of the frame (nondecreasing, every column copied at least once), and
-    the message names the first copy of the offending column."""
-    idx = np.arange(frame.m) if active is None else active
+def _check_norms(frame: FrameSystem, delta: float, src: np.ndarray, cols=None):
+    """Reject a squared norm above delta (relative slack 1e-9) among the
+    columns ``cols``, or all columns, naming the first copy of the
+    offending column; copy i is column ``src[i]`` (nondecreasing)."""
+    idx = np.arange(frame.m) if cols is None else cols
     norms = frame.norms_squared()[idx]
     if norms.max() > delta * (1.0 + 1e-9):
-        offender = int(idx[np.argmax(norms)])
-        if src is not None:
-            offender = int(np.searchsorted(src, offender))
+        offender = int(np.searchsorted(src, idx[np.argmax(norms)]))
         raise PreconditionError(
             f"vector {offender} has squared norm {norms.max():.6e} "
             f"exceeding delta={delta:.6e}"
         )
 
 
-def _direct_bounds(frame: FrameSystem, positions: np.ndarray, src=None) -> FrameBounds:
-    """Bounds of the vectors at the sorted ``positions``, measured on
-    their gathered columns; with ``src`` the positions are copies, copy
-    i being column ``src[i]`` of the frame."""
-    if src is None:
-        return subset_bounds(frame, positions)
-    return _gram_bounds(frame.vectors[:, src[positions]])
+def _side_bounds(frame, op, active_src, side, lo_t, up_t) -> FrameBounds:
+    """Bounds of a split's side from its operator ``op``; ``side`` holds
+    positions in ``active_src``, the columns the active copies repeat.
+
+    Where rounding of size ``SUBTRACTION_MARGIN * max(1, up_t)`` could
+    flip a :func:`_split_ok` comparison, the side's gathered copies are
+    measured in sorted order instead."""
+    b = _operator_bounds(op)
+    margin = SUBTRACTION_MARGIN * max(1.0, up_t)
+    if (
+        abs(b.lower - (lo_t - VERIFY_SLACK)) <= margin
+        or abs(b.upper - (up_t + VERIFY_SLACK)) <= margin
+    ):
+        return _gram_bounds(frame.vectors[:, np.sort(active_src[side])])
+    return b
 
 
 def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float):
@@ -264,35 +259,28 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
 
 def _randomized(
     frame: FrameSystem,
+    src: np.ndarray,
     active: np.ndarray,
     active_op: np.ndarray,
     lo_t: float,
     up_t: float,
     budget: int,
     seed: int,
-    src=None,
 ):
     """First seeded balanced split of the sorted int64 array ``active``
     whose sides both meet [lo_t, up_t], as
-    ``(s1, s2, bounds_s1, bounds_s2, candidates_tried, op_s1)`` with the
-    sides sorted int64 arrays.
+    ``(s1, bounds_s1, bounds_s2, candidates_tried, op_s1)`` with ``s1``
+    a sorted int64 array; side 2 is the rest of ``active``.
 
-    ``active_op`` is the frame operator of ``active``'s vectors.  Side 1
-    is the first floor(k/2) entries of each candidate permutation, so it
-    is never the larger side, and it is the side halving keeps.  Its
-    operator ``op_s1`` is returned so that the next round can split
-    ``s1`` without forming it again.  Side 2's operator is
-    ``active_op - op_s1``.
-
-    On a plain frame ``op_s1`` is built from side 1's vectors in sorted
-    order, exactly as ``subset_bounds`` builds it.  With ``src`` the
-    entries of ``active`` are copies, copy i being column ``src[i]`` of
-    the frame, and ``op_s1`` is ``_gram`` of the distinct columns side 1
-    copies, weighted by how often it copies them.  Bounds that are not
-    measured on gathered columns match a direct measurement only to
-    rounding, so such a bound within ``SUBTRACTION_MARGIN`` of a target
-    is measured directly and every verdict is the one the direct
-    measurement gives."""
+    The entries of ``active`` are copies, copy i being column ``src[i]``
+    of the frame (``src`` nondecreasing; a plain frame is ``arange(m)``),
+    and ``active_op`` is their frame operator.  Side 1 is the first
+    floor(k/2) entries of each candidate permutation, so it is never the
+    larger side, and it is the side halving keeps.  Its operator
+    ``op_s1`` is ``_gram`` of the distinct columns it copies, weighted by
+    how often unless it copies none twice, and is returned so that the
+    next round need not form it again.  Side 2's operator is
+    ``active_op - op_s1``; :func:`_side_bounds` measures both sides."""
     k = active.size
     if k < 2:
         raise SearchFailureError(
@@ -300,29 +288,21 @@ def _randomized(
         )
     rng = np.random.default_rng(seed)
     half = k // 2
-    active_src = None if src is None else src[active]
+    active_src = src[active]
     best_gap = math.inf
     for attempt in range(1, budget + 1):
         perm = rng.permutation(k)
-        if src is None:
-            s1 = np.sort(active[perm[:half]])
-            op1 = _gram(frame.vectors[:, s1])
-        else:
-            s1 = None  # sorted only when measured directly or returned
-            copied = np.bincount(active_src[perm[:half]])
-            cols = np.flatnonzero(copied)
-            op1 = _gram(frame.vectors[:, cols], copied[cols])
-        b1 = _operator_bounds(op1)
-        if src is not None and _near_verdict(b1, lo_t, up_t):
-            s1 = np.sort(active[perm[:half]])
-            b1 = _direct_bounds(frame, s1, src)
-        b2 = _operator_bounds(active_op - op1)
-        if _near_verdict(b2, lo_t, up_t):
-            b2 = _direct_bounds(frame, np.sort(active[perm[half:]]), src)
+        copied = np.bincount(active_src[perm[:half]])
+        cols = np.flatnonzero(copied > 0)
+        # a side that copies no column twice takes the plain Gram matrix,
+        # bit for bit what subset_bounds gives: for real frames numpy forms
+        # it by a symmetric product that weights would replace
+        weights = None if cols.size == half else copied[cols]
+        op1 = _gram(frame.vectors[:, cols], weights)
+        b1 = _side_bounds(frame, op1, active_src, perm[:half], lo_t, up_t)
+        b2 = _side_bounds(frame, active_op - op1, active_src, perm[half:], lo_t, up_t)
         if _split_ok(b1, b2, lo_t, up_t):
-            if s1 is None:
-                s1 = np.sort(active[perm[:half]])
-            return s1, np.sort(active[perm[half:]]), b1, b2, attempt, op1
+            return np.sort(active[perm[:half]]), b1, b2, attempt, op1
         gap = max(
             lo_t - min(b1.lower, b2.lower), max(b1.upper, b2.upper) - up_t, 0.0
         )
@@ -372,12 +352,15 @@ def spectral_partition(
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
     active = np.array(req.active, dtype=np.int64)
-    _check_norms(req.frame, req.delta, active)
+    src = np.arange(req.frame.m, dtype=np.int64)
+    _check_norms(req.frame, req.delta, src, active)
     lo_t, up_t = partition_targets(req.alpha, req.beta, req.delta)
     if strategy == "exhaustive":
-        found = _exhaustive(req.frame, active, lo_t, up_t)
+        s1, s2, b1, b2, tried = _exhaustive(req.frame, active, lo_t, up_t)
     else:
         active_op = _gram(req.frame.vectors[:, active])
-        found = _randomized(req.frame, active, active_op, lo_t, up_t, budget, seed)
-    s1, s2, b1, b2, tried = found[:5]
+        s1, b1, b2, tried, _ = _randomized(
+            req.frame, src, active, active_op, lo_t, up_t, budget, seed
+        )
+        s2 = np.setdiff1d(active, s1, assume_unique=True)
     return PartitionResult(s1, s2, b1, b2, lo_t, up_t, tried)

@@ -27,6 +27,8 @@ from .errors import (
 from .frame_core import (
     FrameBounds,
     FrameSystem,
+    _validated_indices,
+    _validated_integers,
     verify_tight,
     weighted_bounds,
 )
@@ -42,26 +44,26 @@ class DuplicationMap:
 
     Source j has ``counts[j]`` >= 1 copies; copies of one source are
     contiguous and sources ascend, so copy i is a copy of source
-    ``copy_to_source[i]``.  ``counts`` may be given as any integer
-    array-like; it is kept as a tuple of ints and as a private int64
-    array ``_counts``.  ``copy_to_source`` (a tuple of m' ints) and its
-    int64 array ``_copy_to_source`` are derived from the counts on first
-    read.
+    ``copy_to_source[i]``; ``anchor`` is a source index.  ``counts`` may
+    be given as any integer array-like; it is kept as a tuple of ints
+    and as a private int64 array ``_counts``.  Counts and anchor follow
+    the integer rules of ``frame_core._validated_integers``.
+    ``copy_to_source`` (a tuple of m' ints) and its int64 array
+    ``_copy_to_source`` are derived from the counts on first read.
     """
 
     counts: tuple
     anchor: int
 
     def __post_init__(self):
-        try:
-            counts = np.array(self.counts, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            raise PreconditionError("copy counts are not integers") from None
-        if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
+        counts = _validated_integers(self.counts, "copy counts").copy()
+        if counts.size == 0 or (counts < 1).any():
             raise PreconditionError("copy counts must be a non-empty list of integers >= 1")
+        anchor = _validated_indices((self.anchor,), counts.size, "copy anchor")
         counts.setflags(write=False)
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "counts", tuple(counts.tolist()))
+        object.__setattr__(self, "anchor", int(anchor[0]))
 
     @property
     def m_prime(self) -> int:

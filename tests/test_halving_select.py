@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sampdisc import (
     DiscretizationError,
     DomainError,
+    DuplicationMap,
     FrameSystem,
     HalvingSchedule,
     OracleConfig,
@@ -200,6 +201,28 @@ def test_rounds_agree_with_the_one_step_api(case):
         )
         assert rnd.candidates_tried == res.candidates_tried
         active = rnd.kept
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, field",
+    [("trig", 5, 2048, "real"), ("walsh", 8, 8192, "real"), ("dft", 8, 4096, "complex")],
+)
+def test_plain_frame_halves_as_the_multiset_copying_each_column_once(kind, n, m, field):
+    # one halving path: a plain frame and the same frame given as copies
+    # with every count 1 agree bit for bit, round by round
+    system = make_system(SystemDescriptor(kind, n=n, m=m), field=field)
+    frame = build_frame_from_samples(system)
+    theta = condition_e_constant(system).t_squared
+    cfg = OracleConfig(seed=3)
+    plain = halving_select(frame, theta, cfg)
+    ones = DuplicationMap(np.ones(m, dtype=np.int64), 0)
+    multiset = halving_select(frame, theta, cfg, copies=ones)
+    assert plain.rounds
+    assert plain.J == multiset.J and plain.actual == multiset.actual
+    for got, want in zip(multiset.rounds, plain.rounds, strict=True):
+        assert got.kept == want.kept
+        assert got.candidates_tried == want.candidates_tried
+        assert got.measured == want.measured
 
 
 def test_iterative_determinism():

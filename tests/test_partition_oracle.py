@@ -332,13 +332,14 @@ def test_side_two_by_subtraction_matches_direct(case):
     cfg = OracleConfig(seed=3)
     cert = halving_select(frame, theta, cfg)
     assert len(cert.rounds) >= 2
-    active = np.arange(frame.m, dtype=np.int64)
+    active = src = np.arange(frame.m, dtype=np.int64)
     active_op = frame_operator(frame)
     for j, rnd in enumerate(cert.rounds):
-        s1, s2, b1, b2, tried, op1 = _randomized(
-            frame, active, active_op, rnd.target_lower, rnd.target_upper,
+        s1, b1, b2, tried, op1 = _randomized(
+            frame, src, active, active_op, rnd.target_lower, rnd.target_upper,
             cfg.budget, cfg.seed + j,
         )
+        s2 = np.setdiff1d(active, s1)
         assert tuple(s1.tolist()) == rnd.kept and tried == rnd.candidates_tried
         assert np.array_equal(np.union1d(s1, s2), active)
         assert s1.size + s2.size == active.size and s1.size <= s2.size
@@ -355,7 +356,7 @@ def test_side_two_near_a_target_takes_the_direct_verdict():
     # a target within rounding of side 2's bound is judged on a direct
     # measurement of side 2, so subtraction rounding cannot flip a verdict
     frame, _ = _equal_weight_case("trig", 5, 2048)
-    active = np.arange(frame.m, dtype=np.int64)
+    active = src = np.arange(frame.m, dtype=np.int64)
     active_op = frame_operator(frame)
     for seed in range(50):
         perm = np.random.default_rng(seed).permutation(frame.m)
@@ -373,11 +374,11 @@ def test_side_two_near_a_target_takes_the_direct_verdict():
         expected = _split_ok(d1, d2, lo_t, up_t)
         verdicts.add(expected)
         if expected:
-            found = _randomized(frame, active, active_op, lo_t, up_t, 1, seed)
-            assert found[3] == d2
+            found = _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
+            assert found[2] == d2
         else:
             with pytest.raises(SearchFailureError):
-                _randomized(frame, active, active_op, lo_t, up_t, 1, seed)
+                _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
     assert verdicts == {True, False}
 
 
@@ -412,10 +413,10 @@ def test_side_one_near_a_target_takes_the_direct_verdict():
         verdicts.add(expected)
         flips += expected != _split_ok(by_counts, d2, lo_t, up_t)
         if expected:
-            found = _randomized(frame, active, active_op, lo_t, up_t, 1, seed, src)
-            assert found[2] == d1
+            found = _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
+            assert found[1] == d1
         else:
             with pytest.raises(SearchFailureError):
-                _randomized(frame, active, active_op, lo_t, up_t, 1, seed, src)
+                _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
     assert verdicts == {True, False}
     assert flips  # the counted operator alone would have judged otherwise
