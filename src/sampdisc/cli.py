@@ -29,7 +29,7 @@ from .discretize import (
     reorthonormalize,
 )
 from .errors import DiscretizationError
-from .partition_oracle import OracleConfig
+from .partition_oracle import DEFAULT_BUDGET, OracleConfig
 from .systems_io import (
     SYSTEM_KINDS,
     SystemDescriptor,
@@ -39,7 +39,8 @@ from .systems_io import (
     save_certificate,
     save_system,
 )
-from .verify import verify_certificate
+from .verify import VERIFY_TOL, verify_certificate
+from .weighted_sparsify import COPY_CAP
 
 
 class UsageError(Exception):
@@ -49,6 +50,12 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+_FIELD_HELP = (
+    "field of random_orthonormal values; dft is always complex, "
+    "walsh and trig always real"
+)
 
 
 def _add_source_args(sub, needs_out=False):
@@ -61,7 +68,9 @@ def _add_source_args(sub, needs_out=False):
     )
     src.add_argument("--n", type=int, help="number of functions")
     src.add_argument("--m", type=int, help="number of points")
-    src.add_argument("--field", choices=("real", "complex"), default="real")
+    src.add_argument(
+        "--field", choices=("real", "complex"), default="real", help=_FIELD_HELP
+    )
     src.add_argument("--gen-seed", type=int, help="seed for random_orthonormal")
     if needs_out:
         sub.add_argument("--out", required=True, help="output path")
@@ -69,7 +78,7 @@ def _add_source_args(sub, needs_out=False):
 
 def _add_search_args(sub):
     sub.add_argument("--seed", type=int, help="partition search seed (required)")
-    sub.add_argument("--budget", type=int, default=10_000)
+    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
 
 def _add_rebase_args(sub):
@@ -161,45 +170,25 @@ def build_parser() -> _Parser:
     _add_source_args(selw, needs_out=True)
     _add_search_args(selw)
     _add_rebase_args(selw)
-    selw.add_argument("--cap", type=int, default=1_000_000)
+    selw.add_argument("--cap", type=int, default=COPY_CAP)
 
     ver = subs.add_parser("verify", help="recompute certificate constants")
     ver.add_argument("--system", required=True)
     ver.add_argument("--certificate", required=True)
-    ver.add_argument("--tol", type=float, default=1e-10)
+    ver.add_argument("--tol", type=float, default=VERIFY_TOL)
 
     swp = subs.add_parser("sweep", help="select over a grid of sizes")
     swp.add_argument("--kind", required=True, choices=SYSTEM_KINDS)
     swp.add_argument("--n-list", required=True, help="comma-separated dimensions")
     swp.add_argument("--m-list", required=True, help="comma-separated point counts")
-    swp.add_argument("--field", choices=("real", "complex"), default="real")
+    swp.add_argument(
+        "--field", choices=("real", "complex"), default="real", help=_FIELD_HELP
+    )
     swp.add_argument("--gen-seed", type=int, default=0)
     _add_search_args(swp)
     swp.add_argument("--out", required=True, help="summary CSV path")
 
     return parser
-
-
-def _settings(args, extra=None) -> dict:
-    settings = {
-        # halving runs only this search; recorded for certificate readers
-        "strategy": "randomized",
-        "seed": args.seed,
-        "budget": args.budget,
-    }
-    if args.system:
-        settings["system"] = "file"
-    else:
-        settings["system"] = {
-            "kind": args.kind,
-            "n": args.n,
-            "m": args.m,
-            "field": args.field,
-            "gen_seed": args.gen_seed,
-        }
-    if extra:
-        settings.update(extra)
-    return settings
 
 
 def _cmd_gen(args) -> int:
@@ -225,35 +214,39 @@ def _cmd_nikolskii(args) -> int:
     return 0
 
 
-def _print_certificate(cert) -> None:
+def _cmd_select(args) -> int:
+    """``select`` and ``select-weighted``: one selection, its certificate
+    saved with the settings that produced it."""
+    config = _oracle(args)
+    system = _rebased(_resolve_system(args), args.out_system)
+    settings = {
+        # halving runs only this search; recorded for certificate readers
+        "strategy": "randomized",
+        "seed": args.seed,
+        "budget": args.budget,
+        "system": "file"
+        if args.system
+        else {
+            "kind": args.kind,
+            "n": args.n,
+            "m": args.m,
+            "field": args.field,
+            "gen_seed": args.gen_seed,
+        },
+    }
+    if args.command == "select":
+        cert = discretize_equal_weight(system, config, theta=args.theta)
+        # recorded for certificate readers: the residual re-basing starts above
+        settings["delta"] = ORTHONORMALITY_TOL
+    else:
+        cert = discretize_weighted(system, config, cap=args.cap)
+        settings["cap"] = args.cap
+    save_certificate(cert, args.out, settings=settings)
     c, C = cert.constants
     print(
         f"kind={cert.kind} selected={cert.m} c={_fmt(c)} C={_fmt(C)} "
         f"ratio={_fmt(C / c)}"
     )
-
-
-def _cmd_select(args) -> int:
-    config = _oracle(args)
-    system = _rebased(_resolve_system(args), args.out_system)
-    cert = discretize_equal_weight(system, config, theta=args.theta)
-    # recorded for certificate readers: the residual re-basing starts above
-    save_certificate(
-        cert, args.out, settings=_settings(args, {"delta": ORTHONORMALITY_TOL})
-    )
-    _print_certificate(cert)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_select_weighted(args) -> int:
-    config = _oracle(args)
-    system = _rebased(_resolve_system(args), args.out_system)
-    cert = discretize_weighted(system, config, cap=args.cap)
-    save_certificate(
-        cert, args.out, settings=_settings(args, {"cap": args.cap})
-    )
-    _print_certificate(cert)
     print(f"wrote {args.out}")
     return 0
 
@@ -300,24 +293,12 @@ def _cmd_sweep(args) -> int:
                 continue
             desc = SystemDescriptor(kind=args.kind, n=n, m=m, seed=args.gen_seed)
             system = make_system(desc, field=args.field)
-            report = condition_e_constant(system)
             cert = discretize_equal_weight(system, config)
             c, C = cert.constants
-            rows.append(
-                ",".join(
-                    [
-                        str(n),
-                        str(m),
-                        _fmt(report.t),
-                        str(cert.m),
-                        _fmt(cert.m / n),
-                        _fmt(c),
-                        _fmt(C),
-                        _fmt(C / c),
-                        str(config.seed),
-                    ]
-                )
-            )
+            stages = {stage["stage"]: stage for stage in cert.pipeline_log}
+            t = stages["concentration"]["t"]
+            cells = [n, m, _fmt(t), cert.m, _fmt(cert.m / n), _fmt(c), _fmt(C)]
+            rows.append(",".join(map(str, cells + [_fmt(C / c), config.seed])))
     with open(args.out, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {args.out} ({len(rows) - 1} rows)")
@@ -328,7 +309,7 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "nikolskii": _cmd_nikolskii,
     "select": _cmd_select,
-    "select-weighted": _cmd_select_weighted,
+    "select-weighted": _cmd_select,
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,
 }

@@ -17,8 +17,9 @@ transfer that reuses one set of points and weights for a complex span.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .frame_core import (
     _gram,
     _gram_bounds,
     _validated_indices,
+    _validated_integer,
     _validated_weights,
 )
 from .halving_select import HalvingCertificate, halving_select
@@ -308,6 +310,27 @@ class DiscretizationCertificate:
     pipeline_log: tuple
 
 
+def _certificate(
+    system: SampledSystem, kind: str, indices, weights, theta, log
+) -> DiscretizationCertificate:
+    """Certificate of the selection ``indices`` on ``system`` with
+    ``weights`` (None for uniform 1/len(indices)); every pipeline builds
+    its certificate here, and the constants are measured by
+    :func:`recompute_constants`."""
+    indices = _validated_indices(indices, system.m, "point index set")
+    return DiscretizationCertificate(
+        kind=kind,
+        point_indices=tuple(indices.tolist()),
+        points=system.points[indices],
+        m=int(indices.size),
+        weights=None if weights is None else tuple(np.asarray(weights).tolist()),
+        constants=recompute_constants(system, indices, weights),
+        theta=theta,
+        input_fingerprint=system.fingerprint(),
+        pipeline_log=log,
+    )
+
+
 def _uniform(system: SampledSystem) -> bool:
     return bool(np.max(np.abs(system.point_weights - 1.0 / system.m)) <= 1e-14)
 
@@ -344,10 +367,6 @@ def discretize_equal_weight(
     theta_used = report.t_squared if theta is None else float(theta)
     frame = build_frame_from_samples(system)
     hcert = halving_select(frame, theta_used, config)
-    idx = np.asarray(hcert.J, dtype=np.int64)
-    constants = recompute_constants(system, idx)
-    if constants.lower <= 0.0:
-        raise DiscretizationError("selected points lost rank: lower constant is 0")
     log = (
         {
             "stage": "concentration",
@@ -357,17 +376,10 @@ def discretize_equal_weight(
         },
         _halving_stage(hcert),
     )
-    return DiscretizationCertificate(
-        kind="equal_weight",
-        point_indices=tuple(idx.tolist()),
-        points=system.points[idx],
-        m=int(idx.size),
-        weights=None,
-        constants=constants,
-        theta=theta_used,
-        input_fingerprint=system.fingerprint(),
-        pipeline_log=log,
-    )
+    cert = _certificate(system, "equal_weight", hcert.J, None, theta_used, log)
+    if cert.constants.lower <= 0.0:
+        raise DiscretizationError("selected points lost rank: lower constant is 0")
+    return cert
 
 
 def _halving_stage(hcert: HalvingCertificate) -> dict:
@@ -443,7 +455,7 @@ def monte_carlo_refine(
         raise PreconditionError(
             f"m_start={m_start} is below the dimension {spec.n}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_validated_integer(seed, 0, "seed"))
     m = int(m_start)
     best = np.inf
     while m <= m_cap:
@@ -554,8 +566,7 @@ def discretize_continuous(
     except DiscretizationError as exc:
         raise StageError("select", str(exc)) from exc
 
-    c_final = inner.constants.lower * (1.0 - dev)
-    C_final = inner.constants.upper * (1.0 + dev)
+    c, C = inner.constants
     log = (
         {
             "stage": "refine",
@@ -563,25 +574,20 @@ def discretize_continuous(
             "samples": refined.m,
             "deviation": dev,
             "target": mc_delta,
-            "seed": seed,
+            "seed": int(seed),
         },
         {"stage": "reorthonormalize", "rank": ortho.n},
     ) + inner.pipeline_log + (
         {
             "stage": "pullback",
             "deviation": dev,
-            "selected_lower": inner.constants.lower,
-            "selected_upper": inner.constants.upper,
+            "selected_lower": c,
+            "selected_upper": C,
         },
     )
-    return DiscretizationCertificate(
-        kind="equal_weight",
-        point_indices=inner.point_indices,
-        points=inner.points,
-        m=inner.m,
-        weights=None,
-        constants=FrameBounds(c_final, C_final),
-        theta=inner.theta,
+    return dataclasses.replace(
+        inner,
+        constants=FrameBounds(c * (1.0 - dev), C * (1.0 + dev)),
         input_fingerprint=refined.fingerprint(),
         pipeline_log=log,
     )
@@ -614,9 +620,6 @@ def discretize_weighted(
     support = keep[support_local]
     point_weights = frame_weights[support_local] * system.point_weights[support]
 
-    constants = recompute_constants(system, support, point_weights)
-    if abs(constants.lower - wcert.bounds.lower) > 1e-9 * max(1.0, wcert.bounds.upper):
-        raise DiscretizationError("weighted constants failed cross-verification")
     log = (
         {
             "stage": "weighted",
@@ -626,17 +629,11 @@ def discretize_weighted(
         },
         _halving_stage(wcert.halving),
     )
-    return DiscretizationCertificate(
-        kind="weighted",
-        point_indices=tuple(support.tolist()),
-        points=system.points[support],
-        m=int(support.size),
-        weights=tuple(point_weights.tolist()),
-        constants=constants,
-        theta=2.0,
-        input_fingerprint=system.fingerprint(),
-        pipeline_log=log,
-    )
+    cert = _certificate(system, "weighted", support, point_weights, 2.0, log)
+    tol = 1e-9 * max(1.0, wcert.bounds.upper)
+    if abs(cert.constants.lower - wcert.bounds.lower) > tol:
+        raise DiscretizationError("weighted constants failed cross-verification")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -694,15 +691,6 @@ def transfer_certificate(
     if system.fingerprint() != mapping.source_fingerprint:
         raise MappingMismatchError("mapping does not describe this complex system")
     _checked_residual(system, CONDITION_TOL)
-    idx = np.asarray(real_cert.point_indices, dtype=np.int64)
-    constants = recompute_constants(system, idx, real_cert.weights)
-    if constants.lower < real_cert.constants.lower - 1e-10 or (
-        constants.upper > real_cert.constants.upper + 1e-10
-    ):
-        raise DiscretizationError(
-            f"complex constants {tuple(constants)} escape the real interval "
-            f"{tuple(real_cert.constants)}"
-        )
     log = real_cert.pipeline_log + (
         {
             "stage": "complex_transfer",
@@ -711,14 +699,13 @@ def transfer_certificate(
             "real_dim": mapping.real_dim,
         },
     )
-    return DiscretizationCertificate(
-        kind=real_cert.kind,
-        point_indices=real_cert.point_indices,
-        points=real_cert.points,
-        m=real_cert.m,
-        weights=real_cert.weights,
-        constants=constants,
-        theta=real_cert.theta,
-        input_fingerprint=system.fingerprint(),
-        pipeline_log=log,
-    )
+    indices, weights = real_cert.point_indices, real_cert.weights
+    cert = _certificate(system, real_cert.kind, indices, weights, real_cert.theta, log)
+    if cert.constants.lower < real_cert.constants.lower - 1e-10 or (
+        cert.constants.upper > real_cert.constants.upper + 1e-10
+    ):
+        raise DiscretizationError(
+            f"complex constants {tuple(cert.constants)} escape the real interval "
+            f"{tuple(real_cert.constants)}"
+        )
+    return cert

@@ -192,6 +192,19 @@ def _validated_integers(values: Iterable[int], what: str) -> np.ndarray:
     return ints
 
 
+def _validated_integer(value, minimum: int, what: str) -> int:
+    """``value`` as a Python int when it is one integer under the rules
+    of :func:`_validated_integers` and at least ``minimum``; anything
+    else raises :class:`PreconditionError` naming it as ``what``."""
+    try:
+        number = int(_validated_integers([value], what)[0])
+    except PreconditionError:
+        number = minimum - 1
+    if number < minimum:
+        raise PreconditionError(f"{what} must be an integer >= {minimum}: {value!r}")
+    return number
+
+
 def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
     """Distinct integer indices in 0..m-1 as an int64 array.
 

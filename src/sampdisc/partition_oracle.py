@@ -35,6 +35,7 @@ from .frame_core import (
     _gram_bounds,
     _operator_bounds,
     _validated_indices,
+    _validated_integer,
     extreme_eigenvalues,
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
@@ -70,8 +71,10 @@ class OracleConfig:
                 f"unknown strategy {self.strategy!r}; halving rounds run "
                 "only the 'randomized' search"
             )
-        if self.budget < 1:
-            raise PreconditionError(f"budget must be >= 1, got {self.budget}")
+        # stored as Python ints: a numpy seed would wrap in ``seed + round``
+        for name, minimum in (("budget", 1), ("seed", 0)):
+            value = _validated_integer(getattr(self, name), minimum, name)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,13 @@ def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, f
 
 
 def _split_ok(b1: FrameBounds, b2: FrameBounds, lo: float, up: float) -> bool:
+    """Whether both sides meet [lo, up] within ``VERIFY_SLACK``; bounds
+    holding arrays give an array of verdicts."""
     return (
-        b1.lower >= lo - VERIFY_SLACK
-        and b2.lower >= lo - VERIFY_SLACK
-        and b1.upper <= up + VERIFY_SLACK
-        and b2.upper <= up + VERIFY_SLACK
+        (b1.lower >= lo - VERIFY_SLACK)
+        & (b2.lower >= lo - VERIFY_SLACK)
+        & (b1.upper <= up + VERIFY_SLACK)
+        & (b2.upper <= up + VERIFY_SLACK)
     )
 
 
@@ -204,9 +209,7 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
 
     n_masks = 1 << (k - 1)
     tried = 0
-    best_val = None
-    best = None  # (s1 tuple, s2 tuple, bounds1, bounds2)
-
+    best = None  # (smaller side's upper, s1, bounds_s1, bounds_s2)
     for start in range(0, n_masks, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, n_masks), dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(k - 1)) & 1).astype(np.float64)
@@ -214,47 +217,36 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
         s2_ops = ((1.0 - bits) @ flat_rest).reshape(-1, n, n)
         lo1, up1 = extreme_eigenvalues(s1_ops)
         lo2, up2 = extreme_eigenvalues(s2_ops)
-        lo1, lo2 = np.maximum(lo1, 0.0), np.maximum(lo2, 0.0)
-
+        b1 = FrameBounds(np.maximum(lo1, 0.0), up1)
+        b2 = FrameBounds(np.maximum(lo2, 0.0), up2)
         size1 = 1 + bits.sum(axis=1)
         size2 = k - size1
         tried += masks.size
-        ok = (
-            (size2 >= 1)
-            & (lo1 >= lo_t - VERIFY_SLACK)
-            & (lo2 >= lo_t - VERIFY_SLACK)
-            & (up1 <= up_t + VERIFY_SLACK)
-            & (up2 <= up_t + VERIFY_SLACK)
-        )
+        ok = (size2 >= 1) & _split_ok(b1, b2, lo_t, up_t)
         if not ok.any():
             continue
-
-        small_upper = np.where(size1 <= size2, up1, up2)
-        small_upper = np.where(ok, small_upper, np.inf)
-        chunk_min = small_upper.min()
-        if best_val is not None and chunk_min > best_val:
-            continue
-        # resolve ties lexicographically on the sorted s1 tuple
-        for row in np.flatnonzero(small_upper == chunk_min):
-            mask = int(masks[row])
-            members = [0] + [b + 1 for b in range(k - 1) if (mask >> b) & 1]
-            s1 = tuple(int(active[i]) for i in members)
-            if best_val is None or chunk_min < best_val or s1 < best[0]:
-                rest = tuple(int(j) for j in active if j not in set(s1))
-                best_val = float(chunk_min)
-                best = (
-                    s1,
-                    rest,
-                    FrameBounds(float(lo1[row]), float(up1[row])),
-                    FrameBounds(float(lo2[row]), float(up2[row])),
-                )
+        small_upper = np.where(ok, np.where(size1 <= size2, up1, up2), np.inf)
+        # ties on the smaller side's upper go to the lexicographically
+        # smallest sorted s1
+        ties = [
+            (
+                float(small_upper[row]),
+                tuple(active[np.flatnonzero(np.r_[1.0, bits[row]])].tolist()),
+                FrameBounds(float(b1.lower[row]), float(up1[row])),
+                FrameBounds(float(b2.lower[row]), float(up2[row])),
+            )
+            for row in np.flatnonzero(small_upper == small_upper.min())
+        ]
+        best = min(ties if best is None else ties + [best], key=lambda c: c[:2])
 
     if best is None:
         raise SearchFailureError(
             f"no split of {k} vectors meets targets "
             f"[{lo_t:.6e}, {up_t:.6e}] (exhaustive over {tried} candidates)"
         )
-    return (*best, tried)
+    _, s1, b1, b2 = best
+    s2 = tuple(int(j) for j in active if j not in set(s1))
+    return s1, s2, b1, b2, tried
 
 
 def _randomized(
@@ -349,8 +341,8 @@ def spectral_partition(
     """
     if strategy not in ("exhaustive", "randomized"):
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    if budget < 1:
-        raise PreconditionError(f"budget must be >= 1, got {budget}")
+    budget = _validated_integer(budget, 1, "budget")
+    seed = _validated_integer(seed, 0, "seed")
     active = np.array(req.active, dtype=np.int64)
     src = np.arange(req.frame.m, dtype=np.int64)
     _check_norms(req.frame, req.delta, src, active)

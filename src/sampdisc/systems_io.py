@@ -29,7 +29,7 @@ from .discretize import (
     fingerprint_matches,
 )
 from .errors import ParseError, PreconditionError
-from .frame_core import FrameBounds
+from .frame_core import FrameBounds, _validated_integer
 
 SYSTEM_KINDS = ("trig", "dft", "walsh", "random_orthonormal")
 SCHEMA_VERSION = "1"
@@ -111,7 +111,9 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
 
     The built-in generators produce systems orthonormal under uniform
     point weights; dft and walsh additionally have every per-point sum
-    equal to n (flat concentration).
+    equal to n (flat concentration).  ``field`` applies only to
+    random_orthonormal: dft is always complex, walsh and trig are always
+    real.  random_orthonormal needs an integer seed >= 0.
     """
     if desc.kind not in SYSTEM_KINDS:
         raise PreconditionError(
@@ -127,7 +129,8 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
         return _trig_system(desc.n, desc.m)
     if desc.seed is None:
         raise PreconditionError("random_orthonormal needs a seed")
-    return _random_orthonormal_system(desc.n, desc.m, desc.seed, field)
+    seed = _validated_integer(desc.seed, 0, "seed")
+    return _random_orthonormal_system(desc.n, desc.m, seed, field)
 
 
 def _parse_float(text, path: str, row: Optional[int]) -> float:
@@ -327,47 +330,36 @@ def load_system(path: str) -> SampledSystem:
     return system
 
 
+def _encoded(value):
+    """``value`` with every float, also inside dicts, lists and tuples,
+    written as its :func:`_fmt` string; tuples become lists, and bools,
+    ints, strings and None stay as they are."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _encoded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encoded(item) for item in value]
+    return value
+
+
 def _encode_certificate(cert: DiscretizationCertificate, settings: dict) -> dict:
-    points = np.atleast_2d(cert.points.T).T
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": cert.kind,
-        "input_fingerprint": cert.input_fingerprint,
-        "settings": settings,
-        "m": cert.m,
-        "point_indices": list(cert.point_indices),
-        "points": [[_fmt(c) for c in np.atleast_1d(p)] for p in points],
-        "constants": {
-            "lower": _fmt(cert.constants.lower),
-            "upper": _fmt(cert.constants.upper),
-        },
-        "theta": None if cert.theta is None else _fmt(cert.theta),
-        "weights": None
-        if cert.weights is None
-        else [_fmt(w) for w in cert.weights],
-        "pipeline_log": _encode_log(cert.pipeline_log),
-    }
-    return doc
-
-
-def _encode_log(log: tuple) -> list:
-    out = []
-    for entry in log:
-        enc = {}
-        for key, val in entry.items():
-            if isinstance(val, bool):
-                enc[key] = val
-            elif isinstance(val, float):
-                enc[key] = _fmt(val)
-            elif isinstance(val, (list, tuple)):
-                enc[key] = [
-                    [_fmt(x) for x in item] if isinstance(item, (list, tuple)) else item
-                    for item in val
-                ]
-            else:
-                enc[key] = val
-        out.append(enc)
-    return out
+    # settings stay unencoded: a threshold such as 1e-08 is a JSON number
+    document = _encoded(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "kind": cert.kind,
+            "input_fingerprint": cert.input_fingerprint,
+            "m": cert.m,
+            "point_indices": cert.point_indices,
+            "points": np.atleast_2d(cert.points.T).T.tolist(),
+            "constants": cert.constants._asdict(),
+            "theta": cert.theta,
+            "weights": cert.weights,
+            "pipeline_log": cert.pipeline_log,
+        }
+    )
+    return {**document, "settings": settings}
 
 
 def save_certificate(

@@ -7,6 +7,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,10 @@ from sampdisc import (
     make_system,
     save_system,
 )
-from sampdisc.cli import main
+from sampdisc.cli import build_parser, main
+from sampdisc.partition_oracle import DEFAULT_BUDGET
+from sampdisc.verify import VERIFY_TOL
+from sampdisc.weighted_sparsify import COPY_CAP
 
 
 def run(capsys, *argv):
@@ -343,3 +347,37 @@ def test_runtime_error_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "nikolskii", "--system", str(tmp_path / "nope.csv"))
     assert code == 1
     assert "error:" in err and "missing metadata sidecar" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select", "--kind", "dft", "--n", "2", "--m", "64", "--seed", "-1"],
+        ["select-weighted", "--kind", "dft", "--n", "2", "--m", "64", "--seed", "-1"],
+        ["sweep", "--kind", "dft", "--n-list", "2", "--m-list", "8", "--seed", "-3"],
+        ["gen", "--kind", "random_orthonormal", "--n", "2", "--m", "8",
+         "--gen-seed", "-2"],
+    ],
+    ids=["select", "select-weighted", "sweep", "gen"],
+)
+def test_negative_seeds_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "seed must be an integer >= 0" in errors[0]
+    assert "Traceback" not in err and stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = build_parser()
+    for argv, name, value in [
+        (["select", "--out", "c.json"], "budget", DEFAULT_BUDGET),
+        (["select-weighted", "--out", "c.json"], "budget", DEFAULT_BUDGET),
+        (["select-weighted", "--out", "c.json"], "cap", COPY_CAP),
+        (["sweep", "--kind", "dft", "--n-list", "2", "--m-list", "8", "--out", "s"],
+         "budget", DEFAULT_BUDGET),
+        (["verify", "--system", "s.csv", "--certificate", "c.json"], "tol", VERIFY_TOL),
+    ]:
+        assert getattr(parser.parse_args(argv), name) == value

@@ -2,6 +2,7 @@
 weighted selection, random refinement, re-orthonormalization, and the
 complex-to-real transfer."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from sampdisc import (
     PreconditionError,
     RefinementError,
     SampledSystem,
+    StageError,
     SystemDescriptor,
     build_frame_from_samples,
     complexify_via_real,
@@ -237,6 +239,17 @@ def test_refine_domain_errors():
         monte_carlo_refine(spec, 1.0)
     with pytest.raises(PreconditionError):
         monte_carlo_refine(spec, 0.5, m_start=2)
+    for seed in (-1, 1.5, True, "5", 2**63):
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            monte_carlo_refine(spec, 0.5, seed=seed)
+    with pytest.raises(StageError, match=r"\[refine\] seed must be an integer"):
+        discretize_continuous(spec, seed=-1)
+    by_int = monte_carlo_refine(spec, 0.5, seed=5)
+    by_numpy_int = monte_carlo_refine(spec, 0.5, seed=np.int64(5))
+    assert by_numpy_int.fingerprint() == by_int.fingerprint()
+    # the refine stage records a Python int, which JSON can write
+    cert = discretize_continuous(spec, seed=np.int64(5))
+    assert type(cert.pipeline_log[0]["seed"]) is int
 
 
 def test_refine_nonfinite_evaluator_names_point():
@@ -565,6 +578,16 @@ def test_transfer_mapping_mismatches():
     other = make_system(SystemDescriptor("dft", n=2, m=34))
     with pytest.raises(MappingMismatchError, match="this complex system"):
         transfer_certificate(real_cert, other, mapping)
+
+
+def test_transfer_rejects_indices_it_would_truncate():
+    system = make_system(SystemDescriptor("dft", n=2, m=32))
+    companion, mapping = complexify_via_real(system)
+    real_cert = discretize_equal_weight(companion)
+    indices = (0.0, 1.5) + real_cert.point_indices[2:]
+    bad = dataclasses.replace(real_cert, point_indices=indices)
+    with pytest.raises(PreconditionError, match="not 64-bit integers"):
+        transfer_certificate(bad, system, mapping)
 
 
 # ---------------------------------------------------------- one constants kernel

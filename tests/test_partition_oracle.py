@@ -302,6 +302,25 @@ def test_strategy_and_budget_validation():
         spectral_partition(req, strategy="greedy")
     with pytest.raises(PreconditionError):
         spectral_partition(req, strategy="randomized", budget=0)
+    # budgets are integers >= 1 and seeds integers >= 0, under the
+    # integer rules of the index checks; numpy integers count
+    for name, minimum, bad in [
+        ("budget", 1, [0, -1, 1.5, 2.0, True, "3", None, 2**63]),
+        ("seed", 0, [-1, 1.5, 0.0, True, "0", None, 2**63]),
+    ]:
+        message = f"{name} must be an integer >= {minimum}"
+        for value in bad:
+            with pytest.raises(PreconditionError, match=message):
+                OracleConfig(**{name: value})
+            for strategy in ("randomized", "exhaustive"):
+                with pytest.raises(PreconditionError, match=message):
+                    spectral_partition(req, strategy=strategy, **{name: value})
+    # kept as Python ints, so that round j's seed + j cannot wrap
+    config = OracleConfig(budget=np.int64(5), seed=np.uint8(255))
+    assert (config.budget, config.seed + 1) == (5, 256)
+    assert type(config.budget) is type(config.seed) is int
+    res = spectral_partition(req, budget=np.int32(5), seed=np.int64(3))
+    assert res == spectral_partition(req, budget=5, seed=3)
 
 
 def _equal_weight_case(kind, n, m, field="real"):

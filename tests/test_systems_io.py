@@ -75,6 +75,12 @@ def test_generator_validation():
         make_system(SystemDescriptor("dft", n=0, m=8))
     with pytest.raises(PreconditionError, match="unknown system kind"):
         make_system(SystemDescriptor("file"))
+    for seed in (-2, 1.5, 3.0, True, "3", 2**63):
+        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
+            make_system(SystemDescriptor("random_orthonormal", n=2, m=8, seed=seed))
+    by_numpy_int = make_system(SystemDescriptor("random_orthonormal", 2, 8, np.int64(3)))
+    by_int = make_system(SystemDescriptor("random_orthonormal", 2, 8, 3))
+    assert by_numpy_int.fingerprint() == by_int.fingerprint()
 
 
 # ----------------------------------------------------------------- round trips
