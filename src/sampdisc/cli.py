@@ -21,7 +21,6 @@ import os
 import sys
 
 from .discretize import (
-    ORTHONORMALITY_TOL,
     _fmt,
     condition_e_constant,
     discretize_equal_weight,
@@ -29,6 +28,7 @@ from .discretize import (
     reorthonormalize,
 )
 from .errors import DiscretizationError
+from .frame_core import TIGHTNESS_TOL
 from .partition_oracle import DEFAULT_BUDGET, OracleConfig
 from .systems_io import (
     SYSTEM_KINDS,
@@ -92,15 +92,15 @@ def _rebased(system, out_system):
     """The system a certificate will refer to.
 
     Both selection pipelines refuse an orthonormality residual above
-    ``ORTHONORMALITY_TOL``, so such a system is re-orthonormalized and
+    ``TIGHTNESS_TOL``, so such a system is re-orthonormalized and
     saved to ``out_system``, and the certificate verifies against a file
     on disk; without ``out_system`` that is a usage error.
     """
     resid = system.orthonormality_residual()
-    if resid > ORTHONORMALITY_TOL:
+    if resid > TIGHTNESS_TOL:
         if not out_system:
             raise UsageError(
-                f"orthonormality residual {resid:.3e} exceeds {ORTHONORMALITY_TOL}; "
+                f"orthonormality residual {resid:.3e} exceeds {TIGHTNESS_TOL}; "
                 "pass --out-system to save the re-based system the certificate "
                 "will refer to"
             )
@@ -237,7 +237,7 @@ def _cmd_select(args) -> int:
     if args.command == "select":
         cert = discretize_equal_weight(system, config, theta=args.theta)
         # recorded for certificate readers: the residual re-basing starts above
-        settings["delta"] = ORTHONORMALITY_TOL
+        settings["delta"] = TIGHTNESS_TOL
     else:
         cert = discretize_weighted(system, config, cap=args.cap)
         settings["cap"] = args.cap

@@ -32,6 +32,7 @@ from .errors import (
     StageError,
 )
 from .frame_core import (
+    TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
     _frozen_matrix,
@@ -45,7 +46,6 @@ from .halving_select import HalvingCertificate, halving_select
 from .partition_oracle import OracleConfig
 from .weighted_sparsify import COPY_CAP, weighted_select
 
-ORTHONORMALITY_TOL = 1e-8
 CONDITION_TOL = 1e-6
 RANK_RTOL = 1e-10
 
@@ -162,6 +162,11 @@ _PREFIX = "sha256v2:"
 _LEGACY_PREFIX = "sha256:"
 
 
+def _point_rows(points: np.ndarray) -> np.ndarray:
+    """Points of shape (m,) or (m, d) as rows of shape (m, d)."""
+    return points if points.ndim == 2 else points[:, None]
+
+
 def system_fingerprint(system: SampledSystem) -> str:
     """sha256 over a shape header and the raw float64 bytes of the
     point weights, the (m, d) points and the values.
@@ -170,7 +175,7 @@ def system_fingerprint(system: SampledSystem) -> str:
     detects the same edits as the legacy text hash at a fraction of its
     cost.
     """
-    pts = system.points if system.points.ndim == 2 else system.points[:, None]
+    pts = _point_rows(system.points)
     h = hashlib.sha256()
     h.update(b"sampled-system/2\n")
     h.update(f"{system.n} {system.m} {pts.shape[1]} {system.field}\n".encode())
@@ -192,9 +197,8 @@ def _legacy_fingerprint(system: SampledSystem) -> str:
         h.update(_fmt(w).encode())
         h.update(b" ")
     h.update(b"\n")
-    pts = np.atleast_2d(system.points.T).T
-    for row in pts:
-        h.update(" ".join(_fmt(c) for c in np.atleast_1d(row)).encode())
+    for row in _point_rows(system.points):
+        h.update(" ".join(_fmt(c) for c in row).encode())
         h.update(b"\n")
     for row in system.values:
         if np.iscomplexobj(system.values):
@@ -362,7 +366,7 @@ def discretize_equal_weight(
         raise PreconditionError(
             "equal-weight selection requires uniform point weights"
         )
-    _checked_residual(system, ORTHONORMALITY_TOL)
+    _checked_residual(system, TIGHTNESS_TOL)
     report = condition_e_constant(system)
     theta_used = report.t_squared if theta is None else float(theta)
     frame = build_frame_from_samples(system)
@@ -443,20 +447,17 @@ def monte_carlo_refine(
 ) -> SampledSystem:
     """Draw i.i.d. points until the empirical Gram is delta-close to I.
 
-    Doubles the sample count starting from ``m_start`` until the
+    Doubles the sample count, an integer from ``m_start`` >= n, until the
     spectral deviation ||G - I|| is at most delta, or raises
     :class:`RefinementError` carrying the best deviation achieved once
-    ``m_cap`` is passed.  The spectral condition is equivalent to
+    the integer ``m_cap`` is passed.  The spectral condition is equivalent to
     |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the whole span.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
-    if m_start < max(spec.n, 1):
-        raise PreconditionError(
-            f"m_start={m_start} is below the dimension {spec.n}"
-        )
+    m = _validated_integer(m_start, max(spec.n, 1), "m_start")
+    m_cap = _validated_integer(m_cap, 1, "m_cap")
     rng = np.random.default_rng(_validated_integer(seed, 0, "seed"))
-    m = int(m_start)
     best = np.inf
     while m <= m_cap:
         pts = np.asarray(spec.sampler(rng, m))
@@ -607,7 +608,7 @@ def discretize_weighted(
     lambda_nu absorb the base point weights, so the certified sums are
     plain sum_nu lambda_nu |f(xi_nu)|^2.
     """
-    _checked_residual(system, ORTHONORMALITY_TOL)
+    _checked_residual(system, TIGHTNESS_TOL)
     mass = np.einsum("ij,ij->j", system.values, system.values.conj()).real
     keep = np.flatnonzero(mass * system.point_weights > 0.0)
     if keep.size == 0:

@@ -15,6 +15,12 @@ import numpy as np
 
 from .errors import EigensolverError, PreconditionError
 
+# Halving admits a frame whose bounds lie within this of 1, and the
+# pipelines admit a system whose orthonormality residual ||G - I|| is at
+# most this.  For the frame of a sampled system the two measure the same
+# thing, so one tolerance keeps every admitted system tight for halving.
+TIGHTNESS_TOL = 1e-8
+
 
 class FrameBounds(NamedTuple):
     """Extreme constants of the two-sided frame inequality.

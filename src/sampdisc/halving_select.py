@@ -2,7 +2,7 @@
 
 Starting from all m vectors, each round splits the surviving index set
 into two verified halves and keeps the smaller one.  The target bounds
-for round j come from a precomputed schedule seeded at
+for round j come from a schedule computed from delta, seeded at
 alpha_0 = beta_0 = 1,
 
     alpha_{j+1} = alpha_j (1 - 5 sqrt(delta/alpha_j)) / 2
@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DiscretizationError, DomainError, PreconditionError
 from .frame_core import (
+    TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
     _gram,
@@ -35,6 +36,7 @@ from .frame_core import (
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
 from .partition_oracle import (
+    VERIFY_SLACK,
     OracleConfig,
     _check_norms,
     _randomized,
@@ -44,44 +46,30 @@ from .partition_oracle import (
 if TYPE_CHECKING:
     from .weighted_sparsify import DuplicationMap
 
-TIGHTNESS_TOL = 1e-8
-BOUND_SLACK = 1e-10
-
 
 @dataclass(frozen=True)
 class HalvingSchedule:
-    """Deterministic (alpha_j, beta_j) ladder for one halving run.
+    """Deterministic (alpha_j, beta_j) ladder for one halving run,
+    computed from ``delta``; 0 < delta < 1/100 (else DomainError), so
+    at least one round runs.
 
-    ``steps[j]`` holds the pair before round j; ``steps[-1]`` is the
-    theoretical pair of the final selection.  L = len(steps) - 2 is the
-    index of the last step with alpha_j >= 100 delta.
+    ``steps[j]`` holds the pair before round j, starting from (1, 1)
+    and applying :func:`partition_targets` while alpha_j >= 100 delta;
+    ``steps[-1]`` is the theoretical pair of the final selection, with
+    25 delta <= alpha < 100 delta.  L = len(steps) - 2 is the index of
+    the last step with alpha_j >= 100 delta.
     """
 
     delta: float
-    steps: tuple
+    steps: tuple = field(init=False)
 
     def __post_init__(self):
-        if len(self.steps) < 2:
-            raise PreconditionError("schedule must contain at least one round")
-        steps = tuple((float(a), float(b)) for a, b in self.steps)
-        object.__setattr__(self, "steps", steps)
-        for j in range(len(steps) - 1):
-            a, b = steps[j]
-            expect = partition_targets(a, b, self.delta)
-            got = steps[j + 1]
-            scale = max(abs(expect[0]), abs(expect[1]), 1.0)
-            if abs(expect[0] - got[0]) > 1e-14 * scale or abs(
-                expect[1] - got[1]
-            ) > 1e-14 * scale:
-                raise PreconditionError(
-                    f"schedule step {j + 1} does not follow the recursion"
-                )
-        final_alpha = steps[-1][0]
-        if not (25 * self.delta <= final_alpha + 1e-12 and final_alpha < 100 * self.delta):
-            raise PreconditionError(
-                f"final lower bound {final_alpha} outside "
-                f"[{25 * self.delta}, {100 * self.delta})"
-            )
+        if not (0.0 < self.delta < 0.01):
+            raise DomainError(f"delta must lie in (0, 1/100), got {self.delta}")
+        steps = [(1.0, 1.0)]
+        while steps[-1][0] >= 100.0 * self.delta:
+            steps.append(partition_targets(*steps[-1], self.delta))
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def rounds(self) -> int:
@@ -101,19 +89,8 @@ class HalvingSchedule:
 
 
 def halving_schedule(delta: float) -> HalvingSchedule:
-    """Schedule seeded at alpha_0 = beta_0 = 1.
-
-    Requires 0 < delta < 1/100 so at least one round runs.  The final
-    pair always satisfies 25 delta <= alpha_{L+1} < 100 delta.
-    """
-    if not (0.0 < delta < 0.01):
-        raise DomainError(f"delta must lie in (0, 1/100), got {delta}")
-    steps = [(1.0, 1.0)]
-    a, b = 1.0, 1.0
-    while a >= 100.0 * delta:
-        a, b = partition_targets(a, b, delta)
-        steps.append((a, b))
-    return HalvingSchedule(delta=delta, steps=tuple(steps))
+    """Schedule seeded at alpha_0 = beta_0 = 1; see :class:`HalvingSchedule`."""
+    return HalvingSchedule(delta)
 
 
 @dataclass(frozen=True)
@@ -209,7 +186,7 @@ def halving_select(
         Tight within 1e-8: both frame bounds in [1 - 1e-8, 1 + 1e-8].
     theta : float
         A-priori norm level: every squared vector norm must be at most
-        delta = theta * n / m, and theta <= m / n.
+        delta = theta * n / m, and 0 < theta <= m / n.
     config : OracleConfig, optional
         Partition search budget and seed (defaults: 10000, 0).
     copies : DuplicationMap, optional
@@ -232,6 +209,8 @@ def halving_select(
     Zero vectors never affect bounds and are dropped from J after
     selection.
     """
+    if not theta > 0:
+        raise PreconditionError(f"theta must be positive, got {theta}")
     # a plain frame is the multiset that copies each column once
     if copies is None:
         src, counts = np.arange(frame.m, dtype=np.int64), None
@@ -270,11 +249,11 @@ def halving_select(
     # subset_bounds gives on the frame of the copies
     actual = _gram_bounds(frame.vectors[:, src[kept]])
     if schedule is not None:
-        if actual.lower < 25.0 * delta - BOUND_SLACK or actual.lower < t_lo - BOUND_SLACK:
+        if actual.lower < 25.0 * delta - VERIFY_SLACK or actual.lower < t_lo - VERIFY_SLACK:
             raise DiscretizationError(
                 f"verified lower bound {actual.lower} fell below schedule value {t_lo}"
             )
-        if actual.upper > t_up + BOUND_SLACK:
+        if actual.upper > t_up + VERIFY_SLACK:
             raise DiscretizationError(
                 f"verified upper bound {actual.upper} exceeds schedule value {t_up}"
             )

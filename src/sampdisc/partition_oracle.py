@@ -100,16 +100,8 @@ class PartitionRequest:
         if active.size == 0:
             raise PreconditionError("active index set is empty")
         object.__setattr__(self, "active", tuple(np.sort(active).tolist()))
-        if not (self.delta > 0):
-            raise PreconditionError(f"delta must be positive, got {self.delta}")
-        if not (self.alpha > self.delta):
-            raise PreconditionError(
-                f"alpha must exceed delta, got alpha={self.alpha} delta={self.delta}"
-            )
-        if not (self.beta >= self.alpha):
-            raise PreconditionError(
-                f"beta must be >= alpha, got beta={self.beta} alpha={self.alpha}"
-            )
+        # the targets' preconditions: beta >= alpha > delta > 0
+        partition_targets(self.alpha, self.beta, self.delta)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .discretize import (
     DiscretizationCertificate,
     SampledSystem,
     _fmt,
+    _point_rows,
     fingerprint_matches,
 )
 from .errors import ParseError, PreconditionError
@@ -43,7 +44,7 @@ class SystemDescriptor:
     """Recipe for a sampled system.
 
     kind : one of trig, dft, walsh, random_orthonormal.
-    n, m : dimensions.
+    n, m : dimensions, integers with 1 <= n <= m.
     seed : required for random_orthonormal.
     """
 
@@ -55,8 +56,6 @@ class SystemDescriptor:
 
 def _dft_system(n: int, m: int) -> SampledSystem:
     # rows exp(2*pi*i*k*j/m) for k < n on the uniform grid j/m
-    if n > m:
-        raise PreconditionError(f"dft needs n <= m, got n={n}, m={m}")
     j = np.arange(m)
     k = np.arange(n)[:, None]
     values = np.exp(2j * np.pi * k * j / m)
@@ -66,8 +65,6 @@ def _dft_system(n: int, m: int) -> SampledSystem:
 def _walsh_system(n: int, m: int) -> SampledSystem:
     if m & (m - 1) != 0:
         raise PreconditionError(f"walsh needs m to be a power of 2, got {m}")
-    if n > m:
-        raise PreconditionError(f"walsh needs n <= m, got n={n}, m={m}")
     j = np.arange(m)
     k = np.arange(n)[:, None]
     signs = np.bitwise_count(np.bitwise_and(k, j)) & 1
@@ -79,8 +76,6 @@ def _trig_system(n: int, m: int) -> SampledSystem:
     # 1, sqrt(2) cos kx, sqrt(2) sin kx for k <= (n-1)/2 on 2*pi*j/m
     if n % 2 != 1:
         raise PreconditionError(f"trig needs odd n, got {n}")
-    if m < n:
-        raise PreconditionError(f"trig needs m >= n, got n={n}, m={m}")
     x = 2.0 * np.pi * np.arange(m) / m
     rows = [np.ones(m)]
     for k in range(1, (n - 1) // 2 + 1):
@@ -90,8 +85,6 @@ def _trig_system(n: int, m: int) -> SampledSystem:
 
 
 def _random_orthonormal_system(n: int, m: int, seed: int, field: str) -> SampledSystem:
-    if n > m:
-        raise PreconditionError(f"random system needs n <= m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
     if field == "complex":
         g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -109,9 +102,10 @@ def _random_orthonormal_system(n: int, m: int, seed: int, field: str) -> Sampled
 def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     """Build the sampled system a descriptor names.
 
-    The built-in generators produce systems orthonormal under uniform
-    point weights; dft and walsh additionally have every per-point sum
-    equal to n (flat concentration).  ``field`` applies only to
+    ``n`` and ``m`` are integers >= 1 with n <= m.  The built-in
+    generators produce systems orthonormal under uniform point weights;
+    dft and walsh additionally have every per-point sum equal to n (flat
+    concentration).  ``field`` applies only to
     random_orthonormal: dft is always complex, walsh and trig are always
     real.  random_orthonormal needs an integer seed >= 0.
     """
@@ -119,18 +113,20 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
         raise PreconditionError(
             f"unknown system kind {desc.kind!r}, expected one of {SYSTEM_KINDS}"
         )
-    if desc.n < 1 or desc.m < 1:
-        raise PreconditionError(f"need n, m >= 1, got n={desc.n}, m={desc.m}")
+    n = _validated_integer(desc.n, 1, "n")
+    m = _validated_integer(desc.m, 1, "m")
+    if n > m:
+        raise PreconditionError(f"{desc.kind} needs n <= m, got n={n}, m={m}")
     if desc.kind == "dft":
-        return _dft_system(desc.n, desc.m)
+        return _dft_system(n, m)
     if desc.kind == "walsh":
-        return _walsh_system(desc.n, desc.m)
+        return _walsh_system(n, m)
     if desc.kind == "trig":
-        return _trig_system(desc.n, desc.m)
+        return _trig_system(n, m)
     if desc.seed is None:
         raise PreconditionError("random_orthonormal needs a seed")
     seed = _validated_integer(desc.seed, 0, "seed")
-    return _random_orthonormal_system(desc.n, desc.m, seed, field)
+    return _random_orthonormal_system(n, m, seed, field)
 
 
 def _parse_float(text, path: str, row: Optional[int]) -> float:
@@ -172,7 +168,7 @@ def _sidecar_text(system: SampledSystem) -> str:
     """``json.dump(meta, sort_keys=True, indent=2)`` of the sidecar plus
     "\n", with the point and weight lists joined directly: ``indent``
     would put them through the pure-Python encoder."""
-    pts = np.atleast_2d(system.points.T).T
+    pts = _point_rows(system.points).tolist()
     head = json.dumps(
         {
             "field": system.field,
@@ -187,7 +183,7 @@ def _sidecar_text(system: SampledSystem) -> str:
     return (
         f'{head[:-2]},\n  "point_weights": '
         f"{_repr_list(system.point_weights.tolist(), 1)},\n"
-        f'  "points": {_json_list([_repr_list(p, 2) for p in pts.tolist()], 1)},\n'
+        f'  "points": {_json_list([_repr_list(p, 2) for p in pts], 1)},\n'
         f'  "schema_version": {json.dumps(SCHEMA_VERSION)}\n}}\n'
     )
 
@@ -352,7 +348,7 @@ def _encode_certificate(cert: DiscretizationCertificate, settings: dict) -> dict
             "input_fingerprint": cert.input_fingerprint,
             "m": cert.m,
             "point_indices": cert.point_indices,
-            "points": np.atleast_2d(cert.points.T).T.tolist(),
+            "points": _point_rows(cert.points).tolist(),
             "constants": cert.constants._asdict(),
             "theta": cert.theta,
             "weights": cert.weights,

@@ -25,6 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .frame_core import (
+    TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
     _validated_indices,
@@ -32,7 +33,7 @@ from .frame_core import (
     verify_tight,
     weighted_bounds,
 )
-from .halving_select import TIGHTNESS_TOL, HalvingCertificate, halving_select
+from .halving_select import HalvingCertificate, halving_select
 from .partition_oracle import OracleConfig
 
 COPY_CAP = 1_000_000

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def test_verify_exit_2_on_tampering(tmp_path, capsys):
     run(capsys, "gen", "--kind", "trig", "--n", "3", "--m", "30", "--out", system)
     run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)
 
-    original = json.loads(open(cert).read())
+    original = json.loads(Path(cert).read_text())
     dropped = dict(original, point_indices=original["point_indices"][:-1])
     dropped["m"] -= 1
     # a non-integer count and an index beyond int64 fail, never crash
@@ -281,14 +282,14 @@ def test_sweep_header_rows_and_determinism(tmp_path, capsys):
     code, out, _ = run(capsys, *args, "--out", out1)
     assert code == 0
     assert "(4 rows)" in out
-    lines = open(out1).read().splitlines()
+    lines = Path(out1).read_text().splitlines()
     assert lines[0] == "N,M,t,m,m_over_N,c,C,ratio,seed"
     assert len(lines) == 5
     assert lines[1].startswith("2,8,1.0,8,4.0,")
 
     code, _, _ = run(capsys, *args, "--out", out2)
     assert code == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_sweep_skips_undersized_grids(tmp_path, capsys):
@@ -366,6 +367,17 @@ def test_negative_seeds_exit_1_with_one_error_line(tmp_path, capsys, argv):
     assert code == 1
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "seed must be an integer >= 0" in errors[0]
+    assert "Traceback" not in err and stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("theta", ["-1", "0", "nan"])
+def test_nonpositive_theta_exits_1_with_one_error_line(tmp_path, capsys, theta):
+    argv = ["select", "--kind", "trig", "--n", "3", "--m", "64", "--seed", "0"]
+    code, stdout, err = run(capsys, *argv, "--theta", theta, "--out", str(tmp_path / "c"))
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: theta must be positive, got {float(theta)}"]
     assert "Traceback" not in err and stdout == ""
     assert list(tmp_path.iterdir()) == []
 

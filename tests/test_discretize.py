@@ -239,6 +239,13 @@ def test_refine_domain_errors():
         monte_carlo_refine(spec, 1.0)
     with pytest.raises(PreconditionError):
         monte_carlo_refine(spec, 0.5, m_start=2)
+    # sample counts are integers: never truncated, never a bool
+    for bad in (64.7, True):
+        with pytest.raises(PreconditionError, match="m_start must be an integer >= 3"):
+            monte_carlo_refine(spec, 0.5, m_start=bad)
+    for bad in (256.5, 0, True):
+        with pytest.raises(PreconditionError, match="m_cap must be an integer >= 1"):
+            monte_carlo_refine(spec, 0.5, m_cap=bad)
     for seed in (-1, 1.5, True, "5", 2**63):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             monte_carlo_refine(spec, 0.5, seed=seed)

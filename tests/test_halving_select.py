@@ -58,13 +58,19 @@ def test_schedule_domain():
 
 
 def test_schedule_consistency_guard():
-    with pytest.raises(PreconditionError):
-        HalvingSchedule(delta=1.0 / 400.0, steps=((1.0, 1.0), (0.4, 0.625)))
-    with pytest.raises(PreconditionError):
-        HalvingSchedule(delta=1.0 / 400.0, steps=((1.0, 1.0),))
-    # final alpha here is 0.375 >= 100 delta, violating the sandwich
-    with pytest.raises(PreconditionError):
-        HalvingSchedule(delta=1.0 / 400.0, steps=((1.0, 1.0), (0.375, 0.625)))
+    delta = 1.0 / 400.0
+    sched = HalvingSchedule(delta)
+    assert sched == halving_schedule(delta)
+    assert sched.steps[:2] == ((1.0, 1.0), partition_targets(1.0, 1.0, delta))
+    # a numpy delta still gives a ladder of Python floats
+    steps = HalvingSchedule(np.float64(delta)).steps
+    assert steps == sched.steps
+    assert {type(x) for step in steps for x in step} == {float}
+    # steps are worked out from delta, never supplied
+    with pytest.raises(TypeError):
+        HalvingSchedule(delta=delta, steps=((1.0, 1.0), (0.375, 0.625)))
+    with pytest.raises(DomainError):
+        HalvingSchedule(0.01)
 
 
 @settings(max_examples=200, deadline=None)
@@ -116,6 +122,10 @@ def test_norm_condition_names_offender():
 def test_theta_exceeding_ratio():
     with pytest.raises(PreconditionError):
         halving_select(FrameSystem(np.eye(2)), 1.5)
+    # a nonpositive or NaN level is named as such, before any other check
+    for theta in (-1.0, 0.0, float("nan")):
+        with pytest.raises(PreconditionError, match="theta must be positive"):
+            halving_select(FrameSystem(np.eye(2) * 1.1), theta)
 
 
 def test_non_tight_rejected():
@@ -231,6 +241,13 @@ def test_iterative_determinism():
     b = halving_select(frame, 1.0, OracleConfig(seed=9))
     assert a.J == b.J
     assert a.actual == b.actual
+    assert a.rounds and a.rounds == b.rounds
+    # rounds compare kept sides too: same scalars, one kept index fewer
+    first = a.rounds[0]
+    shorter = dataclasses.replace(first, kept_indices=first.kept_indices[1:])
+    assert shorter != first and first != shorter
+    assert dataclasses.replace(first, kept_indices=list(first.kept)) == first
+    assert first != first.kept
 
 
 def test_theta_at_ratio_fast_path_and_randomized_only():

@@ -32,6 +32,7 @@ from sampdisc import (
 )
 from sampdisc import systems_io
 from sampdisc.cli import main
+from sampdisc.discretize import _legacy_fingerprint
 
 
 # ------------------------------------------------------------------ generators
@@ -63,7 +64,7 @@ def test_generator_validation():
         make_system(SystemDescriptor("walsh", n=3, m=12))
     with pytest.raises(PreconditionError, match="odd n"):
         make_system(SystemDescriptor("trig", n=4, m=16))
-    with pytest.raises(PreconditionError, match="m >= n"):
+    with pytest.raises(PreconditionError, match="trig needs n <= m"):
         make_system(SystemDescriptor("trig", n=5, m=3))
     with pytest.raises(PreconditionError, match="n <= m"):
         make_system(SystemDescriptor("dft", n=9, m=8))
@@ -71,8 +72,13 @@ def test_generator_validation():
         make_system(SystemDescriptor("random_orthonormal", n=2, m=8))
     with pytest.raises(PreconditionError, match="unknown system kind"):
         make_system(SystemDescriptor("fourier", n=2, m=8))
-    with pytest.raises(PreconditionError, match="n, m >= 1"):
+    with pytest.raises(PreconditionError, match="must be an integer >= 1"):
         make_system(SystemDescriptor("dft", n=0, m=8))
+    # dimensions are integers: a float or bool is never rounded or counted
+    for kind in ("dft", "trig"):
+        for n, m, name in ((2.5, 8, "n"), (3.0, 8, "n"), (True, 8, "n"), (3, 8.0, "m")):
+            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1"):
+                make_system(SystemDescriptor(kind, n=n, m=m))
     with pytest.raises(PreconditionError, match="unknown system kind"):
         make_system(SystemDescriptor("file"))
     for seed in (-2, 1.5, 3.0, True, "3", 2**63):
@@ -919,5 +925,32 @@ def test_legacy_v1_files_load_and_verify(tmp_path, capsys):
     assert text.count(b"0.9999999999999998") == 1
     path.write_bytes(text.replace(b"0.9999999999999998", b"0.9999999999999997"))
     shutil.copy(f"{LEGACY}.csv.json", f"{path}.json")
+    with pytest.raises(ParseError, match="fingerprint mismatch"):
+        load_system(str(path))
+
+
+def test_legacy_fingerprint_of_a_complex_system(tmp_path):
+    # the legacy text hash writes each complex value as "re,im"
+    system = make_system(SystemDescriptor("dft", n=2, m=8))
+    legacy = _legacy_fingerprint(system)
+    assert legacy.startswith("sha256:")
+    path = tmp_path / "dft.csv"
+    save_system(system, str(path))
+    side = Path(f"{path}.json")
+    side.write_text(side.read_text().replace(system.fingerprint(), legacy))
+    loaded = load_system(str(path))
+    assert np.array_equal(loaded.values, system.values)
+    cert = tmp_path / "cert.json"
+    save_certificate(discretize_equal_weight(loaded, OracleConfig(seed=0)), str(cert))
+    doc = load_certificate(str(cert))
+    doc["input_fingerprint"] = legacy
+    assert verify_certificate(loaded, doc).passed
+
+    # the imaginary part of one value changed
+    rows = path.read_bytes().split(b"\r\n")
+    cells = rows[1].split(b",")
+    cells[3] = b"0.5"
+    rows[1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(rows))
     with pytest.raises(ParseError, match="fingerprint mismatch"):
         load_system(str(path))
