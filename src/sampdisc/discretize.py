@@ -447,16 +447,20 @@ def monte_carlo_refine(
 ) -> SampledSystem:
     """Draw i.i.d. points until the empirical Gram is delta-close to I.
 
-    Doubles the sample count, an integer from ``m_start`` >= n, until the
-    spectral deviation ||G - I|| is at most delta, or raises
-    :class:`RefinementError` carrying the best deviation achieved once
-    the integer ``m_cap`` is passed.  The spectral condition is equivalent to
-    |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the whole span.
+    Doubles the sample count, an integer from ``m_start`` >= n >= 1 up
+    to the integer ``m_cap`` >= ``m_start``, until the spectral deviation
+    ||G - I|| is at most delta, else raises :class:`RefinementError`
+    carrying the best deviation achieved.  The spectral condition is
+    equivalent to |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the
+    whole span.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
-    m = _validated_integer(m_start, max(spec.n, 1), "m_start")
+    n = _validated_integer(spec.n, 1, "n")
+    m = _validated_integer(m_start, n, "m_start")
     m_cap = _validated_integer(m_cap, 1, "m_cap")
+    if m_cap < m:
+        raise PreconditionError(f"m_cap={m_cap} is below m_start={m}")
     rng = np.random.default_rng(_validated_integer(seed, 0, "seed"))
     best = np.inf
     while m <= m_cap:
@@ -504,11 +508,9 @@ def reorthonormalize(system: SampledSystem) -> SampledSystem:
     sqrt_w = np.sqrt(system.point_weights)
     a = system.values * sqrt_w
     p, s, qh = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         raise PreconditionError("cannot orthonormalize a zero row space")
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    if rank == 0:
-        raise PreconditionError("cannot orthonormalize a zero row space")
     b = qh[:rank]
     t = p[:, :rank] * s[:rank]
     # make each function's leading significant value real-positive
@@ -611,8 +613,6 @@ def discretize_weighted(
     _checked_residual(system, TIGHTNESS_TOL)
     mass = np.einsum("ij,ij->j", system.values, system.values.conj()).real
     keep = np.flatnonzero(mass * system.point_weights > 0.0)
-    if keep.size == 0:
-        raise PreconditionError("all points carry zero mass")
     vectors = system.values[:, keep] * np.sqrt(system.point_weights[keep])
     wcert = weighted_select(FrameSystem(vectors), config, cap=cap)
 

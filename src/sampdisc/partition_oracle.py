@@ -187,8 +187,8 @@ def _side_bounds(frame, op, active_src, side, lo_t, up_t) -> FrameBounds:
 
 
 def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float):
-    """Best split of ``active`` as ``(s1, s2, bounds_s1, bounds_s2,
-    candidates_tried)`` with the sides tuples of ints."""
+    """Best split of ``active`` as ``(s1, bounds_s1, bounds_s2,
+    candidates_tried)``, ``s1`` a sorted tuple of ints."""
     k = active.size
     if k > EXHAUSTIVE_LIMIT:
         raise PartitionSizeError(
@@ -197,7 +197,7 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
     v = frame.vectors[:, active]
     n = v.shape[0]
     outers = np.einsum("ij,kj->jik", v, v.conj())
-    flat_rest = outers[1:].reshape(k - 1, n * n) if k > 1 else outers[:0].reshape(0, n * n)
+    flat_rest = outers[1:].reshape(k - 1, n * n)
 
     n_masks = 1 << (k - 1)
     tried = 0
@@ -237,8 +237,7 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
             f"[{lo_t:.6e}, {up_t:.6e}] (exhaustive over {tried} candidates)"
         )
     _, s1, b1, b2 = best
-    s2 = tuple(int(j) for j in active if j not in set(s1))
-    return s1, s2, b1, b2, tried
+    return s1, b1, b2, tried
 
 
 def _randomized(
@@ -340,11 +339,11 @@ def spectral_partition(
     _check_norms(req.frame, req.delta, src, active)
     lo_t, up_t = partition_targets(req.alpha, req.beta, req.delta)
     if strategy == "exhaustive":
-        s1, s2, b1, b2, tried = _exhaustive(req.frame, active, lo_t, up_t)
+        s1, b1, b2, tried = _exhaustive(req.frame, active, lo_t, up_t)
     else:
         active_op = _gram(req.frame.vectors[:, active])
         s1, b1, b2, tried, _ = _randomized(
             req.frame, src, active, active_op, lo_t, up_t, budget, seed
         )
-        s2 = np.setdiff1d(active, s1, assume_unique=True)
+    s2 = np.setdiff1d(active, s1, assume_unique=True)
     return PartitionResult(s1, s2, b1, b2, lo_t, up_t, tried)

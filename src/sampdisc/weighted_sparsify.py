@@ -29,6 +29,7 @@ from .frame_core import (
     FrameBounds,
     FrameSystem,
     _validated_indices,
+    _validated_integer,
     _validated_integers,
     verify_tight,
     weighted_bounds,
@@ -85,6 +86,7 @@ def _scaled_sources(frame: FrameSystem, cap: int) -> tuple[np.ndarray, Duplicati
     """The columns v_j / sqrt(n_j) of the copies, one per source, and
     the map that repeats column j n_j times; see
     :func:`duplicate_normalize` for the rules and errors."""
+    cap = _validated_integer(cap, 1, "cap")
     if not verify_tight(frame, TIGHTNESS_TOL):
         raise PreconditionError("duplication requires a tight frame (tol 1e-8)")
     norms = frame.norms_squared()
@@ -124,8 +126,8 @@ def duplicate_normalize(
     Raises
     ------
     PreconditionError
-        If the frame is not tight within 1e-8 or contains a zero
-        vector.
+        If ``cap`` is not an integer >= 1, or the frame is not tight
+        within 1e-8 or contains a zero vector.
     DuplicationOverflowError
         If the total number of copies would exceed ``cap``.
     """
@@ -184,17 +186,11 @@ def weighted_select(
         raise DiscretizationError(
             f"weighted lower bound {bounds.lower} below the guaranteed 25"
         )
-    if hcert.schedule is not None:
-        budget = int(dup.m_prime / 2 ** hcert.schedule.rounds)
-    else:
-        budget = dup.m_prime
-    if len(support) > len(hcert.J):
-        raise DiscretizationError("support exceeded the number of selected copies")
     return WeightedCertificate(
         weights=tuple(weights.tolist()),
         support=support,
         bounds=bounds,
-        support_budget=budget,
+        support_budget=int(dup.m_prime / 2 ** len(hcert.rounds)),
         duplication=dup,
         halving=hcert,
     )

@@ -336,6 +336,17 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 1
     assert "needs --n and --m" in err
 
+    code, _, err = run(capsys, "select", "--out", str(tmp_path / "c.json"), "--seed", "0")
+    assert code == 1
+    assert "pass --system FILE or --kind with --n and --m" in err
+
+    code, _, err = run(
+        capsys, "sweep", "--kind", "walsh", "--n-list", ",", "--m-list", "8",
+        "--seed", "0", "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 1
+    assert "--n-list is empty" in err
+
     code, _, err = run(
         capsys, "select", "--kind", "dft", "--n", "2", "--m", "16",
         "--field", "quaternion", "--seed", "0", "--out", str(tmp_path / "c.json"),
@@ -348,6 +359,14 @@ def test_runtime_error_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "nikolskii", "--system", str(tmp_path / "nope.csv"))
     assert code == 1
     assert "error:" in err and "missing metadata sidecar" in err
+
+    code, _, err = run(
+        capsys, "select-weighted", "--kind", "dft", "--n", "2", "--m", "16",
+        "--seed", "0", "--cap", "0", "--out", str(tmp_path / "c.json"),
+    )
+    assert code == 1
+    assert "error: cap must be an integer >= 1: 0" in err
+    assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,25 @@ def test_refine_domain_errors():
     for bad in (256.5, 0, True):
         with pytest.raises(PreconditionError, match="m_cap must be an integer >= 1"):
             monte_carlo_refine(spec, 0.5, m_cap=bad)
+    # a cap below the start is a bad input, not a failed refinement
+    with pytest.raises(PreconditionError, match="m_cap=32 is below m_start=64"):
+        monte_carlo_refine(spec, 0.5, m_start=64, m_cap=32)
+    with pytest.raises(StageError, match=r"\[refine\] m_cap=32 is below m_start=64"):
+        discretize_continuous(spec, m_start=64, m_cap=32)
+    assert monte_carlo_refine(spec, 0.5, m_start=64, m_cap=64).m == 64
+    # the dimension follows the same integer rule
+    for bad in ("3", 2.5, 0, True):
+        bad_spec = ContinuousSystemSpec(bad, spec.sampler, spec.evaluator)
+        with pytest.raises(PreconditionError, match="n must be an integer >= 1"):
+            monte_carlo_refine(bad_spec, 0.5)
+    short_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: spec.evaluator(x)[:2])
+    with pytest.raises(PreconditionError, match=r"returned shape \(2,\), expected \(3,\)"):
+        monte_carlo_refine(short_rows, 0.5)
+    short_draws = ContinuousSystemSpec(
+        3, lambda rng, count: spec.sampler(rng, count)[:-1], spec.evaluator
+    )
+    with pytest.raises(PreconditionError, match="sampler returned 63 points, expected 64"):
+        monte_carlo_refine(short_draws, 0.5)
     for seed in (-1, 1.5, True, "5", 2**63):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             monte_carlo_refine(spec, 0.5, seed=seed)
@@ -530,6 +549,9 @@ def test_complexify_requires_complex_tag():
     system = make_system(SystemDescriptor("trig", n=3, m=16))
     with pytest.raises(PreconditionError, match="complex-tagged"):
         complexify_via_real(system)
+    zero = SampledSystem(np.zeros((2, 4), dtype=np.complex128), np.arange(4.0))
+    with pytest.raises(PreconditionError, match="system values are identically zero"):
+        complexify_via_real(zero)
 
 
 def test_transfer_equal_weight_dft():

@@ -47,6 +47,8 @@ def test_frame_system_validation():
         FrameSystem(np.zeros((2, 0)))
     with pytest.raises(PreconditionError):
         FrameSystem(np.array([[np.nan, 1.0]]))
+    with pytest.raises(PreconditionError, match="frame vectors are not numbers"):
+        FrameSystem([["a", "b"]])
     frame = FrameSystem(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         frame.vectors[0, 0] = 5.0  # stored read-only
@@ -131,6 +133,8 @@ def test_index_validation():
         subset_bounds(frame, [-1])
     with pytest.raises(PreconditionError):
         subset_bounds(frame, [1, 1])
+    with pytest.raises(PreconditionError, match="index set is not a flat list"):
+        subset_bounds(frame, [[1, 2], [0]])
 
 
 @pytest.mark.parametrize(

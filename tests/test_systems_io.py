@@ -101,6 +101,14 @@ def test_roundtrip_real(tmp_path):
     assert np.array_equal(back.points, system.points)
     assert np.array_equal(back.point_weights, system.point_weights)
     assert back.fingerprint() == system.fingerprint()
+    # one-coordinate points may also be written as plain numbers
+    side = tmp_path / "trig.csv.json"
+    meta = json.loads(side.read_text())
+    meta["points"] = [p[0] for p in meta["points"]]
+    side.write_text(json.dumps(meta))
+    scalar = load_system(path)
+    assert np.array_equal(scalar.points, system.points)
+    assert scalar.fingerprint() == system.fingerprint()
 
 
 def test_roundtrip_complex(tmp_path):
@@ -207,6 +215,14 @@ def test_load_wrong_row_count(tmp_path):
     lines = (tmp_path / "sys.csv").read_text().splitlines()
     (tmp_path / "sys.csv").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParseError, match="expected 3 rows, found 2"):
+        load_system(path)
+    # a declared n below one skips the binary copy; the CSV still disagrees
+    save_system(system, path)
+    side = tmp_path / "sys.csv.json"
+    meta = json.loads(side.read_text())
+    meta["n"] = 0
+    side.write_text(json.dumps(meta))
+    with pytest.raises(ParseError, match="expected 0 rows, found 3"):
         load_system(path)
 
 

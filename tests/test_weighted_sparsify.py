@@ -201,6 +201,11 @@ def test_weighted_respects_cap():
     frame = line_frame([1e-8, 1.0 - 1e-8])
     with pytest.raises(DuplicationOverflowError):
         weighted_select(frame, cap=1000)
+    # every entry that takes a cap holds it to one integer rule
+    for bad in (None, "x", 1.5, True, -1, 0):
+        for entry in (weighted_select, duplicate_normalize):
+            with pytest.raises(PreconditionError, match="cap must be an integer >= 1"):
+                entry(frame, cap=bad)
 
 
 def test_weighted_reconstruction_identity():
