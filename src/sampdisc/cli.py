@@ -33,6 +33,7 @@ from .partition_oracle import DEFAULT_BUDGET, OracleConfig
 from .systems_io import (
     SYSTEM_KINDS,
     SystemDescriptor,
+    _system_files,
     load_certificate,
     load_system,
     make_system,
@@ -111,17 +112,25 @@ def _rebased(system, out_system):
 
 
 def _check_destinations(args) -> None:
-    """Fail before any work when ``--out`` or ``--out-system`` names a
-    file whose directory is missing or not a directory, so that a
-    command never writes one output and then fails on the other."""
-    for path in (getattr(args, "out", None), getattr(args, "out_system", None)):
-        if path is None:
-            continue
+    """Fail before any work when ``--out`` or ``--out-system`` has no
+    directory to go in, or names a file that the command reads or its
+    other output writes: no command fails halfway or clobbers an input."""
+
+    def files(path):
+        return {os.path.realpath(p) for p in _system_files(path)} if path else set()
+
+    out, out_system = getattr(args, "out", None), getattr(args, "out_system", None)
+    for path in filter(None, (out, out_system)):
         parent = os.path.dirname(path) or "."
         if not os.path.exists(parent):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if not os.path.isdir(parent):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    reads = files(getattr(args, "system", None))
+    if files(out_system) & reads:
+        raise UsageError(f"--out-system {out_system} would overwrite a --system file")
+    if out and os.path.realpath(out) in reads | files(out_system):
+        raise UsageError(f"--out {out} would overwrite a --system or --out-system file")
 
 
 def _oracle(args) -> OracleConfig:

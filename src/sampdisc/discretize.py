@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,16 +143,13 @@ class SampledSystem:
         return _gram(self.values, self.point_weights)
 
     def orthonormality_residual(self) -> float:
-        """Spectral norm of gram() - identity.
+        """Spectral norm of gram() - identity, measured once per system:
+        the arrays are read-only private copies."""
+        return self._residual
 
-        Measured once per system: the arrays are read-only private
-        copies, so the first result is kept on the instance.
-        """
-        resid = self.__dict__.get("_residual")
-        if resid is None:
-            resid = float(np.linalg.norm(self.gram() - np.eye(self.n), 2))
-            object.__setattr__(self, "_residual", resid)
-        return resid
+    @cached_property
+    def _residual(self) -> float:
+        return float(np.linalg.norm(self.gram() - np.eye(self.n), 2))
 
     def fingerprint(self) -> str:
         """Content hash over shapes, weights, points and values."""

@@ -9,6 +9,7 @@ eigensolve; nothing is certified by estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -64,16 +65,15 @@ class FrameSystem:
         return "complex" if np.iscomplexobj(self.vectors) else "real"
 
     def norms_squared(self) -> np.ndarray:
-        """Squared Euclidean norm of each vector, shape (m,), read-only.
+        """Squared Euclidean norm of each vector, shape (m,), read-only;
+        measured once per frame, since halving checks the norms of every
+        round's active set and ``vectors`` is a read-only private copy."""
+        return self._norms_squared
 
-        Measured once per frame: halving checks the norms of every
-        round's active set, and ``vectors`` is a read-only private copy.
-        """
-        norms = self.__dict__.get("_norms_squared")
-        if norms is None:
-            norms = np.einsum("ij,ij->j", self.vectors, self.vectors.conj()).real
-            norms.setflags(write=False)
-            object.__setattr__(self, "_norms_squared", norms)
+    @cached_property
+    def _norms_squared(self) -> np.ndarray:
+        norms = np.einsum("ij,ij->j", self.vectors, self.vectors.conj()).real
+        norms.setflags(write=False)
         return norms
 
 

@@ -23,7 +23,7 @@ one-step entry that validates a request; halving rounds call
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -58,17 +58,17 @@ class OracleConfig:
     Halving rounds always run the randomized search: a round needs more
     than 100 * n * theta >= 100 vectors, while the exhaustive oracle
     stops at ``EXHAUSTIVE_LIMIT`` = 24.  ``strategy`` therefore accepts
-    only 'randomized'.
+    only 'randomized', and is checked but not stored.
     """
 
-    strategy: str = "randomized"
+    strategy: InitVar[str] = "randomized"
     budget: int = DEFAULT_BUDGET
     seed: int = 0
 
-    def __post_init__(self):
-        if self.strategy != "randomized":
+    def __post_init__(self, strategy):
+        if strategy != "randomized":
             raise PreconditionError(
-                f"unknown strategy {self.strategy!r}; halving rounds run "
+                f"unknown strategy {strategy!r}; halving rounds run "
                 "only the 'randomized' search"
             )
         # stored as Python ints: a numpy seed would wrap in ``seed + round``
@@ -332,8 +332,7 @@ def spectral_partition(
     """
     if strategy not in ("exhaustive", "randomized"):
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    budget = _validated_integer(budget, 1, "budget")
-    seed = _validated_integer(seed, 0, "seed")
+    config = OracleConfig(budget=budget, seed=seed)
     active = np.array(req.active, dtype=np.int64)
     src = np.arange(req.frame.m, dtype=np.int64)
     _check_norms(req.frame, req.delta, src, active)
@@ -343,7 +342,7 @@ def spectral_partition(
     else:
         active_op = _gram(req.frame.vectors[:, active])
         s1, b1, b2, tried, _ = _randomized(
-            req.frame, src, active, active_op, lo_t, up_t, budget, seed
+            req.frame, src, active, active_op, lo_t, up_t, config.budget, config.seed
         )
     s2 = np.setdiff1d(active, s1, assume_unique=True)
     return PartitionResult(s1, s2, b1, b2, lo_t, up_t, tried)

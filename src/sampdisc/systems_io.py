@@ -105,7 +105,7 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     ``n`` and ``m`` are integers >= 1 with n <= m.  The built-in
     generators produce systems orthonormal under uniform point weights;
     dft and walsh additionally have every per-point sum equal to n (flat
-    concentration).  ``field`` applies only to
+    concentration).  ``field``, "real" or "complex", applies only to
     random_orthonormal: dft is always complex, walsh and trig are always
     real.  random_orthonormal needs an integer seed >= 0.
     """
@@ -113,6 +113,8 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
         raise PreconditionError(
             f"unknown system kind {desc.kind!r}, expected one of {SYSTEM_KINDS}"
         )
+    if field not in ("real", "complex"):
+        raise PreconditionError(f"field must be 'real' or 'complex', got {field!r}")
     n = _validated_integer(desc.n, 1, "n")
     m = _validated_integer(desc.m, 1, "m")
     if n > m:
@@ -188,6 +190,11 @@ def _sidecar_text(system: SampledSystem) -> str:
     )
 
 
+def _system_files(path: str) -> tuple:
+    """The files of a system saved at ``path``: CSV, sidecar, binary copy."""
+    return (path, path + ".json", path + CACHE_SUFFIX)
+
+
 def save_system(system: SampledSystem, path: str) -> None:
     """Write values as CSV and metadata as a JSON sidecar (path + ".json").
 
@@ -199,16 +206,17 @@ def save_system(system: SampledSystem, path: str) -> None:
     # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
     # each row; streamed so the text is never held whole
     flat = np.ascontiguousarray(system.values).view(np.float64)
+    _, side, cache = _system_files(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for row in flat:
             line = (",".join(map(repr, row.tolist())) + "\r\n").encode()
             digest.update(line)
             fh.write(line)
-    with open(path + CACHE_SUFFIX, "wb") as fh:
+    with open(cache, "wb") as fh:
         fh.write(digest.digest())
         fh.write(flat.astype("<f8", copy=False).tobytes())
-    with open(path + ".json", "w") as fh:
+    with open(side, "w") as fh:
         fh.write(_sidecar_text(system))
 
 
@@ -256,21 +264,33 @@ def _parse_points(raw, side: str) -> np.ndarray:
     """Sidecar points as (m,) for one coordinate each, else (m, d)."""
     if not isinstance(raw, list):
         raise ParseError(f"points must be a list, got {type(raw).__name__}", path=side)
-    points = None
-    # one float pass over all coordinates when every point is a list of d
-    if raw and set(map(type, raw)) == {list} and len(set(map(len, raw))) == 1:
-        try:
-            points = np.array(list(map(float, chain.from_iterable(raw))))
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            points = points.reshape(len(raw), len(raw[0]))
-    if points is None:
-        rows = [_parse_floats(p if isinstance(p, list) else [p], side, None) for p in raw]
-        if len({len(r) for r in rows}) != 1:
-            raise ParseError("points need the same number of coordinates", path=side)
-        points = np.asarray(rows, dtype=np.float64)
+    rows = [p if isinstance(p, list) else [p] for p in raw]
+    # a bad number is reported ahead of a ragged list
+    cells = _parse_floats(list(chain.from_iterable(rows)), side, None)
+    if len(set(map(len, rows))) != 1:
+        raise ParseError("points need the same number of coordinates", path=side)
+    points = np.array(cells).reshape(len(rows), len(rows[0]))
     return points[:, 0] if points.shape[1] == 1 else points
+
+
+def _read_object(path: str, name: str, keys: tuple) -> dict:
+    """The JSON object in ``path``, which must hold every key in
+    ``keys``; ``name`` ("metadata" or "certificate") names it in errors."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        if name == "metadata" and isinstance(exc, FileNotFoundError):
+            raise ParseError("missing metadata sidecar", path=path) from None
+        raise ParseError(f"cannot read {name}: {exc.strerror}", path=path) from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(f"invalid JSON: {exc}", path=path) from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{name} is not a JSON object", path=path)
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{name} lacks {key!r}", path=path)
+    return doc
 
 
 def load_system(path: str) -> SampledSystem:
@@ -281,27 +301,16 @@ def load_system(path: str) -> SampledSystem:
     of exactly these CSV bytes; otherwise the CSV text is parsed.
     Loading never writes a file.
     """
-    side = path + ".json"
-    try:
-        with open(side) as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise ParseError("missing metadata sidecar", path=side) from None
-    except OSError as exc:
-        raise ParseError(f"cannot read metadata: {exc.strerror}", path=side) from None
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ParseError(f"invalid JSON: {exc}", path=side) from None
-    if not isinstance(meta, dict):
-        raise ParseError("metadata is not a JSON object", path=side)
-    for key in ("field", "n", "m", "points", "point_weights"):
-        if key not in meta:
-            raise ParseError(f"metadata lacks {key!r}", path=side)
-    try:
-        n, m = int(meta["n"]), int(meta["m"])
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError("n and m must be integers", path=side) from None
-    complex_values = meta["field"] == "complex"
-    width = 2 * m if complex_values else m
+    _, side, cache = _system_files(path)
+    meta = _read_object(side, "metadata", ("field", "n", "m", "points", "point_weights"))
+    n, m, field = meta["n"], meta["m"], meta["field"]
+    # 3.0 reads as 3; bools, strings, fractions, NaN and infinities do not
+    if not all(type(v) is int or type(v) is float and v.is_integer() for v in (n, m)):
+        raise ParseError("n and m must be integers", path=side)
+    n, m = int(n), int(m)
+    if field not in ("real", "complex"):
+        raise ParseError(f"field must be 'real' or 'complex', got {field!r}", path=side)
+    width = 2 * m if field == "complex" else m
     stored = meta.get("fingerprint")
 
     try:
@@ -311,10 +320,10 @@ def load_system(path: str) -> SampledSystem:
         raise ParseError(f"cannot read values: {exc.strerror}", path=path) from None
     values = None
     if stored is not None:
-        values = _cached_values(path + CACHE_SUFFIX, csv_bytes, n, width)
+        values = _cached_values(cache, csv_bytes, n, width)
     if values is None:
         values = _parsed_values(csv_bytes, path, n, width)
-    if complex_values:
+    if field == "complex":
         # reinterpret (re, im) pairs; arithmetic would turn -0.0 into 0.0
         values = values.view(np.complex128)
 
@@ -377,18 +386,9 @@ def load_certificate(path: str) -> dict:
     weights decoded to floats, and indices checked to be integers.
     Verification works from this document plus the system file.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read certificate: {exc.strerror}", path=path) from None
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ParseError(f"invalid JSON: {exc}", path=path) from None
-    if not isinstance(doc, dict):
-        raise ParseError("certificate is not a JSON object", path=path)
-    for key in ("kind", "point_indices", "constants", "input_fingerprint"):
-        if key not in doc:
-            raise ParseError(f"certificate lacks {key!r}", path=path)
+    doc = _read_object(
+        path, "certificate", ("kind", "point_indices", "constants", "input_fingerprint")
+    )
     consts = doc["constants"]
     if not isinstance(consts, dict) or "lower" not in consts or "upper" not in consts:
         raise ParseError("constants need lower and upper", path=path)

@@ -84,16 +84,9 @@ def verify_certificate(
 
     report.recomputed = recomputed
     scale = max(1.0, abs(stored.upper))
-    if abs(recomputed.lower - stored.lower) > tol * scale:
-        report.fail(
-            f"lower constant mismatch: stored {stored.lower!r}, "
-            f"recomputed {recomputed.lower!r}"
-        )
-    if abs(recomputed.upper - stored.upper) > tol * scale:
-        report.fail(
-            f"upper constant mismatch: stored {stored.upper!r}, "
-            f"recomputed {recomputed.upper!r}"
-        )
+    for side, old, new in zip(FrameBounds._fields, stored, recomputed):
+        if abs(new - old) > tol * scale:
+            report.fail(f"{side} constant mismatch: stored {old!r}, recomputed {new!r}")
     if recomputed.lower <= 0.0:
         report.fail("lower constant is not positive; selection lost rank")
     return report

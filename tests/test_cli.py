@@ -206,6 +206,26 @@ def test_unwritable_destination_fails_before_any_work(tmp_path, capsys):
             assert err.startswith("error: ") and reason in err
             assert out_text == ""
             assert not os.path.exists(rebased) and not os.path.exists(cert)
+    # no output may name an input file or a file the other output writes;
+    # paths are compared resolved, so a "." in one is no way round
+    inputs = {path: Path(path).read_bytes() for path in (src, src + ".json", src + ".f64")}
+    dotted = str(tmp_path / "." / "skew.csv")
+    rebased_files = (rebased, rebased + ".json", rebased + ".f64")
+    for command in ("select", "select-weighted"):
+        for flag, out, out_system in (
+            *(("--out", path, rebased) for path in (*inputs, dotted + ".json")),
+            *(("--out-system", cert, path) for path in (*inputs, dotted)),
+            *(("--out", path, rebased) for path in rebased_files),
+        ):
+            code, out_text, err = run(
+                capsys, command, "--system", src, "--seed", "0",
+                "--out", out, "--out-system", out_system,
+            )
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert code == 1 and out_text == ""
+            assert len(errors) == 1 and errors[0].startswith(f"error: {flag} ")
+            assert {path: Path(path).read_bytes() for path in inputs} == inputs
+            assert not any(map(os.path.exists, (cert, *rebased_files)))
     code, _, err = run(
         capsys, "sweep", "--kind", "trig", "--n-list", "3", "--m-list", "64",
         "--seed", "0", "--out", str(tmp_path / "nodir" / "s.csv"),

@@ -10,6 +10,7 @@ import pytest
 
 from sampdisc import (
     ContinuousSystemSpec,
+    FrameSystem,
     MappingMismatchError,
     OracleConfig,
     PartitionRequest,
@@ -216,6 +217,15 @@ def test_orthonormality_residual_measured_once(monkeypatch):
     twin = SampledSystem(system.values, system.points)
     assert twin.orthonormality_residual() == first
     assert len(calls) == 2
+    # a frame's squared norms are measured once too, and stay read-only
+    einsums = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a: einsums.append(a) or einsum(*a))
+    frame = FrameSystem(system.values)
+    norms = frame.norms_squared()
+    assert frame.norms_squared() is norms and len(einsums) == 1
+    assert not norms.flags.writeable
+    np.testing.assert_allclose(norms, np.full(32, 5.0))
 
 
 # ------------------------------------------------------------------ refinement

@@ -267,6 +267,10 @@ def test_theta_at_ratio_fast_path_and_randomized_only():
     with pytest.raises(PreconditionError):
         OracleConfig(strategy="exhaustive")
     assert OracleConfig(strategy="randomized") == OracleConfig()
+    # strategy is checked, not stored: replace keeps working without it
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["budget", "seed"]
+    assert dataclasses.replace(OracleConfig(seed=3), budget=7) == OracleConfig(budget=7, seed=3)
+    assert "strategy" not in vars(OracleConfig(strategy="randomized"))
 
 
 def test_cardinality_sandwich_rejections():

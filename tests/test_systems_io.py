@@ -84,6 +84,11 @@ def test_generator_validation():
     for seed in (-2, 1.5, 3.0, True, "3", 2**63):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             make_system(SystemDescriptor("random_orthonormal", n=2, m=8, seed=seed))
+    # field is "real" or "complex" for every kind, also where it is unused
+    for kind in systems_io.SYSTEM_KINDS:
+        for field in ("Complex", "", None):
+            with pytest.raises(PreconditionError, match="field must be 'real' or 'complex'"):
+                make_system(SystemDescriptor(kind, n=3, m=8, seed=0), field=field)
     by_numpy_int = make_system(SystemDescriptor("random_orthonormal", 2, 8, np.int64(3)))
     by_int = make_system(SystemDescriptor("random_orthonormal", 2, 8, 3))
     assert by_numpy_int.fingerprint() == by_int.fingerprint()
@@ -288,6 +293,21 @@ def test_load_malformed_csv_and_points(tmp_path):
     for n, message in (("x", "n and m must be integers"), (3.0, "expected 3 rows")):
         side.write_text(json.dumps(dict(meta, n=n)))
         with pytest.raises(ParseError, match=message):
+            load_system(str(path))
+    # n and m are integers or integral floats, never rounded or counted
+    for key, value in (
+        ("n", 2.5), ("n", True), ("n", "3"), ("m", 8.5), ("m", False),
+        ("n", float("nan")), ("m", float("inf")), ("n", None),
+    ):
+        side.write_text(json.dumps(dict(meta, **{key: value})))
+        with pytest.raises(ParseError, match="n and m must be integers") as info:
+            load_system(str(path))
+        assert info.value.path == str(side)
+    side.write_text(json.dumps(dict(meta, m=3.0)))
+    assert load_system(str(path)).fingerprint() == system.fingerprint()
+    for field in ("Complex", "", None):
+        side.write_text(json.dumps(dict(meta, field=field)))
+        with pytest.raises(ParseError, match=f"field must be 'real' or 'complex', got {field!r}"):
             load_system(str(path))
 
 
