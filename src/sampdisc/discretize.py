@@ -152,7 +152,12 @@ class SampledSystem:
         return float(np.linalg.norm(self.gram() - np.eye(self.n), 2))
 
     def fingerprint(self) -> str:
-        """Content hash over shapes, weights, points and values."""
+        """Content hash over shapes, weights, points and values, taken
+        once per system like the residual."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         return system_fingerprint(self)
 
 
@@ -213,8 +218,9 @@ def fingerprint_matches(system: SampledSystem, stored) -> bool:
     """Whether ``stored`` fingerprints ``system``.
 
     A legacy ``sha256:`` string is checked against the legacy text hash,
-    anything else against :func:`system_fingerprint`; a value that is
-    not a string never matches.
+    anything else against :func:`system_fingerprint` of the arrays in
+    hand, never the memo of :meth:`SampledSystem.fingerprint`; a value
+    that is not a string never matches.
     """
     if not isinstance(stored, str):
         return False

@@ -5,8 +5,11 @@ metadata (points, weights, field, provenance of the generator).
 Certificates travel as standalone JSON.  All floating point numbers
 are written as exact decimal representations (``repr``), so files
 round-trip bit for bit and rerunning a command reproduces identical
-bytes.  Beside the CSV, a binary copy of its cells bound to the CSV
-bytes by their sha256 lets loading skip the text parse.
+bytes.  When most cells of an array repeat, each distinct value is
+formatted once and its rows are still streamed one by one; the bytes
+are those of a per-cell ``repr``.  Beside the CSV, a binary copy of
+its cells bound to the CSV bytes by their sha256 lets loading skip the
+text parse.
 """
 
 from __future__ import annotations
@@ -160,17 +163,59 @@ def _json_list(items: list, depth: int) -> str:
     return f"[{pad}" + f",{pad}".join(items) + "\n" + "  " * depth + "]"
 
 
-def _repr_list(values: list, depth: int) -> str:
-    """:func:`_json_list` of the ``repr`` strings of ``values``; a
-    float's repr holds no character that JSON escapes."""
-    return _json_list([f'"{r}"' for r in map(repr, values)], depth)
+def _repr_rows(cells: np.ndarray, sep: bytes):
+    """``sep.join`` of the ``repr`` of the cells of each row of the 2-d
+    float64 array ``cells``, as ASCII bytes, one row at a time.
+
+    When at most half of the cells are distinct, each distinct bit
+    pattern (so -0.0 apart from 0.0) is formatted once into a table and
+    the rows are gathered from it.
+    """
+    bits = cells.view(np.int64).ravel()
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(bits.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    keys = ordered[first]
+    del ordered
+    # past half distinct the table saves at most half of the reprs and
+    # adds a rank pass and a per-cell gather; all-distinct arrays
+    # (random_orthonormal, re-based systems) would pay for nothing
+    if 2 * keys.size > bits.size:
+        del order, first, keys
+        text = sep.decode()
+        for row in cells:
+            yield text.join(map(repr, row.tolist())).encode()
+        return
+    # each cell's rank among the distinct values, in the smallest
+    # integer type that holds them
+    index = np.empty(bits.size, dtype=np.min_scalar_type(keys.size))
+    index[order] = np.cumsum(first, dtype=index.dtype) - 1
+    del order, first
+    # no float's repr is longer than 24 characters
+    table = np.fromiter(
+        map(str.encode, map(repr, keys.view(np.float64).tolist())),
+        dtype="S24",
+        count=keys.size,
+    )
+    del keys
+    for row in index.reshape(cells.shape):
+        yield sep.join(table[row].tolist())
+
+
+def _repr_lists(cells: np.ndarray, depth: int) -> list:
+    """:func:`_json_list` of the quoted ``repr`` strings of each row of
+    the 2-d float64 array ``cells``; a float's repr holds no character
+    that JSON escapes."""
+    sep = f'",\n{"  " * (depth + 1)}"'.encode()
+    return [_json_list([f'"{row.decode()}"'], depth) for row in _repr_rows(cells, sep)]
 
 
 def _sidecar_text(system: SampledSystem) -> str:
     """``json.dump(meta, sort_keys=True, indent=2)`` of the sidecar plus
     "\n", with the point and weight lists joined directly: ``indent``
     would put them through the pure-Python encoder."""
-    pts = _point_rows(system.points).tolist()
     head = json.dumps(
         {
             "field": system.field,
@@ -181,11 +226,12 @@ def _sidecar_text(system: SampledSystem) -> str:
         sort_keys=True,
         indent=2,
     )
+    (weights,) = _repr_lists(system.point_weights[None, :], 1)
+    points = _json_list(_repr_lists(_point_rows(system.points), 2), 1)
     # head ends in "\n}"; the remaining keys sort after "n", in this order
     return (
-        f'{head[:-2]},\n  "point_weights": '
-        f"{_repr_list(system.point_weights.tolist(), 1)},\n"
-        f'  "points": {_json_list([_repr_list(p, 2) for p in pts], 1)},\n'
+        f'{head[:-2]},\n  "point_weights": {weights},\n'
+        f'  "points": {points},\n'
         f'  "schema_version": {json.dumps(SCHEMA_VERSION)}\n}}\n'
     )
 
@@ -200,17 +246,19 @@ def save_system(system: SampledSystem, path: str) -> None:
 
     Complex values occupy two adjacent columns per point (re, im).
     Floats are exact decimal strings, so loading reproduces the arrays
-    bit for bit.  ``path + ".f64"`` gets the sha256 of the CSV bytes
-    followed by the same cells as row-major little-endian float64.
+    bit for bit; each distinct value of a mostly repeating array is
+    formatted once, and the text is streamed row by row, never held
+    whole.  ``path + ".f64"`` gets the sha256 of the CSV bytes followed
+    by the same cells as row-major little-endian float64.
     """
     # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
-    # each row; streamed so the text is never held whole
+    # each row
     flat = np.ascontiguousarray(system.values).view(np.float64)
     _, side, cache = _system_files(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for row in flat:
-            line = (",".join(map(repr, row.tolist())) + "\r\n").encode()
+        for row in _repr_rows(flat, b","):
+            line = row + b"\r\n"
             digest.update(line)
             fh.write(line)
     with open(cache, "wb") as fh:

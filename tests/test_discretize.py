@@ -35,6 +35,7 @@ from sampdisc import (
     weighted_select,
 )
 
+from sampdisc import discretize
 from sampdisc.discretize import _legacy_fingerprint, fingerprint_matches
 
 from helpers import loop_frame_operator
@@ -226,6 +227,28 @@ def test_orthonormality_residual_measured_once(monkeypatch):
     assert frame.norms_squared() is norms and len(einsums) == 1
     assert not norms.flags.writeable
     np.testing.assert_allclose(norms, np.full(32, 5.0))
+
+
+def test_fingerprint_hashed_once_but_matches_hash_again(monkeypatch):
+    calls = []
+    hashed = discretize.system_fingerprint
+
+    def counting_fingerprint(system):
+        calls.append(system)
+        return hashed(system)
+
+    monkeypatch.setattr(discretize, "system_fingerprint", counting_fingerprint)
+    system = make_system(SystemDescriptor("trig", n=5, m=32))
+    first = system.fingerprint()
+    assert system.fingerprint() == first
+    assert len(calls) == 1
+    # another system with the same arrays hashes its own
+    twin = SampledSystem(system.values, system.points)
+    assert twin.fingerprint() == first
+    assert len(calls) == 2
+    # the integrity check hashes the arrays in hand on every call
+    assert fingerprint_matches(system, first) and fingerprint_matches(system, first)
+    assert len(calls) == 4
 
 
 # ------------------------------------------------------------------ refinement

@@ -368,6 +368,62 @@ def test_save_sidecar_golden_bytes(tmp_path):
     )
 
 
+def _reference_files(system):
+    """CSV and sidecar bytes of a writer that formats every cell on its
+    own: one ``repr`` per cell, ``json.dumps`` for the sidecar."""
+    flat = np.ascontiguousarray(system.values).view(np.float64)
+    csv = b"".join((",".join(map(repr, row.tolist())) + "\r\n").encode() for row in flat)
+    points = system.points if system.points.ndim == 2 else system.points[:, None]
+    meta = {
+        "field": system.field,
+        "fingerprint": system.fingerprint(),
+        "m": system.m,
+        "n": system.n,
+        "point_weights": list(map(repr, system.point_weights.tolist())),
+        "points": [list(map(repr, p)) for p in points.tolist()],
+        "schema_version": "1",
+    }
+    return csv, (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _assert_saved_as_reference(system, path):
+    save_system(system, str(path))
+    csv, side = _reference_files(system)
+    assert path.read_bytes() == csv
+    assert Path(f"{path}.json").read_bytes() == side
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_save_repeated_values_as_a_per_cell_writer(tmp_path, field):
+    # at most half of every array is distinct, with 0.0 beside -0.0
+    cycle = np.array([0.0, -0.0, 1e-05, 1e16, 5e-324, -1e-300, 1.0, 0.5])
+    values = np.tile(cycle, (3, 2))
+    if field == "complex":
+        # set the parts directly: adding 0j would turn -0.0 into 0.0
+        values = values.astype(complex)
+        values.imag = np.roll(values.real, 1, axis=1)
+    points = np.column_stack([np.tile([0.0, -0.0], 8), np.tile(cycle[2:6], 4)])
+    weights = np.array([1 / 8] * 4 + [1 / 24] * 12)
+    system = SampledSystem(values, points, point_weights=weights)
+    for array in (system.values, system.points, system.point_weights):
+        bits = np.ascontiguousarray(array).view(np.int64)
+        assert 2 * np.unique(bits).size <= bits.size
+    path = tmp_path / "repeated.csv"
+    _assert_saved_as_reference(system, path)
+    assert b"-0.0" in path.read_bytes() and b"-0.0" in Path(f"{path}.json").read_bytes()
+    back = load_system(str(path))
+    assert back.values.tobytes() == system.values.tobytes()
+    assert back.points.tobytes() == system.points.tobytes()
+
+
+@pytest.mark.parametrize("kind", systems_io.SYSTEM_KINDS)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_save_builtin_systems_as_a_per_cell_writer(tmp_path, kind, field):
+    # walsh and dft mostly repeat, random_orthonormal is all distinct
+    system = make_system(SystemDescriptor(kind, n=5, m=64, seed=3), field=field)
+    _assert_saved_as_reference(system, tmp_path / f"{kind}.csv")
+
+
 def test_missing_files_are_parse_errors(tmp_path, capsys):
     system = make_system(SystemDescriptor("trig", n=3, m=8))
     path = str(tmp_path / "sys.csv")
