@@ -5,11 +5,10 @@ metadata (points, weights, field, provenance of the generator).
 Certificates travel as standalone JSON.  All floating point numbers
 are written as exact decimal representations (``repr``), so files
 round-trip bit for bit and rerunning a command reproduces identical
-bytes.  When most cells of an array repeat, each distinct value is
-formatted once and its rows are still streamed one by one; the bytes
-are those of a per-cell ``repr``.  Beside the CSV, a binary copy of
-its cells bound to the CSV bytes by their sha256 lets loading skip the
-text parse.
+bytes.  Each distinct value of an array is formatted once and its
+rows are still streamed one by one; the bytes are those of a per-cell
+``repr``.  Beside the CSV, a binary copy of its cells bound to the CSV
+bytes by their sha256 lets loading skip the text parse.
 """
 
 from __future__ import annotations
@@ -165,11 +164,11 @@ def _json_list(items: list, depth: int) -> str:
 
 def _repr_rows(cells: np.ndarray, sep: bytes):
     """``sep.join`` of the ``repr`` of the cells of each row of the 2-d
-    float64 array ``cells``, as ASCII bytes, one row at a time.
+    float64 array ``cells``, which has at least one column, as ASCII
+    bytes, one row at a time.
 
-    When at most half of the cells are distinct, each distinct bit
-    pattern (so -0.0 apart from 0.0) is formatted once into a table and
-    the rows are gathered from it.
+    Each distinct bit pattern (so -0.0 apart from 0.0) is formatted once
+    into a table and the rows are gathered from it.
     """
     bits = cells.view(np.int64).ravel()
     order = np.argsort(bits)
@@ -179,15 +178,6 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     keys = ordered[first]
     del ordered
-    # past half distinct the table saves at most half of the reprs and
-    # adds a rank pass and a per-cell gather; all-distinct arrays
-    # (random_orthonormal, re-based systems) would pay for nothing
-    if 2 * keys.size > bits.size:
-        del order, first, keys
-        text = sep.decode()
-        for row in cells:
-            yield text.join(map(repr, row.tolist())).encode()
-        return
     # each cell's rank among the distinct values, in the smallest
     # integer type that holds them
     index = np.empty(bits.size, dtype=np.min_scalar_type(keys.size))
@@ -200,14 +190,21 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
         count=keys.size,
     )
     del keys
-    for row in index.reshape(cells.shape):
-        yield sep.join(table[row].tolist())
+    rows = index.reshape(cells.shape)
+    # gather about 4096 cells per numpy call: one call per row would
+    # dominate on short rows, such as the sidecar's points
+    step = max(1, 4096 // rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        for row in table[rows[start : start + step]].tolist():
+            yield sep.join(row)
 
 
 def _repr_lists(cells: np.ndarray, depth: int) -> list:
     """:func:`_json_list` of the quoted ``repr`` strings of each row of
     the 2-d float64 array ``cells``; a float's repr holds no character
     that JSON escapes."""
+    if cells.shape[1] == 0:
+        return [_json_list([], depth)] * cells.shape[0]
     sep = f'",\n{"  " * (depth + 1)}"'.encode()
     return [_json_list([f'"{row.decode()}"'], depth) for row in _repr_rows(cells, sep)]
 
@@ -246,9 +243,8 @@ def save_system(system: SampledSystem, path: str) -> None:
 
     Complex values occupy two adjacent columns per point (re, im).
     Floats are exact decimal strings, so loading reproduces the arrays
-    bit for bit; each distinct value of a mostly repeating array is
-    formatted once, and the text is streamed row by row, never held
-    whole.  ``path + ".f64"`` gets the sha256 of the CSV bytes followed
+    bit for bit; each distinct value is formatted once, and the text is
+    streamed row by row, never held whole.  ``path + ".f64"`` gets the sha256 of the CSV bytes followed
     by the same cells as row-major little-endian float64.
     """
     # the rows csv.writer would write: no cell needs quoting, "\r\n" ends

@@ -395,7 +395,7 @@ def _assert_saved_as_reference(system, path):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_save_repeated_values_as_a_per_cell_writer(tmp_path, field):
-    # at most half of every array is distinct, with 0.0 beside -0.0
+    # most cells of every array repeat, with 0.0 beside -0.0
     cycle = np.array([0.0, -0.0, 1e-05, 1e16, 5e-324, -1e-300, 1.0, 0.5])
     values = np.tile(cycle, (3, 2))
     if field == "complex":
@@ -414,6 +414,12 @@ def test_save_repeated_values_as_a_per_cell_writer(tmp_path, field):
     back = load_system(str(path))
     assert back.values.tobytes() == system.values.tobytes()
     assert back.points.tobytes() == system.points.tobytes()
+    # points with no coordinates are written as empty lists
+    bare = SampledSystem(values, np.empty((16, 0)), point_weights=weights)
+    _assert_saved_as_reference(bare, path)
+    back = load_system(str(path))
+    assert back.points.shape == (16, 0)
+    assert back.values.tobytes() == bare.values.tobytes()
 
 
 @pytest.mark.parametrize("kind", systems_io.SYSTEM_KINDS)
