@@ -141,6 +141,10 @@ def _oracle(args) -> OracleConfig:
 
 def _resolve_system(args):
     if args.system:
+        given = [f"--{f}" for f in ("kind", "n", "m", "gen-seed")
+                 if getattr(args, f.replace("-", "_")) is not None]
+        if given:
+            raise UsageError(f"--system excludes {', '.join(given)}")
         return load_system(args.system)
     if not args.kind:
         raise UsageError("pass --system FILE or --kind with --n and --m")

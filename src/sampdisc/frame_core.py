@@ -66,8 +66,9 @@ class FrameSystem:
 
     def norms_squared(self) -> np.ndarray:
         """Squared Euclidean norm of each vector, shape (m,), read-only;
-        measured once per frame, since halving checks the norms of every
-        round's active set and ``vectors`` is a read-only private copy."""
+        measured once per frame, since halving reads them twice per call
+        (its norm check and its zero-vector drop) and ``vectors`` is a
+        read-only private copy."""
         return self._norms_squared
 
     @cached_property

@@ -257,11 +257,6 @@ def halving_select(
             raise DiscretizationError(
                 f"verified upper bound {actual.upper} exceeds schedule value {t_up}"
             )
-        if len(kept) > m / 2 ** schedule.rounds + 1e-9:
-            raise DiscretizationError(
-                f"selected {len(kept)} of {m} indices, exceeding "
-                f"m / 2^{schedule.rounds}"
-            )
     return HalvingCertificate(
         J=tuple(kept.tolist()),
         theta=theta,

@@ -244,8 +244,9 @@ def save_system(system: SampledSystem, path: str) -> None:
     Complex values occupy two adjacent columns per point (re, im).
     Floats are exact decimal strings, so loading reproduces the arrays
     bit for bit; each distinct value is formatted once, and the text is
-    streamed row by row, never held whole.  ``path + ".f64"`` gets the sha256 of the CSV bytes followed
-    by the same cells as row-major little-endian float64.
+    streamed row by row, never held whole.  ``path + ".f64"`` gets the
+    sha256 of the CSV bytes followed by the same cells as row-major
+    little-endian float64.
     """
     # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
     # each row

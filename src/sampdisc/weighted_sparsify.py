@@ -28,11 +28,11 @@ from .frame_core import (
     TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
+    _gram_bounds,
     _validated_indices,
     _validated_integer,
     _validated_integers,
     verify_tight,
-    weighted_bounds,
 )
 from .halving_select import HalvingCertificate, halving_select
 from .partition_oracle import OracleConfig
@@ -85,10 +85,9 @@ class DuplicationMap:
 def _scaled_sources(frame: FrameSystem, cap: int) -> tuple[np.ndarray, DuplicationMap]:
     """The columns v_j / sqrt(n_j) of the copies, one per source, and
     the map that repeats column j n_j times; see
-    :func:`duplicate_normalize` for the rules and errors."""
+    :func:`duplicate_normalize` for the errors.  Tightness is the
+    callers' check; :func:`weighted_select` leaves it to halving."""
     cap = _validated_integer(cap, 1, "cap")
-    if not verify_tight(frame, TIGHTNESS_TOL):
-        raise PreconditionError("duplication requires a tight frame (tol 1e-8)")
     norms = frame.norms_squared()
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
@@ -103,10 +102,6 @@ def _scaled_sources(frame: FrameSystem, cap: int) -> tuple[np.ndarray, Duplicati
         raise DuplicationOverflowError(
             f"norm equalization needs {total} copies, cap is {cap}"
         )
-    # construction-time identity check: base <= ||v_j||^2 / n_j < 2 base
-    ratios = norms / counts
-    if (ratios < base * (1.0 - 1e-12)).any() or (ratios >= 2.0 * base).any():
-        raise DiscretizationError("copy norm identity violated during duplication")
 
     scale = 1.0 / np.sqrt(counts.astype(np.float64))
     return frame.vectors * scale, DuplicationMap(counts=counts, anchor=anchor)
@@ -131,6 +126,8 @@ def duplicate_normalize(
     DuplicationOverflowError
         If the total number of copies would exceed ``cap``.
     """
+    if not verify_tight(frame, TIGHTNESS_TOL):
+        raise PreconditionError("duplication requires a tight frame (tol 1e-8)")
     scaled, dup = _scaled_sources(frame, cap)
     return FrameSystem(np.repeat(scaled, dup._counts, axis=1)), dup
 
@@ -165,7 +162,8 @@ def weighted_select(
     into weights.  The copies are never built: halving runs on the
     scaled source columns and the copy counts.  On the iterative path
     the verified lower bound is at least 25 by construction (the m'/2n
-    scaling exactly cancels delta' = 2n/m').
+    scaling exactly cancels delta' = 2n/m').  A frame that is not tight
+    within 1e-8 is refused by the halving run (PreconditionError).
     """
     scaled, dup = _scaled_sources(frame, cap)
     # fewer than 2n copies cannot host the full level-2 norm allowance;
@@ -175,13 +173,11 @@ def weighted_select(
     hcert = halving_select(FrameSystem(scaled), level, config, copies=dup)
     scale = dup.m_prime / (2.0 * frame.n)
 
-    counts = dup._counts
     selected = dup._copy_to_source[np.asarray(hcert.J, dtype=np.int64)]
     selected_counts = np.bincount(selected, minlength=frame.m)
-    weights = scale * selected_counts / counts
+    weights = scale * selected_counts / dup._counts
     support = tuple(np.flatnonzero(selected_counts).tolist())
-
-    bounds = weighted_bounds(frame, weights)
+    bounds = _gram_bounds(frame.vectors, weights)
     if hcert.schedule is not None and bounds.lower < 25.0 - 1e-8:
         raise DiscretizationError(
             f"weighted lower bound {bounds.lower} below the guaranteed 25"

@@ -360,6 +360,26 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 1
     assert "pass --system FILE or --kind with --n and --m" in err
 
+    # a loaded system takes no generator flags: they would be ignored
+    system = str(tmp_path / "s.csv")
+    assert run(
+        capsys, "gen", "--kind", "trig", "--n", "3", "--m", "64", "--out", system
+    )[0] == 0
+    before = sorted(os.listdir(tmp_path))
+    for argv, flags in [
+        (["select", "--kind", "dft", "--n", "4", "--m", "64", "--seed", "0",
+          "--out", str(tmp_path / "c.json")], "--kind, --n, --m"),
+        (["select-weighted", "--gen-seed", "3", "--seed", "0",
+          "--out", str(tmp_path / "c.json")], "--gen-seed"),
+        (["nikolskii", "--kind", "walsh", "--n", "2", "--m", "8"], "--kind, --n, --m"),
+        (["nikolskii", "--m", "8"], "--m"),
+    ]:
+        code, out, err = run(capsys, argv[0], "--system", system, *argv[1:])
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == f"error: --system excludes {flags}"
+        assert err.count("error:") == 1
+    assert sorted(os.listdir(tmp_path)) == before
+
     code, _, err = run(
         capsys, "sweep", "--kind", "walsh", "--n-list", ",", "--m-list", "8",
         "--seed", "0", "--out", str(tmp_path / "s.csv"),

@@ -75,8 +75,9 @@ def test_zero_vector_rejected():
 
 
 def test_non_tight_rejected():
-    with pytest.raises(PreconditionError):
-        duplicate_normalize(FrameSystem(np.eye(2) * 1.2))
+    for entry in (duplicate_normalize, weighted_select):
+        with pytest.raises(PreconditionError, match="tight"):
+            entry(FrameSystem(np.eye(2) * 1.2))
 
 
 def test_copy_cap_overflow():
@@ -103,6 +104,7 @@ def test_duplication_preserves_operator_and_trace():
         norms = copies.norms_squared()
         assert abs(norms.sum() - 3.0) < 1e-12
         assert norms.max() < 2.0 * 3.0 / dup.m_prime
+        assert norms.min() >= frame.norms_squared().min() * (1.0 - 1e-12)
         # copies of one source are contiguous, sources ascending
         assert list(dup.copy_to_source) == sorted(dup.copy_to_source)
 
@@ -247,6 +249,7 @@ def test_multiset_halving_equals_halving_the_copies(gen_seed, field, search_seed
     multiset = halving_select(FrameSystem(scaled), level, cfg, copies=dup)
     direct = halving_select(copies, level, cfg)
     assert len(direct.rounds) >= 2
+    assert len(multiset.J) <= dup.m_prime / 2 ** len(multiset.rounds)
     assert multiset.J == direct.J
     assert multiset.actual == direct.actual
     assert (multiset.delta, multiset.rescale) == (direct.delta, direct.rescale)
