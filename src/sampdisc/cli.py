@@ -54,9 +54,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 _FIELD_HELP = (
-    "field of random_orthonormal values; dft is always complex, "
-    "walsh and trig always real"
+    "field of random_orthonormal values (default real); dft is always "
+    "complex, walsh and trig always real"
 )
+
+
+def _field(args) -> str:
+    """``--field``, which has no default so that ``--system`` can refuse it."""
+    return args.field or "real"
 
 
 def _add_source_args(sub, needs_out=False):
@@ -69,9 +74,7 @@ def _add_source_args(sub, needs_out=False):
     )
     src.add_argument("--n", type=int, help="number of functions")
     src.add_argument("--m", type=int, help="number of points")
-    src.add_argument(
-        "--field", choices=("real", "complex"), default="real", help=_FIELD_HELP
-    )
+    src.add_argument("--field", choices=("real", "complex"), help=_FIELD_HELP)
     src.add_argument("--gen-seed", type=int, help="seed for random_orthonormal")
     if needs_out:
         sub.add_argument("--out", required=True, help="output path")
@@ -141,7 +144,7 @@ def _oracle(args) -> OracleConfig:
 
 def _resolve_system(args):
     if args.system:
-        given = [f"--{f}" for f in ("kind", "n", "m", "gen-seed")
+        given = [f"--{f}" for f in ("kind", "n", "m", "field", "gen-seed")
                  if getattr(args, f.replace("-", "_")) is not None]
         if given:
             raise UsageError(f"--system excludes {', '.join(given)}")
@@ -153,7 +156,7 @@ def _resolve_system(args):
     desc = SystemDescriptor(
         kind=args.kind, n=args.n, m=args.m, seed=args.gen_seed
     )
-    return make_system(desc, field=args.field)
+    return make_system(desc, field=_field(args))
 
 
 def build_parser() -> _Parser:
@@ -194,9 +197,7 @@ def build_parser() -> _Parser:
     swp.add_argument("--kind", required=True, choices=SYSTEM_KINDS)
     swp.add_argument("--n-list", required=True, help="comma-separated dimensions")
     swp.add_argument("--m-list", required=True, help="comma-separated point counts")
-    swp.add_argument(
-        "--field", choices=("real", "complex"), default="real", help=_FIELD_HELP
-    )
+    swp.add_argument("--field", choices=("real", "complex"), help=_FIELD_HELP)
     swp.add_argument("--gen-seed", type=int, default=0)
     _add_search_args(swp)
     swp.add_argument("--out", required=True, help="summary CSV path")
@@ -243,7 +244,7 @@ def _cmd_select(args) -> int:
             "kind": args.kind,
             "n": args.n,
             "m": args.m,
-            "field": args.field,
+            "field": _field(args),
             "gen_seed": args.gen_seed,
         },
     }
@@ -305,7 +306,7 @@ def _cmd_sweep(args) -> int:
             if m < n:
                 continue
             desc = SystemDescriptor(kind=args.kind, n=n, m=m, seed=args.gen_seed)
-            system = make_system(desc, field=args.field)
+            system = make_system(desc, field=_field(args))
             cert = discretize_equal_weight(system, config)
             c, C = cert.constants
             stages = {stage["stage"]: stage for stage in cert.pipeline_log}

@@ -5,10 +5,11 @@ metadata (points, weights, field, provenance of the generator).
 Certificates travel as standalone JSON.  All floating point numbers
 are written as exact decimal representations (``repr``), so files
 round-trip bit for bit and rerunning a command reproduces identical
-bytes.  Each distinct value of an array is formatted once and its
-rows are still streamed one by one; the bytes are those of a per-cell
-``repr``.  Beside the CSV, a binary copy of its cells bound to the CSV
-bytes by their sha256 lets loading skip the text parse.
+bytes.  Each distinct value of an array is formatted once, by a
+vectorized ``repr`` (:mod:`sampdisc._reprs`), and its rows are streamed
+one by one; the bytes are those of a per-cell ``repr``.  Beside the
+CSV, a binary copy of its cells bound to the CSV bytes by their sha256
+lets loading skip the text parse.
 """
 
 from __future__ import annotations
@@ -167,9 +168,13 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
     float64 array ``cells``, which has at least one column, as ASCII
     bytes, one row at a time.
 
-    Each distinct bit pattern (so -0.0 apart from 0.0) is formatted once
-    into a table and the rows are gathered from it.
+    Each distinct bit pattern (so -0.0 apart from 0.0) is formatted once,
+    by :func:`sampdisc._reprs.repr_table`, and the rows are gathered from
+    that table.
     """
+    # imported here: only a save compiles the kernel and builds its tables
+    from ._reprs import repr_table
+
     bits = cells.view(np.int64).ravel()
     order = np.argsort(bits)
     ordered = bits[order]
@@ -183,12 +188,7 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
     index = np.empty(bits.size, dtype=np.min_scalar_type(keys.size))
     index[order] = np.cumsum(first, dtype=index.dtype) - 1
     del order, first
-    # no float's repr is longer than 24 characters
-    table = np.fromiter(
-        map(str.encode, map(repr, keys.view(np.float64).tolist())),
-        dtype="S24",
-        count=keys.size,
-    )
+    table = repr_table(keys.view(np.float64))
     del keys
     rows = index.reshape(cells.shape)
     # gather about 4096 cells per numpy call: one call per row would
@@ -243,10 +243,10 @@ def save_system(system: SampledSystem, path: str) -> None:
 
     Complex values occupy two adjacent columns per point (re, im).
     Floats are exact decimal strings, so loading reproduces the arrays
-    bit for bit; each distinct value is formatted once, and the text is
-    streamed row by row, never held whole.  ``path + ".f64"`` gets the
-    sha256 of the CSV bytes followed by the same cells as row-major
-    little-endian float64.
+    bit for bit; each distinct value is formatted once, by a vectorized
+    ``repr`` that writes the same bytes, and the text is streamed row by
+    row, never held whole.  ``path + ".f64"`` gets the sha256 of the CSV
+    bytes followed by the same cells as row-major little-endian float64.
     """
     # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
     # each row

@@ -373,6 +373,9 @@ def test_usage_errors(tmp_path, capsys):
           "--out", str(tmp_path / "c.json")], "--gen-seed"),
         (["nikolskii", "--kind", "walsh", "--n", "2", "--m", "8"], "--kind, --n, --m"),
         (["nikolskii", "--m", "8"], "--m"),
+        (["nikolskii", "--field", "complex"], "--field"),
+        (["select", "--field", "real", "--gen-seed", "1", "--seed", "0",
+          "--out", str(tmp_path / "c.json")], "--field, --gen-seed"),
     ]:
         code, out, err = run(capsys, argv[0], "--system", system, *argv[1:])
         assert code == 1 and out == ""

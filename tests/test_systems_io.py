@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from sampdisc import (
     save_system,
     verify_certificate,
 )
-from sampdisc import systems_io
+from sampdisc import _reprs, systems_io
 from sampdisc.cli import main
 from sampdisc.discretize import _legacy_fingerprint
 
@@ -428,6 +430,85 @@ def test_save_builtin_systems_as_a_per_cell_writer(tmp_path, kind, field):
     # walsh and dft mostly repeat, random_orthonormal is all distinct
     system = make_system(SystemDescriptor(kind, n=5, m=64, seed=3), field=field)
     _assert_saved_as_reference(system, tmp_path / f"{kind}.csv")
+    if kind == "random_orthonormal":
+        # more distinct values than one pass of the formatting kernel takes
+        system = make_system(SystemDescriptor(kind, n=3, m=2048, seed=3), field=field)
+        assert _distinct(system.values).size > _reprs._CHUNK
+        _assert_saved_as_reference(system, tmp_path / f"{kind}-large.csv")
+
+
+# -------------------------------------------------------- the formatting kernel
+
+
+def _distinct(array):
+    """The distinct float64 bit patterns of ``array``'s cells."""
+    cells = np.ascontiguousarray(array).view(np.float64).ravel()
+    return np.unique(cells.view(np.int64)).view(np.float64)
+
+
+def _assert_reprs(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _reprs.repr_table(values).tolist() == [
+        repr(v).encode() for v in values.tolist()
+    ]
+
+
+def test_repr_table_edge_values():
+    tiny = np.finfo(np.float64).tiny
+    edges = [
+        0.0, 5e-324, tiny, np.nextafter(tiny, 0), 1e-06, np.nextafter(1e-06, 0),
+        np.nextafter(1e-06, 1), 1e-05, 9.999999999999999e-05, 1e-04,
+        9999999999999998.0, 1e16, 1e22, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 123.0, 0.5,
+        1.7976931348623157e308, 2.5e-05, 1.5e-06, 0.001234, 4.35, 0.07,
+    ]
+    powers = [2.0**k for k in range(-40, 60)] + [10.0**k for k in range(-30, 31)]
+    for value in edges + powers:
+        # with both signs, and the neighbours of each value
+        up = np.nextafter(value, np.finfo(np.float64).max)
+        _assert_reprs([value, -value, np.nextafter(value, 0), up])
+    _assert_reprs([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=50))
+def test_repr_table_matches_repr(values):
+    _assert_reprs(values)
+
+
+def test_repr_table_random_bit_patterns():
+    rng = np.random.default_rng(20)
+    # any finite double, then doubles whose exponents span the kernel's
+    # range 1e-6 <= |x| < 1e16 and a little beyond, across several chunks
+    bits = rng.integers(-(2**63), 2**63, 60_000, dtype=np.int64)
+    anywhere = bits.view(np.float64)
+    exponents = rng.integers(1002, 1077, 60_000, dtype=np.int64) << 52
+    inside = ((bits & ~(2047 << 52)) | exponents).view(np.float64)
+    _assert_reprs(anywhere[np.isfinite(anywhere)])
+    _assert_reprs(inside)
+
+
+@pytest.mark.parametrize("kind", systems_io.SYSTEM_KINDS)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_repr_table_of_builtin_systems(kind, field):
+    system = make_system(SystemDescriptor(kind, n=9, m=1024, seed=5), field=field)
+    _assert_reprs(_distinct(system.values))
+    _assert_reprs(_distinct(system.points))
+    _assert_reprs(_distinct(system.point_weights))
+
+
+def test_import_leaves_the_formatting_kernel_unloaded():
+    # compiling the kernel and building its tables is left to the first
+    # save, so that commands that write no system never pay for it
+    code = (
+        "import sys, sampdisc\n"
+        "print('sampdisc._reprs' in sys.modules)\n"
+    )
+    src = str(Path(systems_io.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def test_missing_files_are_parse_errors(tmp_path, capsys):
