@@ -6,10 +6,11 @@ Certificates travel as standalone JSON.  All floating point numbers
 are written as exact decimal representations (``repr``), so files
 round-trip bit for bit and rerunning a command reproduces identical
 bytes.  Each distinct value of an array is formatted once, by a
-vectorized ``repr`` (:mod:`sampdisc._reprs`), and its rows are streamed
-one by one; the bytes are those of a per-cell ``repr``.  Beside the
-CSV, a binary copy of its cells bound to the CSV bytes by their sha256
-lets loading skip the text parse.
+vectorized ``repr`` (:mod:`sampdisc._reprs`); CSV rows are streamed one
+by one, and each list of the sidecar is written by one join.  The bytes
+are those of a per-cell ``repr``.  Beside the CSV, a binary copy of its
+cells bound to the CSV bytes by their sha256 lets loading skip the text
+parse.
 """
 
 from __future__ import annotations
@@ -154,15 +155,6 @@ def _parse_floats(cells, path: str, row: Optional[int]) -> list:
         return [_parse_float(cell, path, row) for cell in cells]
 
 
-def _json_list(items: list, depth: int) -> str:
-    """The JSON texts ``items`` as a list laid out the way
-    ``json.dump(..., indent=2)`` lays one out at nesting ``depth``."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return f"[{pad}" + f",{pad}".join(items) + "\n" + "  " * depth + "]"
-
-
 def _repr_rows(cells: np.ndarray, sep: bytes):
     """``sep.join`` of the ``repr`` of the cells of each row of the 2-d
     float64 array ``cells``, which has at least one column, as ASCII
@@ -199,20 +191,28 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
             yield sep.join(row)
 
 
-def _repr_lists(cells: np.ndarray, depth: int) -> list:
-    """:func:`_json_list` of the quoted ``repr`` strings of each row of
-    the 2-d float64 array ``cells``; a float's repr holds no character
-    that JSON escapes."""
-    if cells.shape[1] == 0:
-        return [_json_list([], depth)] * cells.shape[0]
-    sep = f'",\n{"  " * (depth + 1)}"'.encode()
-    return [_json_list([f'"{row.decode()}"'], depth) for row in _repr_rows(cells, sep)]
+def _json_floats(cells: np.ndarray, depth: int) -> str:
+    """The 1-d float64 array ``cells`` as a JSON list of the quoted
+    ``repr`` of its cells, or the 2-d one as a list of such lists, laid
+    out as ``json.dump(..., indent=2)`` lays it out at nesting ``depth``.
+    One join writes every row: its separator closes one row's list and
+    opens the next.  A float's repr holds no character JSON escapes."""
+    pad = ["\n" + "  " * (depth + k) for k in range(3)]
+    nested = cells.ndim - 1  # 1 when each row is a list of its own
+    rows = cells if nested else cells[None, :]
+    head, tail = f'[{pad[nested + 1]}"', f'"{pad[nested]}]'
+    if rows.shape[1]:
+        texts = _repr_rows(rows, f'",{pad[nested + 1]}"'.encode())
+    else:  # a row with no cells is written "[]"
+        head, tail, texts = "[", "]", [b""] * len(rows)
+    body = f"{tail},{pad[1]}{head}".encode().join(texts).decode()
+    return f"[{pad[1]}{head}{body}{tail}{pad[0]}]" if nested else head + body + tail
 
 
 def _sidecar_text(system: SampledSystem) -> str:
     """``json.dump(meta, sort_keys=True, indent=2)`` of the sidecar plus
-    "\n", with the point and weight lists joined directly: ``indent``
-    would put them through the pure-Python encoder."""
+    "\n", with the point and weight lists written by :func:`_json_floats`:
+    ``indent`` would put them through the pure-Python encoder."""
     head = json.dumps(
         {
             "field": system.field,
@@ -223,12 +223,10 @@ def _sidecar_text(system: SampledSystem) -> str:
         sort_keys=True,
         indent=2,
     )
-    (weights,) = _repr_lists(system.point_weights[None, :], 1)
-    points = _json_list(_repr_lists(_point_rows(system.points), 2), 1)
     # head ends in "\n}"; the remaining keys sort after "n", in this order
     return (
-        f'{head[:-2]},\n  "point_weights": {weights},\n'
-        f'  "points": {points},\n'
+        f'{head[:-2]},\n  "point_weights": {_json_floats(system.point_weights, 1)},\n'
+        f'  "points": {_json_floats(_point_rows(system.points), 1)},\n'
         f'  "schema_version": {json.dumps(SCHEMA_VERSION)}\n}}\n'
     )
 

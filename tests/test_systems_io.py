@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,42 @@ def test_save_builtin_systems_as_a_per_cell_writer(tmp_path, kind, field):
         system = make_system(SystemDescriptor(kind, n=3, m=2048, seed=3), field=field)
         assert _distinct(system.values).size > _reprs._CHUNK
         _assert_saved_as_reference(system, tmp_path / f"{kind}-large.csv")
+
+
+def test_save_multi_coordinate_points_as_a_per_cell_writer(tmp_path):
+    # three coordinates per point, over several of _repr_rows' gathers of
+    # about 4096 cells; most cells repeat, with -0.0 beside 0.0 (weights
+    # must be positive, so only their values repeat)
+    m = 5120
+    rng = np.random.default_rng(11)
+    cycle = np.array([0.0, -0.0, 0.25, -1e-300, 1e22, 1 / 3])
+    points = rng.choice(cycle, size=(m, 3))
+    points[::7, 2] = rng.standard_normal(len(points[::7]))
+    values = rng.choice(cycle, size=(2, m))
+    weights = np.tile([0.5, 1.5], m // 2) / m
+    system = SampledSystem(values, points, point_weights=weights)
+    assert points.size > 4096 and np.signbit(points[points == 0]).any()
+    path = tmp_path / "planar.csv"
+    _assert_saved_as_reference(system, path)
+    assert b"-0.0" in Path(f"{path}.json").read_bytes()
+    back = load_system(str(path))
+    assert back.points.tobytes() == system.points.tobytes()
+    assert back.point_weights.tobytes() == system.point_weights.tobytes()
+
+
+def test_save_peak_memory_stays_a_few_times_the_values(tmp_path):
+    # the cli_files input: the argsort ranking peaks at 4.1 x its 0.5 MB of
+    # values, a np.unique(..., return_inverse=True) ranking at 5.5 x
+    system = make_system(SystemDescriptor("dft", n=16, m=2048), field="complex")
+    path = str(tmp_path / "dft.csv")
+    save_system(system, path)
+    tracemalloc.start()
+    try:
+        save_system(system, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * system.values.nbytes
 
 
 # -------------------------------------------------------- the formatting kernel
