@@ -339,10 +339,6 @@ def _certificate(
     )
 
 
-def _uniform(system: SampledSystem) -> bool:
-    return bool(np.max(np.abs(system.point_weights - 1.0 / system.m)) <= 1e-14)
-
-
 def discretize_equal_weight(
     system: SampledSystem,
     config: Optional[OracleConfig] = None,
@@ -366,7 +362,7 @@ def discretize_equal_weight(
         Equal-weight certificate whose constants are the extreme
         eigenvalues of (1/m) sum_{j in J} u(x_j) u(x_j)*.
     """
-    if not _uniform(system):
+    if np.max(np.abs(system.point_weights - 1.0 / system.m)) > 1e-14:
         raise PreconditionError(
             "equal-weight selection requires uniform point weights"
         )
@@ -446,22 +442,22 @@ def monte_carlo_refine(
     spec: ContinuousSystemSpec,
     delta: float,
     seed: int = 0,
-    m_start: int = 64,
+    m_start: Optional[int] = None,
     m_cap: int = 1_048_576,
 ) -> SampledSystem:
     """Draw i.i.d. points until the empirical Gram is delta-close to I.
 
-    Doubles the sample count, an integer from ``m_start`` >= n >= 1 up
-    to the integer ``m_cap`` >= ``m_start``, until the spectral deviation
-    ||G - I|| is at most delta, else raises :class:`RefinementError`
-    carrying the best deviation achieved.  The spectral condition is
-    equivalent to |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the
-    whole span.
+    Doubles the sample count, an integer from ``m_start`` >= n >= 1
+    (None, the default, starts at max(64, n)) up to the integer
+    ``m_cap`` >= ``m_start``, until the spectral deviation ||G - I|| is
+    at most delta, else raises :class:`RefinementError` carrying the
+    best deviation achieved.  The spectral condition is equivalent to
+    |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the whole span.
     """
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
     n = _validated_integer(spec.n, 1, "n")
-    m = _validated_integer(m_start, n, "m_start")
+    m = _validated_integer(max(64, n) if m_start is None else m_start, n, "m_start")
     m_cap = _validated_integer(m_cap, 1, "m_cap")
     if m_cap < m:
         raise PreconditionError(f"m_cap={m_cap} is below m_start={m}")
@@ -541,16 +537,17 @@ def discretize_continuous(
     config: Optional[OracleConfig] = None,
     mc_delta: float = 0.5,
     seed: int = 0,
-    m_start: int = 64,
+    m_start: Optional[int] = None,
     m_cap: int = 1_048_576,
 ) -> DiscretizationCertificate:
     """Equal-weight discretization of a system given only by sampling.
 
     Pipeline: random refinement at spectral deviation ``mc_delta``
-    (default 1/2), re-orthonormalization on the sampled points, then
-    equal-weight selection at the exact measured concentration level of
-    the orthonormalized basis.  The final constants are pulled back
-    through the measured Gram deviation ``dev``:
+    (default 1/2) from ``m_start`` samples (default max(64, n)),
+    re-orthonormalization on the sampled points, then equal-weight
+    selection at the exact measured concentration level of the
+    orthonormalized basis.  The final constants are pulled back through
+    the measured Gram deviation ``dev``:
 
         c_final = c_selected * (1 - dev),
         C_final = C_selected * (1 + dev),
@@ -609,16 +606,16 @@ def discretize_weighted(
 
     Requires orthonormality residual at most 1e-8; re-base other input
     with :func:`reorthonormalize` first, so that the certificate binds
-    the system it was measured on.  Points where every basis function
-    vanishes cannot carry weight and are skipped.  Returned weights
-    lambda_nu absorb the base point weights, so the certified sums are
-    plain sum_nu lambda_nu |f(xi_nu)|^2.
+    the system it was measured on.  Points whose frame vector
+    (:func:`build_frame_from_samples`) is zero cannot carry weight and
+    are skipped, since duplication refuses zero vectors.  Returned
+    weights lambda_nu absorb the base point weights, so the certified
+    sums are plain sum_nu lambda_nu |f(xi_nu)|^2.
     """
     _checked_residual(system, TIGHTNESS_TOL)
-    mass = np.einsum("ij,ij->j", system.values, system.values.conj()).real
-    keep = np.flatnonzero(mass * system.point_weights > 0.0)
-    vectors = system.values[:, keep] * np.sqrt(system.point_weights[keep])
-    wcert = weighted_select(FrameSystem(vectors), config, cap=cap)
+    frame = build_frame_from_samples(system)
+    keep = np.flatnonzero(frame.norms_squared() > 0.0)
+    wcert = weighted_select(FrameSystem(frame.vectors[:, keep]), config, cap=cap)
 
     frame_weights = np.asarray(wcert.weights)
     support_local = np.asarray(wcert.support, dtype=np.int64)

@@ -150,28 +150,6 @@ class HalvingCertificate:
     rounds: tuple
 
 
-def _run_rounds(
-    frame: FrameSystem,
-    src: np.ndarray,
-    schedule: HalvingSchedule,
-    config: OracleConfig,
-    operator: np.ndarray,
-):
-    # halving_select has checked every norm against delta; round j's
-    # targets are the schedule's next step, partition_targets of step j.
-    # ``operator`` is the frame operator of ``kept``: all copies', then
-    # the kept side's of the round before.
-    kept = np.arange(src.size, dtype=np.int64)
-    log = []
-    for j in range(schedule.rounds):
-        lo_t, up_t = schedule.steps[j + 1]
-        kept, measured, _, tried, operator = _randomized(
-            frame, src, kept, operator, lo_t, up_t, config.budget, config.seed + j
-        )
-        log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
-    return kept, tuple(log)
-
-
 def halving_select(
     frame: FrameSystem,
     theta: float,
@@ -233,15 +211,22 @@ def halving_select(
             f"({measured.lower:.12f}, {measured.upper:.12f})"
         )
     _check_norms(frame, delta, src)
+    kept, log = np.arange(m, dtype=np.int64), []
     # compared as 100 delta, like the schedule's loop, so that rounding at
     # delta = 1/100 picks the same branch
     if 1.0 <= 100.0 * delta:
-        schedule, kept, log = None, np.arange(m, dtype=np.int64), ()
-        t_lo, t_up = 1.0, 1.0
+        schedule, t_lo, t_up = None, 1.0, 1.0
     else:
         schedule = halving_schedule(delta)
-        kept, log = _run_rounds(frame, src, schedule, cfg, operator)
         t_lo, t_up = schedule.steps[-1]
+        # round j aims at the schedule's step j + 1; ``operator`` is the
+        # frame operator of ``kept``: all copies', then the kept side's
+        # of the round before
+        for j, (lo_t, up_t) in enumerate(schedule.steps[1:]):
+            kept, measured, _, tried, operator = _randomized(
+                frame, src, kept, operator, lo_t, up_t, cfg.budget, cfg.seed + j
+            )
+            log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
     # zero vectors never affect bounds and are dropped from J
     norms = frame.norms_squared()
     kept = kept[norms[src[kept]] > 0.0]
@@ -267,7 +252,7 @@ def halving_select(
         actual=actual,
         rescale=m / frame.n,
         fast_path=schedule is None,
-        rounds=log,
+        rounds=tuple(log),
     )
 
 

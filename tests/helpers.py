@@ -1,4 +1,4 @@
-"""Independent oracles and generators shared by the test modules.
+"""Independent oracles, generators and stubs shared by the test modules.
 
 The oracles deliberately avoid the library's code paths: subset bounds
 come from singular values of the raw submatrix (the library eigensolves
@@ -67,3 +67,8 @@ def point_quad_mean(values, indices, point_weights, coeffs):
     """sum_nu lambda_nu |f(x_nu)|^2 for f with the given coefficients."""
     f_at = coeffs @ values[:, np.asarray(indices, dtype=np.int64)]
     return float(np.sum(np.asarray(point_weights) * np.abs(f_at) ** 2))
+
+
+def failing_eigvalsh(matrix):
+    """Stand-in for ``numpy.linalg.eigvalsh`` whose solver never converges."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -25,6 +25,8 @@ from sampdisc.partition_oracle import DEFAULT_BUDGET
 from sampdisc.verify import VERIFY_TOL
 from sampdisc.weighted_sparsify import COPY_CAP
 
+from helpers import failing_eigvalsh
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -53,6 +55,20 @@ def test_gen_select_verify_happy_path(tmp_path, capsys):
     assert code == 0
     assert "verification passed" in out
     assert "stored:" in out and "recomputed:" in out
+
+
+def test_eigensolver_failure_exits_1_without_a_certificate(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    cert = tmp_path / "cert.json"
+    code, out, err = run(
+        capsys, "select", "--kind", "trig", "--n", "3", "--m", "64",
+        "--seed", "0", "--out", str(cert),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dense eigensolver failed on a 3x3 matrix")
+    assert err.count("\n") == 1
+    assert not cert.exists()
 
 
 def test_verify_exit_2_on_tampering(tmp_path, capsys):

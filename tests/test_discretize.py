@@ -285,6 +285,12 @@ def test_refine_domain_errors():
     with pytest.raises(StageError, match=r"\[refine\] m_cap=32 is below m_start=64"):
         discretize_continuous(spec, m_start=64, m_cap=32)
     assert monte_carlo_refine(spec, 0.5, m_start=64, m_cap=64).m == 64
+    # an explicit start below n is still refused
+    wide = trig_spec(65)
+    with pytest.raises(PreconditionError, match="m_start must be an integer >= 65: 64"):
+        monte_carlo_refine(wide, 0.5, m_start=64)
+    with pytest.raises(StageError, match=r"\[refine\] m_start must be an integer >= 65"):
+        discretize_continuous(wide, m_start=64)
     # the dimension follows the same integer rule
     for bad in ("3", 2.5, 0, True):
         bad_spec = ContinuousSystemSpec(bad, spec.sampler, spec.evaluator)
@@ -309,6 +315,19 @@ def test_refine_domain_errors():
     # the refine stage records a Python int, which JSON can write
     cert = discretize_continuous(spec, seed=np.int64(5))
     assert type(cert.pipeline_log[0]["seed"]) is int
+
+
+def test_default_start_admits_spans_wider_than_64():
+    # the default start is max(64, n): n = 65 starts at 65 and doubles
+    spec = trig_spec(65)
+    system = monte_carlo_refine(spec, 0.5)
+    assert system.n == 65 and system.m % 65 == 0
+    assert system.orthonormality_residual() <= 0.5
+    cert = discretize_continuous(spec)
+    assert cert.pipeline_log[0]["samples"] == system.m
+    assert 0.0 < cert.constants.lower <= cert.constants.upper
+    # a narrow span still starts at 64
+    assert monte_carlo_refine(trig_spec(3), 0.5, m_cap=64).m == 64
 
 
 def test_refine_nonfinite_evaluator_names_point():

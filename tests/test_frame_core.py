@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sampdisc import (
+    EigensolverError,
     FrameBounds,
     FrameSystem,
     HalvingCertificate,
@@ -22,7 +23,13 @@ from sampdisc import (
 )
 from sampdisc.frame_core import hermitian_part
 
-from helpers import loop_frame_operator, quad_form, random_tight_frame, svd_subset_bounds
+from helpers import (
+    failing_eigvalsh,
+    loop_frame_operator,
+    quad_form,
+    random_tight_frame,
+    svd_subset_bounds,
+)
 
 R2 = 1.0 / np.sqrt(2.0)
 
@@ -38,6 +45,12 @@ def test_extreme_eigenvalues_symmetrizes():
     lo, hi = extreme_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]]))
     # hermitian part is [[1, .5], [.5, 1]]
     assert abs(lo - 0.5) < 1e-14 and abs(hi - 1.5) < 1e-14
+
+
+def test_eigensolver_failure_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+    with pytest.raises(EigensolverError, match="failed on a 3x3 matrix: Eigenvalues"):
+        extreme_eigenvalues(np.eye(3))
 
 
 def test_frame_system_validation():

@@ -27,6 +27,7 @@ from sampdisc import (
     partition_targets,
     spectral_partition,
 )
+from sampdisc.halving_select import HalvingRound
 
 from helpers import svd_subset_bounds
 
@@ -96,6 +97,15 @@ def test_fast_path_identity():
     assert abs(cert.actual.lower - 1.0) < 1e-14
     assert cert.rescale == 1.0
     assert cert.rounds == ()
+
+
+def test_iterative_path_rounds_are_a_tuple():
+    cert = halving_select(dft_frame(2, 1024), 1.0)
+    assert not cert.fast_path and len(cert.rounds) == cert.schedule.rounds == 2
+    assert type(cert.rounds) is tuple
+    assert all(isinstance(r, HalvingRound) for r in cert.rounds)
+    assert [r.index for r in cert.rounds] == list(range(cert.schedule.rounds))
+    hash(cert)
 
 
 def test_fast_path_drops_zero_vectors():
