@@ -116,8 +116,10 @@ def _rebased(system, out_system):
 
 def _check_destinations(args) -> None:
     """Fail before any work when ``--out`` or ``--out-system`` has no
-    directory to go in, or names a file that the command reads or its
-    other output writes: no command fails halfway or clobbers an input."""
+    directory to go in, when a file the command writes is a directory,
+    or when ``--out`` or ``--out-system`` names a file that the command
+    reads or its other output writes: no command fails halfway or
+    clobbers an input."""
 
     def files(path):
         return {os.path.realpath(p) for p in _system_files(path)} if path else set()
@@ -129,6 +131,12 @@ def _check_destinations(args) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if not os.path.isdir(parent):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    # gen writes a system at --out; the other commands write one file there
+    writes = _system_files(out) if args.command == "gen" else (out,)
+    writes += _system_files(out_system) if out_system else ()
+    for path in filter(None, writes):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     reads = files(getattr(args, "system", None))
     if files(out_system) & reads:
         raise UsageError(f"--out-system {out_system} would overwrite a --system file")

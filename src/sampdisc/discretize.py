@@ -36,6 +36,7 @@ from .frame_core import (
     TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
+    _float_array,
     _frozen_matrix,
     _gram,
     _gram_bounds,
@@ -76,22 +77,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisChange:
-    """Row transform T with source_values = T @ new_values."""
+    """Row transform T with source_values = T @ new_values; compared by
+    identity."""
 
     matrix: np.ndarray
     source_fingerprint: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSystem:
     """Values of n functions at m weighted points.
 
     ``values`` has shape (n, m): row i holds u_i at all points.
     ``points`` stores the point coordinates, shape (m,) or (m, d).
     ``point_weights`` is a probability vector (positive, sums to 1);
-    uniform 1/m when omitted.
+    uniform 1/m when omitted.  Systems compare by identity.
     """
 
     values: np.ndarray
@@ -103,10 +105,7 @@ class SampledSystem:
         v = _frozen_matrix(self.values, "sampled values")
         object.__setattr__(self, "values", v)
 
-        try:
-            pts = np.array(self.points, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise PreconditionError("points are not numbers") from None
+        pts = _float_array(self.points, "points")
         if pts.ndim not in (1, 2) or pts.shape[0] != v.shape[1]:
             raise PreconditionError(
                 f"points must list {v.shape[1]} coordinates, got shape {pts.shape}"
@@ -118,7 +117,7 @@ class SampledSystem:
 
         m = v.shape[1]
         w = np.full(m, 1.0 / m) if self.point_weights is None else self.point_weights
-        w = _validated_weights(w, m, "point weights").copy()
+        w = _validated_weights(w, m, "point weights")
         if (w == 0).any():
             raise PreconditionError("point weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -237,14 +236,15 @@ class NikolskiiReport:
     equals the square root of the largest per-point value of
     sum_i |u_i(x)|^2, attained by the function whose coefficients are
     the conjugated basis values at the peak point.  ``t`` normalizes
-    that extreme so ||f||_inf <= t * sqrt(n) * ||f||.
+    that extreme so ||f||_inf <= t * sqrt(n) * ||f||.  ``==`` compares
+    the scalar fields; the arrays follow from the system.
     """
 
     t: float
     t_squared: float
     argmax_index: int
-    argmax_point: np.ndarray
-    per_point_sums: np.ndarray
+    argmax_point: np.ndarray = dataclasses.field(compare=False)
+    per_point_sums: np.ndarray = dataclasses.field(compare=False)
     n: int
 
 
@@ -304,12 +304,13 @@ class DiscretizationCertificate:
 
     where lambda is uniform 1/m when ``weights`` is None.  Constants
     are measured by a dense eigensolve over an orthonormal basis of the
-    span and can be recomputed from the stored data alone.
+    span and can be recomputed from the stored data alone.  ``==``
+    skips ``points``: the fingerprint and the indices fix them.
     """
 
     kind: str
     point_indices: tuple
-    points: np.ndarray
+    points: np.ndarray = dataclasses.field(compare=False)
     m: int
     weights: Optional[tuple]
     constants: FrameBounds
@@ -561,10 +562,7 @@ def discretize_continuous(
     except DiscretizationError as exc:
         raise StageError("refine", str(exc)) from exc
     dev = refined.orthonormality_residual()
-    try:
-        ortho = reorthonormalize(refined)
-    except DiscretizationError as exc:
-        raise StageError("reorthonormalize", str(exc)) from exc
+    ortho = reorthonormalize(refined)
     try:
         inner = discretize_equal_weight(ortho, config)
     except DiscretizationError as exc:

@@ -35,13 +35,14 @@ class FrameBounds(NamedTuple):
     upper: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameSystem:
     """An ordered system of m vectors in n-dimensional scalar space.
 
     ``vectors`` has shape (n, m); column j is the j-th vector.  Real
     systems keep a real dtype and share the complex code paths, where
-    conjugation degenerates to the identity.
+    conjugation degenerates to the identity.  Frames compare by
+    identity.
     """
 
     vectors: np.ndarray
@@ -153,14 +154,24 @@ def verify_tight(frame: FrameSystem, tol: float) -> bool:
     return b.lower >= 1.0 - tol and b.upper <= 1.0 + tol
 
 
-def _frozen_matrix(values, what: str) -> np.ndarray:
-    """A read-only float64 (or complex128) copy of a non-empty, finite
-    2-d array; ``what`` names it in error messages."""
+def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
+    """A fresh float64 array of ``values``, or complex128 when they are
+    complex and ``complex_ok`` is set; anything else, overflow included,
+    raises :class:`PreconditionError` naming the input as ``what``."""
     try:
         v = np.asarray(values)
         v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"{what} are not numbers") from None
+    if v.dtype == np.complex128 and not complex_ok:
+        raise PreconditionError(f"{what} must be real, got complex numbers")
+    return v
+
+
+def _frozen_matrix(values, what: str) -> np.ndarray:
+    """A read-only float64 (or complex128) copy of a non-empty, finite
+    2-d array; ``what`` names it in error messages."""
+    v = _float_array(values, what, complex_ok=True)
     if v.ndim != 2 or 0 in v.shape:
         raise PreconditionError(
             f"{what} must form a non-empty 2-d array, got shape {v.shape}"
@@ -235,12 +246,9 @@ def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
 
 
 def _validated_weights(weights, size: int, what: str) -> np.ndarray:
-    """One finite, nonnegative weight per entry as a float64 array of
-    shape (size,); ``what`` names the weights in error messages."""
-    try:
-        w = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"{what} are not numbers") from None
+    """One finite, nonnegative weight per entry as a fresh float64 array
+    of shape (size,); ``what`` names the weights in error messages."""
+    w = _float_array(weights, what)
     if w.shape != (size,):
         raise PreconditionError(f"{what} for {size} entries have shape {w.shape}")
     if not np.isfinite(w).all() or (w < 0).any():

@@ -19,7 +19,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -135,13 +134,6 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     return _random_orthonormal_system(n, m, seed, field)
 
 
-def _parse_float(text, path: str, row: Optional[int]) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"bad number {text!r}", path=path, row=row) from None
-
-
 def _parse_floats(cells, path: str, row: Optional[int]) -> list:
     """float of every cell.  Only when one fails are the cells parsed
     again one by one, so that the ParseError names the bad one."""
@@ -152,7 +144,11 @@ def _parse_floats(cells, path: str, row: Optional[int]) -> list:
     try:
         return list(map(float, cells))
     except (TypeError, ValueError, OverflowError):
-        return [_parse_float(cell, path, row) for cell in cells]
+        for cell in cells:
+            try:
+                float(cell)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(f"bad number {cell!r}", path=path, row=row) from None
 
 
 def _repr_rows(cells: np.ndarray, sep: bytes):
@@ -191,13 +187,13 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
             yield sep.join(row)
 
 
-def _json_floats(cells: np.ndarray, depth: int) -> str:
+def _json_floats(cells: np.ndarray) -> str:
     """The 1-d float64 array ``cells`` as a JSON list of the quoted
     ``repr`` of its cells, or the 2-d one as a list of such lists, laid
-    out as ``json.dump(..., indent=2)`` lays it out at nesting ``depth``.
+    out as ``json.dump(..., indent=2)`` lays out a top-level key's value.
     One join writes every row: its separator closes one row's list and
     opens the next.  A float's repr holds no character JSON escapes."""
-    pad = ["\n" + "  " * (depth + k) for k in range(3)]
+    pad = ["\n" + "  " * k for k in (1, 2, 3)]
     nested = cells.ndim - 1  # 1 when each row is a list of its own
     rows = cells if nested else cells[None, :]
     head, tail = f'[{pad[nested + 1]}"', f'"{pad[nested]}]'
@@ -225,8 +221,8 @@ def _sidecar_text(system: SampledSystem) -> str:
     )
     # head ends in "\n}"; the remaining keys sort after "n", in this order
     return (
-        f'{head[:-2]},\n  "point_weights": {_json_floats(system.point_weights, 1)},\n'
-        f'  "points": {_json_floats(_point_rows(system.points), 1)},\n'
+        f'{head[:-2]},\n  "point_weights": {_json_floats(system.point_weights)},\n'
+        f'  "points": {_json_floats(_point_rows(system.points))},\n'
         f'  "schema_version": {json.dumps(SCHEMA_VERSION)}\n}}\n'
     )
 
@@ -272,9 +268,7 @@ def _cached_values(path: str, csv_bytes: bytes, n: int, width: int):
     size = _DIGEST_SIZE + 8 * n * width
     try:
         with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size != size:
-                return None
-            data = fh.read()
+            data = fh.read(size + 1)
     except OSError:
         return None
     if len(data) != size or data[:_DIGEST_SIZE] != hashlib.sha256(csv_bytes).digest():
@@ -435,10 +429,8 @@ def load_certificate(path: str) -> dict:
     consts = doc["constants"]
     if not isinstance(consts, dict) or "lower" not in consts or "upper" not in consts:
         raise ParseError("constants need lower and upper", path=path)
-    doc["constants_decoded"] = FrameBounds(
-        _parse_float(consts["lower"], path, None),
-        _parse_float(consts["upper"], path, None),
-    )
+    bounds = _parse_floats([consts["lower"], consts["upper"]], path, None)
+    doc["constants_decoded"] = FrameBounds(*bounds)
     indices = doc["point_indices"]
     # exact ints only: int() would turn 1.5 into 1 and true into 1
     if not isinstance(indices, list) or any(type(i) is not int for i in indices):
@@ -446,5 +438,5 @@ def load_certificate(path: str) -> dict:
     if doc.get("weights") is not None:
         doc["weights"] = _parse_floats(doc["weights"], path, None)
     if doc.get("theta") is not None:
-        doc["theta"] = _parse_float(doc["theta"], path, None)
+        doc["theta"] = _parse_floats([doc["theta"]], path, None)[0]
     return doc

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampdisc import (
+    FrameBounds,
     SampledSystem,
     SystemDescriptor,
     load_certificate,
@@ -197,7 +198,7 @@ def test_select_weighted_rebases_skewed_system(tmp_path, capsys):
     assert code == 2
 
 
-def test_unwritable_destination_fails_before_any_work(tmp_path, capsys):
+def test_unwritable_destination_fails_before_any_work(tmp_path, capsys, monkeypatch):
     # a skewed system would be re-based and saved to --out-system; the
     # command must refuse a bad --out before it writes anything
     skew = SampledSystem(
@@ -248,6 +249,37 @@ def test_unwritable_destination_fails_before_any_work(tmp_path, capsys):
     )
     assert code == 1 and err.startswith("error: ")
     assert not (tmp_path / "nodir").exists()
+    # an existing directory is refused wherever the command writes a file;
+    # a system saved at d.csv could not write its sidecar d.csv.json
+    (tmp_path / "somedir").mkdir()
+    (tmp_path / "d.csv.json").mkdir()
+    somedir, sidecar_dir = str(tmp_path / "somedir"), str(tmp_path / "d.csv")
+    written = (cert, *rebased_files, sidecar_dir, sidecar_dir + ".f64")
+
+    def refused(*argv):
+        code, out_text, err = run(capsys, *argv)
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert code == 1 and out_text == ""
+        assert len(errors) == 1 and "Is a directory" in errors[0]
+        assert not any(map(os.path.exists, written))
+
+    for command in ("select", "select-weighted"):
+        for out, out_system in ((somedir, rebased), (cert, sidecar_dir)):
+            refused(
+                command, "--system", src, "--seed", "0",
+                "--out", out, "--out-system", out_system,
+            )
+    for out in (somedir, sidecar_dir):
+        refused("gen", "--kind", "trig", "--n", "3", "--m", "8", "--out", out)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sweep built a system before checking --out")
+
+    monkeypatch.setattr("sampdisc.cli.make_system", no_grid)
+    refused(
+        "sweep", "--kind", "trig", "--n-list", "3", "--m-list", "64",
+        "--seed", "0", "--out", somedir,
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,6 +444,21 @@ def test_usage_errors(tmp_path, capsys):
     )
     assert code == 1  # argparse choice rejection surfaces as usage error
     assert "invalid choice" in err
+
+
+def test_select_fault_exits_1_without_a_certificate(tmp_path, capsys, monkeypatch):
+    # no input loses rank on this path; the measurement is replaced
+    monkeypatch.setattr(
+        "sampdisc.discretize.recompute_constants", lambda *args: FrameBounds(0.0, 1.0)
+    )
+    cert = tmp_path / "cert.json"
+    code, out, err = run(
+        capsys, "select", "--kind", "trig", "--n", "3", "--m", "64",
+        "--seed", "0", "--out", str(cert),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: selected points lost rank: lower constant is 0\n"
+    assert not cert.exists()
 
 
 def test_runtime_error_exit_1(tmp_path, capsys):

@@ -10,6 +10,8 @@ import pytest
 
 from sampdisc import (
     ContinuousSystemSpec,
+    DiscretizationError,
+    FrameBounds,
     FrameSystem,
     MappingMismatchError,
     OracleConfig,
@@ -141,6 +143,14 @@ def test_system_validation():
         SampledSystem(np.eye(2), np.arange(2.0), point_weights=np.array([0.5, 0.7]))
     with pytest.raises(PreconditionError):
         SampledSystem(np.eye(2), np.arange(2.0), point_weights=np.array([1.0, 0.0]))
+    with pytest.raises(PreconditionError, match="sampled values are not numbers"):
+        SampledSystem([[10**400, 1.0]], np.arange(2.0))
+    for weights, message in (
+        ([10**400, 0.5], "are not numbers"),
+        (np.array([0.5 + 1j, 0.5]), "must be real"),
+    ):
+        with pytest.raises(PreconditionError, match=f"point weights {message}"):
+            SampledSystem(np.eye(2), np.arange(2.0), point_weights=weights)
 
 
 @pytest.mark.parametrize(
@@ -150,8 +160,10 @@ def test_system_validation():
         ([[0.0, 1.0], [2.0]], "not numbers"),
         ([0.0, np.nan], "non-finite"),
         ([[0.0, 1.0], [np.inf, 2.0]], "non-finite"),
+        ([10**400, 0.0], "not numbers"),
+        (np.array([0.0, 1j]), "must be real"),
     ],
-    ids=["strings", "ragged", "nan", "inf"],
+    ids=["strings", "ragged", "nan", "inf", "overflow", "complex"],
 )
 def test_points_must_be_finite_numbers(points, message):
     with pytest.raises(PreconditionError, match=message):
@@ -744,3 +756,70 @@ def test_result_index_and_weight_fields_are_python_scalars():
     equal = discretize_equal_weight(trig, OracleConfig(seed=5))
     assert not equal.pipeline_log[-1]["fast_path"]
     _assert_plain(equal.point_indices, int)
+
+
+# ------------------------------------------------------------ fault detectors
+# No input reaches these checks: each compares two measurements that agree
+# by construction, so one measurement is replaced to make it fire.
+
+
+def _lower_zero(*args):
+    return FrameBounds(0.0, 1.0)
+
+
+def test_trace_floor_refuses_a_concentration_below_it(monkeypatch):
+    # the weighted mean of the per-point sums is n (1 - residual) or more;
+    # a residual reported as -1 moves the floor above every point
+    monkeypatch.setattr(discretize, "_checked_residual", lambda system, tol: -1.0)
+    with pytest.raises(DiscretizationError, match="below the trace floor"):
+        condition_e_constant(make_system(SystemDescriptor("trig", n=3, m=8)))
+
+
+def test_equal_weight_refuses_a_selection_that_lost_rank(monkeypatch):
+    monkeypatch.setattr(discretize, "recompute_constants", _lower_zero)
+    with pytest.raises(DiscretizationError, match="lost rank: lower constant is 0"):
+        discretize_equal_weight(make_system(SystemDescriptor("trig", n=3, m=24)))
+
+
+def test_continuous_reports_a_select_failure_as_its_stage(monkeypatch):
+    monkeypatch.setattr(discretize, "recompute_constants", _lower_zero)
+    with pytest.raises(StageError, match="\\[select\\] selected points lost rank"):
+        discretize_continuous(trig_spec(3), seed=0)
+
+
+def test_weighted_refuses_constants_that_disagree_with_the_frame(monkeypatch):
+    # the frame of this system gives lower bound 0.5
+    fake = FrameBounds(0.25, 0.5)
+    monkeypatch.setattr(discretize, "recompute_constants", lambda *args: fake)
+    with pytest.raises(DiscretizationError, match="failed cross-verification"):
+        discretize_weighted(SampledSystem(np.array([[1.0]]), np.zeros(1)))
+
+
+def test_transfer_refuses_constants_outside_the_real_interval(monkeypatch):
+    system = make_system(SystemDescriptor("dft", n=2, m=64))
+    companion, mapping = complexify_via_real(system)
+    real_cert = discretize_equal_weight(companion)
+    fake = FrameBounds(0.5, 2.0)
+    monkeypatch.setattr(discretize, "recompute_constants", lambda *args: fake)
+    with pytest.raises(DiscretizationError, match="escape the real interval"):
+        transfer_certificate(real_cert, system, mapping)
+
+
+# ------------------------------------------------------------------ equality
+
+
+def test_results_compare_by_value_and_systems_by_identity():
+    system = make_system(SystemDescriptor("dft", n=2, m=256))
+    cert = discretize_equal_weight(system)
+    assert cert == dataclasses.replace(cert)
+    assert cert != dataclasses.replace(cert, constants=FrameBounds(0.5, 2.0))
+    report = condition_e_constant(system)
+    assert report == dataclasses.replace(report)
+    assert report != dataclasses.replace(report, t=2.0)
+    twin = make_system(SystemDescriptor("dft", n=2, m=256))
+    assert (system == system) is True and (system == twin) is False
+    frame = build_frame_from_samples(system)
+    assert (frame == build_frame_from_samples(system)) is False
+    change = reorthonormalize(system).basis_change
+    assert (change == change) is True
+    assert (change == reorthonormalize(system).basis_change) is False

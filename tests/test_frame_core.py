@@ -60,8 +60,9 @@ def test_frame_system_validation():
         FrameSystem(np.zeros((2, 0)))
     with pytest.raises(PreconditionError):
         FrameSystem(np.array([[np.nan, 1.0]]))
-    with pytest.raises(PreconditionError, match="frame vectors are not numbers"):
-        FrameSystem([["a", "b"]])
+    for vectors in ([["a", "b"]], [[10**400, 1.0]]):
+        with pytest.raises(PreconditionError, match="frame vectors are not numbers"):
+            FrameSystem(vectors)
     frame = FrameSystem(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         frame.vectors[0, 0] = 5.0  # stored read-only
@@ -199,6 +200,8 @@ BAD_INPUTS = [
     ("weight count", [0, 1, 2], [0.5, 0.5]),
     ("negative weight", [0, 1, 2], [0.5, -1.0, 0.5]),
     ("nan weight", [0, 1, 2], [0.5, np.nan, 0.5]),
+    ("weight 10**400", [0, 1, 2], [0.5, 10**400, 0.5]),
+    ("complex weight", [0, 1, 2], np.array([1 + 5j, 1, 1])),
 ]
 
 

@@ -1,6 +1,7 @@
 """Halving schedules and iterated selection certificates."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sampdisc import (
     DiscretizationError,
     DomainError,
     DuplicationMap,
+    FrameBounds,
     FrameSystem,
     HalvingSchedule,
     OracleConfig,
@@ -297,3 +299,19 @@ def test_cardinality_sandwich_rejections():
     )
     smuggled = dataclasses.replace(cert, J=cert.J + (256,))
     assert not check_cardinality_sandwich(smuggled, padded)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [((0.0, 0.5), "fell below schedule value"), ((0.5, 10.0), "exceeds schedule value")],
+    ids=["lower", "upper"],
+)
+def test_verified_bounds_outside_the_schedule_are_refused(monkeypatch, bounds, message):
+    # each round's split already meets its step, so the final measurement
+    # is replaced to make the verification fire; ``sampdisc.halving_select``
+    # is the function, so the module is taken from sys.modules
+    module = sys.modules["sampdisc.halving_select"]
+    monkeypatch.setattr(module, "_gram_bounds", lambda *args: FrameBounds(*bounds))
+    frame = build_frame_from_samples(make_system(SystemDescriptor("dft", n=2, m=256)))
+    with pytest.raises(DiscretizationError, match=message):
+        halving_select(frame, 1.0)

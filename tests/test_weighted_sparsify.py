@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from sampdisc import (
+    DiscretizationError,
     DuplicationMap,
     DuplicationOverflowError,
+    FrameBounds,
     FrameSystem,
     OracleConfig,
     PreconditionError,
@@ -18,6 +20,7 @@ from sampdisc import (
     make_system,
     weighted_select,
 )
+from sampdisc import weighted_sparsify
 from sampdisc.frame_core import weighted_bounds
 from sampdisc.weighted_sparsify import COPY_CAP, _scaled_sources
 
@@ -317,3 +320,13 @@ def test_weighted_select_builds_no_copy_columns():
     building = _peak_bytes(lambda: duplicate_normalize(frame))
     assert building >= copies_bytes
     assert _peak_bytes(lambda: weighted_select(frame, OracleConfig(seed=3))) < building
+
+
+def test_weighted_lower_bound_below_25_is_refused(monkeypatch):
+    # halving guarantees 25 on the iterative path, so the weighted
+    # measurement is replaced to make the check fire
+    fake = FrameBounds(1.0, 30.0)
+    monkeypatch.setattr(weighted_sparsify, "_gram_bounds", lambda *args: fake)
+    system = make_system(SystemDescriptor("random_orthonormal", n=2, m=512, seed=7))
+    with pytest.raises(DiscretizationError, match="below the guaranteed 25"):
+        weighted_select(build_frame_from_samples(system), OracleConfig(seed=5))
