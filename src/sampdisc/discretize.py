@@ -613,7 +613,8 @@ def discretize_weighted(
     _checked_residual(system, TIGHTNESS_TOL)
     frame = build_frame_from_samples(system)
     keep = np.flatnonzero(frame.norms_squared() > 0.0)
-    wcert = weighted_select(FrameSystem(frame.vectors[:, keep]), config, cap=cap)
+    frame = frame if keep.size == frame.m else FrameSystem(frame.vectors[:, keep])
+    wcert = weighted_select(frame, config, cap=cap)
 
     frame_weights = np.asarray(wcert.weights)
     support_local = np.asarray(wcert.support, dtype=np.int64)

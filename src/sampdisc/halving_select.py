@@ -211,7 +211,7 @@ def halving_select(
             f"({measured.lower:.12f}, {measured.upper:.12f})"
         )
     _check_norms(frame, delta, src)
-    kept, log = np.arange(m, dtype=np.int64), []
+    kept, kept_src, log = None, src, []
     # compared as 100 delta, like the schedule's loop, so that rounding at
     # delta = 1/100 picks the same branch
     if 1.0 <= 100.0 * delta:
@@ -219,20 +219,20 @@ def halving_select(
     else:
         schedule = halving_schedule(delta)
         t_lo, t_up = schedule.steps[-1]
-        # round j aims at the schedule's step j + 1; ``operator`` is the
-        # frame operator of ``kept``: all copies', then the kept side's
-        # of the round before
+        # round j aims at the schedule's step j + 1; ``kept`` (None for
+        # all copies) repeats the columns ``kept_src``, and ``operator`` is
+        # its frame operator: all copies', then the kept side's before
         for j, (lo_t, up_t) in enumerate(schedule.steps[1:]):
-            kept, measured, _, tried, operator = _randomized(
-                frame, src, kept, operator, lo_t, up_t, cfg.budget, cfg.seed + j
+            kept, measured, _, tried, operator, kept_src = _randomized(
+                frame, kept, kept_src, operator, lo_t, up_t, cfg.budget, cfg.seed + j
             )
             log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
     # zero vectors never affect bounds and are dropped from J
-    norms = frame.norms_squared()
-    kept = kept[norms[src[kept]] > 0.0]
+    nonzero = frame.norms_squared()[kept_src] > 0.0
+    kept = np.flatnonzero(nonzero) if kept is None else kept[nonzero]
     # measured on the gathered columns of the copies, bit for bit what
     # subset_bounds gives on the frame of the copies
-    actual = _gram_bounds(frame.vectors[:, src[kept]])
+    actual = _gram_bounds(frame.vectors[:, kept_src[nonzero]])
     if schedule is not None:
         if actual.lower < 25.0 * delta - VERIFY_SLACK or actual.lower < t_lo - VERIFY_SLACK:
             raise DiscretizationError(

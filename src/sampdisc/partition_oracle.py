@@ -169,9 +169,9 @@ def _check_norms(frame: FrameSystem, delta: float, src: np.ndarray, cols=None):
         )
 
 
-def _side_bounds(frame, op, active_src, side, lo_t, up_t) -> FrameBounds:
-    """Bounds of a split's side from its operator ``op``; ``side`` holds
-    positions in ``active_src``, the columns the active copies repeat.
+def _side_bounds(frame, op, columns, lo_t, up_t) -> FrameBounds:
+    """Bounds of a split's side from its operator ``op``; ``columns()``
+    gives the columns the side's copies repeat, in copy order.
 
     Where rounding of size ``SUBTRACTION_MARGIN * max(1, up_t)`` could
     flip a :func:`_split_ok` comparison, the side's gathered copies are
@@ -182,7 +182,7 @@ def _side_bounds(frame, op, active_src, side, lo_t, up_t) -> FrameBounds:
         abs(b.lower - (lo_t - VERIFY_SLACK)) <= margin
         or abs(b.upper - (up_t + VERIFY_SLACK)) <= margin
     ):
-        return _gram_bounds(frame.vectors[:, np.sort(active_src[side])])
+        return _gram_bounds(frame.vectors[:, columns()])
     return b
 
 
@@ -242,50 +242,52 @@ def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float
 
 def _randomized(
     frame: FrameSystem,
-    src: np.ndarray,
-    active: np.ndarray,
+    active,
+    active_src: np.ndarray,
     active_op: np.ndarray,
     lo_t: float,
     up_t: float,
     budget: int,
     seed: int,
 ):
-    """First seeded balanced split of the sorted int64 array ``active``
-    whose sides both meet [lo_t, up_t], as
-    ``(s1, bounds_s1, bounds_s2, candidates_tried, op_s1)`` with ``s1``
-    a sorted int64 array; side 2 is the rest of ``active``.
+    """First seeded balanced split of the active copies whose sides both
+    meet [lo_t, up_t], as ``(s1, bounds_s1, bounds_s2, candidates_tried,
+    op_s1, src_s1)`` with ``s1`` a sorted int64 array; side 2 is the rest.
 
-    The entries of ``active`` are copies, copy i being column ``src[i]``
-    of the frame (``src`` nondecreasing; a plain frame is ``arange(m)``),
-    and ``active_op`` is their frame operator.  Side 1 is the first
+    ``active`` is a sorted int64 array of copies, None standing for all
+    copies 0..k-1; copy ``active[i]`` repeats column ``active_src[i]``
+    (nondecreasing; a plain frame copies each column once), and
+    ``active_op`` is their frame operator.  Side 1 is the first
     floor(k/2) entries of each candidate permutation, so it is never the
     larger side, and it is the side halving keeps.  Its operator
     ``op_s1`` is ``_gram`` of the distinct columns it copies, weighted by
-    how often unless it copies none twice, and is returned so that the
-    next round need not form it again.  Side 2's operator is
+    how often unless it copies none twice; it and side 1's columns
+    ``src_s1`` are returned for the next round.  Side 2's operator is
     ``active_op - op_s1``; :func:`_side_bounds` measures both sides."""
-    k = active.size
+    k = active_src.size
     if k < 2:
         raise SearchFailureError(
             "cannot split fewer than two vectors into two nonempty halves"
         )
     rng = np.random.default_rng(seed)
     half = k // 2
-    active_src = src[active]
     best_gap = math.inf
     for attempt in range(1, budget + 1):
-        perm = rng.permutation(k)
-        copied = np.bincount(active_src[perm[:half]])
-        cols = np.flatnonzero(copied > 0)
-        # a side that copies no column twice takes the plain Gram matrix,
-        # bit for bit what subset_bounds gives: for real frames numpy forms
-        # it by a symmetric product that weights would replace
-        weights = None if cols.size == half else copied[cols]
-        op1 = _gram(frame.vectors[:, cols], weights)
-        b1 = _side_bounds(frame, op1, active_src, perm[:half], lo_t, up_t)
-        b2 = _side_bounds(frame, active_op - op1, active_src, perm[half:], lo_t, up_t)
+        side = np.zeros(k, dtype=bool)
+        side[rng.permutation(k)[:half]] = True
+        pos = np.flatnonzero(side)
+        cols = active_src[pos]
+        # ``cols`` is nondecreasing, so its runs are the distinct columns
+        # and their lengths the copy counts.  A side that copies no column
+        # twice takes the plain Gram matrix, bit for bit what subset_bounds
+        # gives: for real frames numpy forms it by a symmetric product
+        starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+        weights = None if starts.size == half else np.diff(starts, append=half)
+        op1 = _gram(frame.vectors[:, cols[starts]], weights)
+        b1 = _side_bounds(frame, op1, lambda: cols, lo_t, up_t)
+        b2 = _side_bounds(frame, active_op - op1, lambda: active_src[~side], lo_t, up_t)
         if _split_ok(b1, b2, lo_t, up_t):
-            return np.sort(active[perm[:half]]), b1, b2, attempt, op1
+            return (pos if active is None else active[pos]), b1, b2, attempt, op1, cols
         gap = max(
             lo_t - min(b1.lower, b2.lower), max(b1.upper, b2.upper) - up_t, 0.0
         )
@@ -341,8 +343,8 @@ def spectral_partition(
         s1, b1, b2, tried = _exhaustive(req.frame, active, lo_t, up_t)
     else:
         active_op = _gram(req.frame.vectors[:, active])
-        s1, b1, b2, tried, _ = _randomized(
-            req.frame, src, active, active_op, lo_t, up_t, config.budget, config.seed
+        s1, b1, b2, tried, _, _ = _randomized(
+            req.frame, active, active, active_op, lo_t, up_t, config.budget, config.seed
         )
     s2 = np.setdiff1d(active, s1, assume_unique=True)
     return PartitionResult(s1, s2, b1, b2, lo_t, up_t, tried)

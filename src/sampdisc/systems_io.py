@@ -135,17 +135,22 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
 
 
 def _parse_floats(cells, path: str, row: Optional[int]) -> list:
-    """float of every cell.  Only when one fails are the cells parsed
-    again one by one, so that the ParseError names the bad one."""
+    """float of every cell; a bool (JSON true or false) is no number.
+    Only when one fails are the cells parsed again one by one, so that
+    the ParseError names the bad one."""
     if not isinstance(cells, list):
         raise ParseError(
             f"expected a list of numbers, got {type(cells).__name__}", path=path, row=row
         )
     try:
+        if bool in set(map(type, cells)):
+            raise TypeError
         return list(map(float, cells))
     except (TypeError, ValueError, OverflowError):
         for cell in cells:
             try:
+                if type(cell) is bool:
+                    raise TypeError
                 float(cell)
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(f"bad number {cell!r}", path=path, row=row) from None

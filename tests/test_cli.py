@@ -72,6 +72,19 @@ def test_eigensolver_failure_exits_1_without_a_certificate(tmp_path, capsys, mon
     assert not cert.exists()
 
 
+def test_verify_exits_1_on_boolean_constants(tmp_path, capsys):
+    system = str(tmp_path / "dft.csv")
+    cert = str(tmp_path / "cert.json")
+    assert run(capsys, "gen", "--kind", "dft", "--n", "2", "--m", "64", "--out", system)[0] == 0
+    assert run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)[0] == 0
+    doc = json.loads(Path(cert).read_text())
+    doc["constants"] = {"lower": True, "upper": True}
+    Path(cert).write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--system", system, "--certificate", cert)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "bad number True" in err
+
+
 def test_verify_exit_2_on_tampering(tmp_path, capsys):
     system = str(tmp_path / "sys.csv")
     cert = str(tmp_path / "cert.json")

@@ -351,13 +351,14 @@ def test_side_two_by_subtraction_matches_direct(case):
     cfg = OracleConfig(seed=3)
     cert = halving_select(frame, theta, cfg)
     assert len(cert.rounds) >= 2
-    active = src = np.arange(frame.m, dtype=np.int64)
+    active = active_src = src = np.arange(frame.m, dtype=np.int64)
     active_op = frame_operator(frame)
     for j, rnd in enumerate(cert.rounds):
-        s1, b1, b2, tried, op1 = _randomized(
-            frame, src, active, active_op, rnd.target_lower, rnd.target_upper,
+        s1, b1, b2, tried, op1, src1 = _randomized(
+            frame, active, active_src, active_op, rnd.target_lower, rnd.target_upper,
             cfg.budget, cfg.seed + j,
         )
+        assert np.array_equal(src1, src[s1])
         s2 = np.setdiff1d(active, s1)
         assert tuple(s1.tolist()) == rnd.kept and tried == rnd.candidates_tried
         assert np.array_equal(np.union1d(s1, s2), active)
@@ -368,7 +369,7 @@ def test_side_two_by_subtraction_matches_direct(case):
         assert abs(b2.lower - direct.lower) <= tol
         assert abs(b2.upper - direct.upper) <= tol
         assert np.array_equal(op1, _gram(frame.vectors[:, s1]))
-        active, active_op = s1, op1
+        active, active_src, active_op = s1, src1, op1
 
 
 def test_side_two_near_a_target_takes_the_direct_verdict():
@@ -393,11 +394,12 @@ def test_side_two_near_a_target_takes_the_direct_verdict():
         expected = _split_ok(d1, d2, lo_t, up_t)
         verdicts.add(expected)
         if expected:
-            found = _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
+            found = _randomized(frame, active, src, active_op, lo_t, up_t, 1, seed)
             assert found[2] == d2
+            assert np.array_equal(found[5], src[found[0]])
         else:
             with pytest.raises(SearchFailureError):
-                _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
+                _randomized(frame, active, src, active_op, lo_t, up_t, 1, seed)
     assert verdicts == {True, False}
 
 
@@ -432,10 +434,11 @@ def test_side_one_near_a_target_takes_the_direct_verdict():
         verdicts.add(expected)
         flips += expected != _split_ok(by_counts, d2, lo_t, up_t)
         if expected:
-            found = _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
+            found = _randomized(frame, active, src, active_op, lo_t, up_t, 1, seed)
             assert found[1] == d1
+            assert np.array_equal(found[5], src[found[0]])
         else:
             with pytest.raises(SearchFailureError):
-                _randomized(frame, src, active, active_op, lo_t, up_t, 1, seed)
+                _randomized(frame, active, src, active_op, lo_t, up_t, 1, seed)
     assert verdicts == {True, False}
     assert flips  # the counted operator alone would have judged otherwise

@@ -989,6 +989,48 @@ def test_certificate_missing_keys(tmp_path):
         load_certificate(path)
 
 
+def test_json_booleans_are_no_numbers(tmp_path):
+    # JSON true and false would read as 1.0 and 0.0; number lists refuse
+    # them, as point_indices does, and the error names the cell
+    path = str(tmp_path / "cert.json")
+    good = {
+        "kind": "weighted",
+        "point_indices": [0, 1],
+        "input_fingerprint": "sha256:0",
+        "constants": {"lower": "0.5", "upper": "2.0"},
+    }
+    for doc, message in (
+        (dict(good, constants={"lower": True, "upper": True}), "bad number True"),
+        (dict(good, constants={"lower": "0.5", "upper": False}), "bad number False"),
+        (dict(good, theta=True), "bad number True"),
+        (dict(good, weights=["0.5", False]), "bad number False"),
+    ):
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ParseError, match=message) as info:
+            load_certificate(path)
+        assert info.value.path == path
+
+    system = SampledSystem(
+        np.array([[1.0, -0.5, 2.0]]),
+        np.array([[0.0, 1.0], [1.5, 2.25], [3.0, 4.0]]),
+        point_weights=np.array([0.25, 0.5, 0.25]),
+    )
+    sys_path = str(tmp_path / "sys.csv")
+    save_system(system, sys_path)
+    side = Path(f"{sys_path}.json")
+    meta = json.loads(side.read_text())
+    for key, value in (
+        ("point_weights", ["0.25", True, "0.25"]),
+        ("points", [["0.0", "1.0"], ["1.5", False], ["3.0", "4.0"]]),
+        ("points", [True, "1.5", "3.0"]),
+    ):
+        side.write_text(json.dumps(dict(meta, **{key: value})))
+        with pytest.raises(ParseError, match="bad number (True|False)") as info:
+            load_system(sys_path)
+        assert info.value.path == str(side)
+
+
 # ---------------------------------------------------------------- verification
 
 
