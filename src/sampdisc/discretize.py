@@ -36,6 +36,7 @@ from .frame_core import (
     TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
+    _column_norms_squared,
     _float_array,
     _frozen_matrix,
     _gram,
@@ -159,6 +160,18 @@ class SampledSystem:
     def _fingerprint(self) -> str:
         return system_fingerprint(self)
 
+    @cached_property
+    def _point_sums(self) -> np.ndarray:
+        """Read-only sum_i |u_i(x_j)|^2 at each point j."""
+        return _column_norms_squared(self.values)
+
+    @cached_property
+    def _frame(self) -> FrameSystem:
+        """The frame of :func:`build_frame_from_samples`, built once, so
+        that its memoized norms and operator serve every equal-weight
+        selection on this system."""
+        return build_frame_from_samples(self)
+
 
 _PREFIX = "sha256v2:"
 _LEGACY_PREFIX = "sha256:"
@@ -238,6 +251,8 @@ class NikolskiiReport:
     the conjugated basis values at the peak point.  ``t`` normalizes
     that extreme so ||f||_inf <= t * sqrt(n) * ||f||.  ``==`` compares
     the scalar fields; the arrays follow from the system.
+    ``per_point_sums`` is read-only: every report on one system shares
+    the array the system measured once.
     """
 
     t: float
@@ -266,7 +281,7 @@ def condition_e_constant(system: SampledSystem) -> NikolskiiReport:
     per-point sums equals trace(Gram) = n up to the residual.
     """
     resid = _checked_residual(system, CONDITION_TOL)
-    sums = np.einsum("ij,ij->j", system.values, system.values.conj()).real
+    sums = system._point_sums
     j = int(np.argmax(sums))
     t2 = float(sums[j]) / system.n
     if t2 < 1.0 - resid - 1e-12:
@@ -370,8 +385,7 @@ def discretize_equal_weight(
     _checked_residual(system, TIGHTNESS_TOL)
     report = condition_e_constant(system)
     theta_used = report.t_squared if theta is None else float(theta)
-    frame = build_frame_from_samples(system)
-    hcert = halving_select(frame, theta_used, config)
+    hcert = halving_select(system._frame, theta_used, config)
     log = (
         {
             "stage": "concentration",

@@ -74,9 +74,22 @@ class FrameSystem:
 
     @cached_property
     def _norms_squared(self) -> np.ndarray:
-        norms = np.einsum("ij,ij->j", self.vectors, self.vectors.conj()).real
-        norms.setflags(write=False)
-        return norms
+        return _column_norms_squared(self.vectors)
+
+    @cached_property
+    def _operator(self) -> np.ndarray:
+        """Read-only frame operator, measured once per frame: halving
+        starts from it, and :func:`frame_operator` returns a copy."""
+        operator = _gram(self.vectors)
+        operator.setflags(write=False)
+        return operator
+
+
+def _column_norms_squared(matrix: np.ndarray) -> np.ndarray:
+    """Read-only sum_i |a_ij|^2 of each column j of ``matrix``."""
+    norms = np.einsum("ij,ij->j", matrix, matrix.conj()).real
+    norms.setflags(write=False)
+    return norms
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -136,14 +149,15 @@ def _operator_bounds(operator: np.ndarray) -> FrameBounds:
 def frame_operator(frame: FrameSystem) -> np.ndarray:
     """Sum of outer products v_j v_j* of all frame vectors.
 
-    Returns an (n, n) Hermitian matrix (explicitly symmetrized).
+    Returns a fresh, writable (n, n) Hermitian matrix (explicitly
+    symmetrized).
     """
-    return _gram(frame.vectors)
+    return frame._operator.copy()
 
 
 def frame_bounds(frame: FrameSystem) -> FrameBounds:
     """Extreme eigenvalues of the frame operator."""
-    return _gram_bounds(frame.vectors)
+    return _operator_bounds(frame._operator)
 
 
 def verify_tight(frame: FrameSystem, tol: float) -> bool:

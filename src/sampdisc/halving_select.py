@@ -110,8 +110,16 @@ class HalvingRound:
     candidates_tried: int
 
     def __post_init__(self):
-        kept = np.array(self.kept_indices, dtype=np.int64)
-        kept.setflags(write=False)
+        kept = self.kept_indices
+        # a read-only int64 array is kept as is; anything else is copied,
+        # so a caller's writable array is never frozen or shared
+        if not (
+            isinstance(kept, np.ndarray)
+            and kept.dtype == np.int64
+            and not kept.flags.writeable
+        ):
+            kept = np.array(kept, dtype=np.int64)
+            kept.setflags(write=False)
         object.__setattr__(self, "kept_indices", kept)
 
     @cached_property
@@ -199,7 +207,7 @@ def halving_select(
             )
         src, counts = copies._copy_to_source, copies._counts
     m = src.size
-    operator = _gram(frame.vectors, counts)
+    operator = frame._operator if counts is None else _gram(frame.vectors, counts)
     if theta > m / frame.n * (1.0 + 1e-12):
         raise PreconditionError(f"theta={theta} exceeds m/n={m / frame.n}")
     cfg = config or OracleConfig()
@@ -226,6 +234,7 @@ def halving_select(
             kept, measured, _, tried, operator, kept_src = _randomized(
                 frame, kept, kept_src, operator, lo_t, up_t, cfg.budget, cfg.seed + j
             )
+            kept.setflags(write=False)
             log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
     # zero vectors never affect bounds and are dropped from J
     nonzero = frame.norms_squared()[kept_src] > 0.0

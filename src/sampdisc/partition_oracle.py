@@ -159,10 +159,10 @@ def _check_norms(frame: FrameSystem, delta: float, src: np.ndarray, cols=None):
     """Reject a squared norm above delta (relative slack 1e-9) among the
     columns ``cols``, or all columns, naming the first copy of the
     offending column; copy i is column ``src[i]`` (nondecreasing)."""
-    idx = np.arange(frame.m) if cols is None else cols
-    norms = frame.norms_squared()[idx]
+    norms = frame.norms_squared() if cols is None else frame.norms_squared()[cols]
     if norms.max() > delta * (1.0 + 1e-9):
-        offender = int(np.searchsorted(src, idx[np.argmax(norms)]))
+        column = np.argmax(norms) if cols is None else cols[np.argmax(norms)]
+        offender = int(np.searchsorted(src, column))
         raise PreconditionError(
             f"vector {offender} has squared norm {norms.max():.6e} "
             f"exceeding delta={delta:.6e}"

@@ -4,6 +4,7 @@ complex-to-real transfer."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sampdisc import (
     monte_carlo_refine,
     recompute_constants,
     reorthonormalize,
+    save_certificate,
     spectral_partition,
     transfer_certificate,
     verify_certificate,
@@ -239,6 +241,45 @@ def test_orthonormality_residual_measured_once(monkeypatch):
     assert frame.norms_squared() is norms and len(einsums) == 1
     assert not norms.flags.writeable
     np.testing.assert_allclose(norms, np.full(32, 5.0))
+
+
+def test_selection_inputs_measured_once_per_system():
+    system = make_system(SystemDescriptor("dft", n=8, m=8192), field="complex")
+    report = condition_e_constant(system)
+    assert condition_e_constant(system).per_point_sums is report.per_point_sums
+    assert not report.per_point_sums.flags.writeable
+    discretize_equal_weight(system, OracleConfig(seed=3))
+    assert not system._frame._operator.flags.writeable
+    # a second selection reuses the frame, its norms and its operator,
+    # so it allocates about one half-frame gather, not the n x m copies
+    tracemalloc.start()
+    try:
+        discretize_equal_weight(system, OracleConfig(seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * system.values.nbytes
+
+
+@pytest.mark.parametrize("kind, n, field", [("dft", 8, "complex"), ("trig", 9, "real")])
+def test_reused_system_writes_the_bytes_of_a_fresh_one(tmp_path, kind, n, field):
+    desc = SystemDescriptor(kind, n=n, m=8192)
+    system = make_system(desc, field=field)
+    path = tmp_path / "cert.json"
+
+    def saved(cert):
+        save_certificate(cert, str(path))
+        return path.read_bytes()
+
+    def weighted():
+        return saved(discretize_weighted(system, OracleConfig(seed=1)))
+
+    before = weighted()
+    for seed in (3, 4, 3):
+        reused = saved(discretize_equal_weight(system, OracleConfig(seed=seed)))
+        fresh = make_system(desc, field=field)
+        assert reused == saved(discretize_equal_weight(fresh, OracleConfig(seed=seed)))
+    assert weighted() == before
 
 
 def test_fingerprint_hashed_once_but_matches_hash_again(monkeypatch):

@@ -110,6 +110,26 @@ def test_iterative_path_rounds_are_a_tuple():
     hash(cert)
 
 
+def test_round_copies_a_writable_array_and_keeps_a_frozen_one():
+    def round_of(kept):
+        return HalvingRound(0, kept, FrameBounds(0.4, 0.6), 0.3, 0.7, 1)
+
+    kept = np.array([0, 2, 5], dtype=np.int64)
+    round_ = round_of(kept)
+    assert kept.flags.writeable and not round_.kept_indices.flags.writeable
+    assert not np.shares_memory(round_.kept_indices, kept)
+    kept[0] = 1
+    assert round_.kept == (0, 2, 5)
+    # a read-only int64 array, as halving logs its own, is not copied
+    kept.setflags(write=False)
+    assert round_of(kept).kept_indices is kept
+    for other in ((1, 2), np.array([1, 2], dtype=np.int32)):
+        frozen = round_of(other).kept_indices
+        assert frozen.dtype == np.int64 and not frozen.flags.writeable
+    cert = halving_select(dft_frame(2, 1024), 1.0)
+    assert all(not r.kept_indices.flags.writeable for r in cert.rounds)
+
+
 def test_fast_path_drops_zero_vectors():
     frame = FrameSystem(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     cert = halving_select(frame, 1.5)
