@@ -170,10 +170,12 @@ def verify_tight(frame: FrameSystem, tol: float) -> bool:
 
 def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
     """A fresh float64 array of ``values``, or complex128 when they are
-    complex and ``complex_ok`` is set; anything else, overflow included,
-    raises :class:`PreconditionError` naming the input as ``what``."""
+    complex and ``complex_ok`` is set; anything else (bools, strings, bytes
+    and overflow too) raises :class:`PreconditionError` naming it ``what``."""
     try:
         v = np.asarray(values)
+        if v.dtype.kind in "bUS":
+            raise TypeError
         v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
     except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"{what} are not numbers") from None

@@ -1,16 +1,14 @@
 """Built-in sampled systems and plain-text serialization.
 
-Systems travel as a CSV of values plus a JSON sidecar with the
-metadata (points, weights, field, provenance of the generator).
-Certificates travel as standalone JSON.  All floating point numbers
-are written as exact decimal representations (``repr``), so files
-round-trip bit for bit and rerunning a command reproduces identical
-bytes.  Each distinct value of an array is formatted once, by a
-vectorized ``repr`` (:mod:`sampdisc._reprs`); CSV rows are streamed one
-by one, and each list of the sidecar is written by one join.  The bytes
-are those of a per-cell ``repr``.  Beside the CSV, a binary copy of its
-cells bound to the CSV bytes by their sha256 lets loading skip the text
-parse.
+Systems travel as a CSV of values plus a JSON sidecar with the metadata
+(points, weights, field, provenance of the generator); certificates
+travel as standalone JSON.  Floats are written as their exact ``repr``,
+so files round-trip bit for bit and a rerun reproduces identical bytes.
+Each distinct value of an array is formatted once, by a vectorized
+``repr`` (:mod:`sampdisc._reprs`), and each CSV row or JSON list is one
+join.  One writer, :func:`_json_text`, lays out both JSON files.  Beside
+the CSV, a binary copy of its cells bound to the CSV bytes by their
+sha256 lets loading skip the text parse.
 """
 
 from __future__ import annotations
@@ -198,6 +196,8 @@ def _json_floats(cells: np.ndarray) -> str:
     out as ``json.dump(..., indent=2)`` lays out a top-level key's value.
     One join writes every row: its separator closes one row's list and
     opens the next.  A float's repr holds no character JSON escapes."""
+    if not len(cells):
+        return "[]"
     pad = ["\n" + "  " * k for k in (1, 2, 3)]
     nested = cells.ndim - 1  # 1 when each row is a list of its own
     rows = cells if nested else cells[None, :]
@@ -210,26 +210,18 @@ def _json_floats(cells: np.ndarray) -> str:
     return f"[{pad[1]}{head}{body}{tail}{pad[0]}]" if nested else head + body + tail
 
 
-def _sidecar_text(system: SampledSystem) -> str:
-    """``json.dump(meta, sort_keys=True, indent=2)`` of the sidecar plus
-    "\n", with the point and weight lists written by :func:`_json_floats`:
-    ``indent`` would put them through the pure-Python encoder."""
-    head = json.dumps(
-        {
-            "field": system.field,
-            "fingerprint": system.fingerprint(),
-            "m": system.m,
-            "n": system.n,
-        },
-        sort_keys=True,
-        indent=2,
-    )
-    # head ends in "\n}"; the remaining keys sort after "n", in this order
-    return (
-        f'{head[:-2]},\n  "point_weights": {_json_floats(system.point_weights)},\n'
-        f'  "points": {_json_floats(_point_rows(system.points))},\n'
-        f'  "schema_version": {json.dumps(SCHEMA_VERSION)}\n}}\n'
-    )
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus "\n", but with each
+    float64 array value written by :func:`_json_floats`.  Any other value is
+    dumped alone and indented a level: JSON escapes each newline in a string."""
+    items = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            text = _json_floats(value)
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def _system_files(path: str) -> tuple:
@@ -247,8 +239,7 @@ def save_system(system: SampledSystem, path: str) -> None:
     row, never held whole.  ``path + ".f64"`` gets the sha256 of the CSV
     bytes followed by the same cells as row-major little-endian float64.
     """
-    # the rows csv.writer would write: no cell needs quoting, "\r\n" ends
-    # each row
+    # csv.writer's rows: no cell needs quoting, and "\r\n" ends each row
     flat = np.ascontiguousarray(system.values).view(np.float64)
     _, side, cache = _system_files(path)
     digest = hashlib.sha256()
@@ -260,8 +251,17 @@ def save_system(system: SampledSystem, path: str) -> None:
     with open(cache, "wb") as fh:
         fh.write(digest.digest())
         fh.write(flat.astype("<f8", copy=False).tobytes())
+    meta = {
+        "field": system.field,
+        "fingerprint": system.fingerprint(),
+        "m": system.m,
+        "n": system.n,
+        "point_weights": system.point_weights,
+        "points": _point_rows(system.points),
+        "schema_version": SCHEMA_VERSION,
+    }
     with open(side, "w") as fh:
-        fh.write(_sidecar_text(system))
+        fh.write(_json_text(meta))
 
 
 def _cached_values(path: str, csv_bytes: bytes, n: int, width: int):
@@ -378,9 +378,8 @@ def load_system(path: str) -> SampledSystem:
 
 
 def _encoded(value):
-    """``value`` with every float, also inside dicts, lists and tuples,
-    written as its :func:`_fmt` string; tuples become lists, and bools,
-    ints, strings and None stay as they are."""
+    """``value`` with every float, also in dicts, lists and tuples, as its
+    :func:`_fmt` string; tuples become lists, and all else stays as it is."""
     if isinstance(value, float):
         return _fmt(value)
     if isinstance(value, dict):
@@ -390,34 +389,35 @@ def _encoded(value):
     return value
 
 
-def _encode_certificate(cert: DiscretizationCertificate, settings: dict) -> dict:
-    # settings stay unencoded: a threshold such as 1e-08 is a JSON number
-    document = _encoded(
+def save_certificate(
+    cert: DiscretizationCertificate, path: str, settings: Optional[dict] = None
+) -> None:
+    """Write a certificate as deterministic JSON (sorted keys, no
+    timestamps); identical inputs produce identical bytes."""
+    # only float64 points and all-float weights go in as arrays; ints stay bare
+    points, weights = _point_rows(cert.points), cert.weights
+    if points.dtype != np.float64 or points.ndim != 2:
+        points = points.tolist()
+    if isinstance(weights, (list, tuple)) and all(isinstance(w, float) for w in weights):
+        weights = np.array(weights, dtype=np.float64)
+    doc = _encoded(
         {
             "schema_version": SCHEMA_VERSION,
             "kind": cert.kind,
             "input_fingerprint": cert.input_fingerprint,
             "m": cert.m,
             "point_indices": cert.point_indices,
-            "points": _point_rows(cert.points).tolist(),
+            "points": points,
             "constants": cert.constants._asdict(),
             "theta": cert.theta,
-            "weights": cert.weights,
+            "weights": weights,
             "pipeline_log": cert.pipeline_log,
         }
     )
-    return {**document, "settings": settings}
-
-
-def save_certificate(
-    cert: DiscretizationCertificate, path: str, settings: Optional[dict] = None
-) -> None:
-    """Write a certificate as deterministic JSON (sorted keys, no
-    timestamps); identical inputs produce identical bytes."""
-    doc = _encode_certificate(cert, settings or {})
+    # settings stay unencoded: a threshold such as 1e-08 is a JSON number
+    doc["settings"] = settings or {}
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(doc))
 
 
 def load_certificate(path: str) -> dict:

@@ -172,6 +172,23 @@ def test_points_must_be_finite_numbers(points, message):
         SampledSystem(np.sqrt(2.0) * np.eye(2), points)
 
 
+def test_bools_strings_and_bytes_are_no_numbers():
+    # as for indices: numpy would read these as 1.0, 0.0 and 0.25
+    trig = make_system(SystemDescriptor("trig", n=3, m=8))
+    for build, message in (
+        (lambda: FrameSystem([[True, False]]), "frame vectors are not numbers"),
+        (lambda: FrameSystem([[b"1", b"0"]]), "frame vectors are not numbers"),
+        (lambda: SampledSystem([["1", "1"]], ["0", "1"]), "sampled values are not numbers"),
+        (lambda: SampledSystem(np.eye(2), [False, True]), "points are not numbers"),
+        (
+            lambda: recompute_constants(trig, [0, 1, 2, 3], ["0.25"] * 4),
+            "weights are not numbers",
+        ),
+    ):
+        with pytest.raises(PreconditionError, match=message):
+            build()
+
+
 def test_fingerprint_sensitivity():
     base = make_system(SystemDescriptor("trig", n=3, m=8))
     same = SampledSystem(base.values, base.points, base.point_weights)

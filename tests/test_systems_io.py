@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sampdisc import (
+    DiscretizationCertificate,
     DiscretizationError,
     FrameBounds,
     OracleConfig,
@@ -1029,6 +1030,112 @@ def test_json_booleans_are_no_numbers(tmp_path):
         with pytest.raises(ParseError, match="bad number (True|False)") as info:
             load_system(sys_path)
         assert info.value.path == str(side)
+
+
+_EDGE_FLOATS = [-0.0, 1e16, 5e-324, float("nan"), 0.1, -1e-300, 1e22]
+
+
+def _quoted(value):
+    """``value`` with every float, also in arrays, dicts, lists and
+    tuples, as its ``repr``; arrays and tuples become lists."""
+    if isinstance(value, np.ndarray):
+        return _quoted(value.tolist())
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _quoted(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_quoted(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (0, 2), (2, 0), (3, 2)])
+def test_json_text_is_json_dumps_with_arrays_of_reprs(shape):
+    cells = np.resize(np.array(_EDGE_FLOATS), shape)
+    doc = {
+        "values": cells,
+        "more": np.array(_EDGE_FLOATS),
+        "none": None,
+        "count": 7,
+        "negative": -3,
+        "name": 'a "quoted"\nname, "values": [\\n',
+        "nested": {"b": [1, {"c": None, "a": []}], "a": {}, "z": "x\ny"},
+        "empty_list": [],
+        "empty_dict": {},
+        "flag": True,
+        "é": ["é", "\n"],
+    }
+    ref = _quoted(doc)
+    expected = json.dumps(ref, sort_keys=True, indent=2) + "\n"
+    assert systems_io._json_text(doc) == expected
+    # an array is the document's only key, first or last among others
+    for extra in ({}, {"a": 1}, {"zz": [1, 2]}):
+        one = {"values": cells, **extra}
+        assert systems_io._json_text(one) == (
+            json.dumps(_quoted(one), sort_keys=True, indent=2) + "\n"
+        )
+
+
+def _reference_certificate_bytes(cert, settings=None):
+    """A certificate as ``json.dump`` of the per-value encoded document:
+    every float quoted, ints and bools as they are, settings unencoded."""
+    points = cert.points if cert.points.ndim == 2 else cert.points[:, None]
+    doc = _quoted(
+        {
+            "schema_version": "1",
+            "kind": cert.kind,
+            "input_fingerprint": cert.input_fingerprint,
+            "m": cert.m,
+            "point_indices": cert.point_indices,
+            "points": points,
+            "constants": cert.constants._asdict(),
+            "theta": cert.theta,
+            "weights": cert.weights,
+            "pipeline_log": cert.pipeline_log,
+        }
+    )
+    doc["settings"] = settings or {}
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.zeros(0),
+        np.zeros((0, 2)),
+        np.zeros((2, 0)),
+        np.array([0.5, -0.0, 5e-324]),
+        np.array([[0.25, 1e16], [-0.0, float("nan")], [1e-300, 2.0]]),
+        np.array([1, 2, 3]),
+        np.array([[1, 2], [3, 4]]),
+        np.array([1.5, 2.5], dtype=np.float32),
+        np.arange(8.0).reshape(2, 2, 2),
+    ],
+    ids=[
+        "empty", "empty-rows", "no-coordinates", "1d", "2d", "int-1d", "int-2d", "f32", "3d"
+    ],
+)
+@pytest.mark.parametrize(
+    "weights",
+    [None, (), (1, 2), (0.25, -0.0, 5e-324, 1e16), (1, 0.5), (True, 0.5)],
+    ids=["none", "empty", "ints", "floats", "int-and-float", "bool-and-float"],
+)
+def test_save_certificate_as_the_per_value_writer(tmp_path, points, weights):
+    cert = DiscretizationCertificate(
+        kind="weighted",
+        point_indices=tuple(range(len(points))),
+        points=points,
+        m=len(points),
+        weights=weights,
+        constants=FrameBounds(0.5, 2.0),
+        theta=0.1,
+        input_fingerprint="sha256v2:0",
+        pipeline_log=({"stage": "halving", "bounds": (0.5, 1.5), "tried": 3},),
+    )
+    path = tmp_path / "cert.json"
+    for settings in (None, {"seed": 3, "threshold": 1e-08, "tags": ["a", 1.5]}):
+        save_certificate(cert, str(path), settings=settings)
+        assert path.read_bytes() == _reference_certificate_bytes(cert, settings)
 
 
 # ---------------------------------------------------------------- verification
