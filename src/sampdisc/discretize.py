@@ -41,6 +41,7 @@ from .frame_core import (
     _frozen_matrix,
     _gram,
     _gram_bounds,
+    _read_only,
     _validated_indices,
     _validated_integer,
     _validated_weights,
@@ -94,7 +95,8 @@ class SampledSystem:
     ``values`` has shape (n, m): row i holds u_i at all points.
     ``points`` stores the point coordinates, shape (m,) or (m, d).
     ``point_weights`` is a probability vector (positive, sums to 1);
-    uniform 1/m when omitted.  Systems compare by identity.
+    uniform 1/m when omitted.  The arrays are kept under the rule of
+    ``frame_core._read_only``.  Systems compare by identity.
     """
 
     values: np.ndarray
@@ -113,8 +115,7 @@ class SampledSystem:
             )
         if not np.isfinite(pts).all():
             raise PreconditionError("points contain non-finite entries")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(pts))
 
         m = v.shape[1]
         w = np.full(m, 1.0 / m) if self.point_weights is None else self.point_weights
@@ -123,8 +124,7 @@ class SampledSystem:
             raise PreconditionError("point weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise PreconditionError(f"point weights sum to {w.sum()}, expected 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "point_weights", w)
+        object.__setattr__(self, "point_weights", _read_only(w))
 
     @property
     def n(self) -> int:
@@ -144,7 +144,7 @@ class SampledSystem:
 
     def orthonormality_residual(self) -> float:
         """Spectral norm of gram() - identity, measured once per system:
-        the arrays are read-only private copies."""
+        the arrays are read-only."""
         return self._residual
 
     @cached_property
@@ -168,8 +168,8 @@ class SampledSystem:
     @cached_property
     def _frame(self) -> FrameSystem:
         """The frame of :func:`build_frame_from_samples`, built once, so
-        that its memoized norms and operator serve every equal-weight
-        selection on this system."""
+        that its memoized norms and operator serve every selection and
+        re-orthonormalization of this system."""
         return build_frame_from_samples(self)
 
 
@@ -303,9 +303,11 @@ def build_frame_from_samples(system: SampledSystem) -> FrameSystem:
 
     Its frame operator equals the discrete Gram matrix, so the frame is
     tight exactly when the system is orthonormal.  With uniform weights
-    this is the usual 1/sqrt(m) scaling.
+    this is the usual 1/sqrt(m) scaling.  Each call builds a new frame.
     """
-    return FrameSystem(system.values * np.sqrt(system.point_weights))
+    vectors = system.values * np.sqrt(system.point_weights)
+    vectors.setflags(write=False)
+    return FrameSystem(vectors)
 
 
 @dataclass(frozen=True)
@@ -510,19 +512,10 @@ def reorthonormalize(system: SampledSystem) -> SampledSystem:
     Already-orthonormal input (residual <= 1e-12) is returned unchanged
     with an identity change of basis.
     """
-    resid = system.orthonormality_residual()
-    if resid <= 1e-12:
-        return SampledSystem(
-            system.values,
-            system.points,
-            system.point_weights,
-            basis_change=BasisChange(
-                matrix=np.eye(system.n), source_fingerprint=system.fingerprint()
-            ),
-        )
-    sqrt_w = np.sqrt(system.point_weights)
-    a = system.values * sqrt_w
-    p, s, qh = np.linalg.svd(a, full_matrices=False)
+    if system.orthonormality_residual() <= 1e-12:
+        change = BasisChange(np.eye(system.n), system.fingerprint())
+        return SampledSystem(system.values, system.points, system.point_weights, change)
+    p, s, qh = np.linalg.svd(system._frame.vectors, full_matrices=False)
     if s[0] <= 0.0:
         raise PreconditionError("cannot orthonormalize a zero row space")
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
@@ -535,16 +528,12 @@ def reorthonormalize(system: SampledSystem) -> SampledSystem:
         phase = row[lead] / abs(row[lead])
         b[r] = row * np.conj(phase)
         t[:, r] = t[:, r] * phase
-    new_values = b / sqrt_w
+    new_values = b / np.sqrt(system.point_weights)
     if np.isrealobj(system.values):
         new_values = new_values.real
         t = t.real
-    return SampledSystem(
-        new_values,
-        system.points,
-        system.point_weights,
-        basis_change=BasisChange(matrix=t, source_fingerprint=system.fingerprint()),
-    )
+    change = BasisChange(t, system.fingerprint())
+    return SampledSystem(new_values, system.points, system.point_weights, change)
 
 
 def discretize_continuous(
@@ -625,7 +614,7 @@ def discretize_weighted(
     sums are plain sum_nu lambda_nu |f(xi_nu)|^2.
     """
     _checked_residual(system, TIGHTNESS_TOL)
-    frame = build_frame_from_samples(system)
+    frame = system._frame
     keep = np.flatnonzero(frame.norms_squared() > 0.0)
     frame = frame if keep.size == frame.m else FrameSystem(frame.vectors[:, keep])
     wcert = weighted_select(frame, config, cap=cap)

@@ -68,8 +68,8 @@ class FrameSystem:
     def norms_squared(self) -> np.ndarray:
         """Squared Euclidean norm of each vector, shape (m,), read-only;
         measured once per frame, since halving reads them twice per call
-        (its norm check and its zero-vector drop) and ``vectors`` is a
-        read-only private copy."""
+        (its norm check and its zero-vector drop) and ``vectors`` is
+        read-only."""
         return self._norms_squared
 
     @cached_property
@@ -168,15 +168,24 @@ def verify_tight(frame: FrameSystem, tol: float) -> bool:
     return b.lower >= 1.0 - tol and b.upper <= 1.0 + tol
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` if read-only, else a read-only copy in its own memory order:
+    the one copy rule for every array the package keeps."""
+    if array.flags.writeable:
+        array = array.copy(order="K")
+        array.setflags(write=False)
+    return array
+
+
 def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
-    """A fresh float64 array of ``values``, or complex128 when they are
-    complex and ``complex_ok`` is set; anything else (bools, strings, bytes
-    and overflow too) raises :class:`PreconditionError` naming it ``what``."""
+    """``values`` as float64, or complex128 when complex and ``complex_ok``,
+    copied only to convert; anything else (bools, strings, bytes and
+    overflow too) raises :class:`PreconditionError` naming it ``what``."""
     try:
         v = np.asarray(values)
         if v.dtype.kind in "bUS":
             raise TypeError
-        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
+        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"{what} are not numbers") from None
     if v.dtype == np.complex128 and not complex_ok:
@@ -185,8 +194,8 @@ def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
 
 
 def _frozen_matrix(values, what: str) -> np.ndarray:
-    """A read-only float64 (or complex128) copy of a non-empty, finite
-    2-d array; ``what`` names it in error messages."""
+    """A non-empty, finite 2-d float64 (or complex128) array, kept under
+    :func:`_read_only`; ``what`` names it in error messages."""
     v = _float_array(values, what, complex_ok=True)
     if v.ndim != 2 or 0 in v.shape:
         raise PreconditionError(
@@ -194,8 +203,7 @@ def _frozen_matrix(values, what: str) -> np.ndarray:
         )
     if not np.isfinite(v).all():
         raise PreconditionError(f"{what} contain non-finite entries")
-    v.setflags(write=False)
-    return v
+    return _read_only(v)
 
 
 def _validated_integers(values: Iterable[int], what: str) -> np.ndarray:
@@ -217,13 +225,11 @@ def _validated_integers(values: Iterable[int], what: str) -> np.ndarray:
         raise PreconditionError(f"{what} is not a flat list") from None
     if ints.ndim != 1:
         raise PreconditionError(f"{what} is not a flat list")
-    if ints.size == 0:
-        return ints.astype(np.int64, copy=False)
-    if ints.dtype != np.int64:
-        if ints.dtype.kind not in "iu" or ints.max() > np.iinfo(np.int64).max:
-            raise PreconditionError(f"{what} entries are not 64-bit integers")
-        ints = ints.astype(np.int64)
-    return ints
+    if ints.size and ints.dtype != np.int64 and (
+        ints.dtype.kind not in "iu" or ints.max() > np.iinfo(np.int64).max
+    ):
+        raise PreconditionError(f"{what} entries are not 64-bit integers")
+    return ints.astype(np.int64, copy=False)
 
 
 def _validated_integer(value, minimum: int, what: str) -> int:
@@ -262,8 +268,8 @@ def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:
 
 
 def _validated_weights(weights, size: int, what: str) -> np.ndarray:
-    """One finite, nonnegative weight per entry as a fresh float64 array
-    of shape (size,); ``what`` names the weights in error messages."""
+    """One finite, nonnegative weight per entry as a float64 array of
+    shape (size,), copied only to convert; ``what`` names the weights."""
     w = _float_array(weights, what)
     if w.shape != (size,):
         raise PreconditionError(f"{what} for {size} entries have shape {w.shape}")

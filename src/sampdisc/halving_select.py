@@ -32,6 +32,7 @@ from .frame_core import (
     _gram,
     _gram_bounds,
     _operator_bounds,
+    _read_only,
     _validated_indices,
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
@@ -110,16 +111,7 @@ class HalvingRound:
     candidates_tried: int
 
     def __post_init__(self):
-        kept = self.kept_indices
-        # a read-only int64 array is kept as is; anything else is copied,
-        # so a caller's writable array is never frozen or shared
-        if not (
-            isinstance(kept, np.ndarray)
-            and kept.dtype == np.int64
-            and not kept.flags.writeable
-        ):
-            kept = np.array(kept, dtype=np.int64)
-            kept.setflags(write=False)
+        kept = _read_only(np.asarray(self.kept_indices, dtype=np.int64))
         object.__setattr__(self, "kept_indices", kept)
 
     @cached_property

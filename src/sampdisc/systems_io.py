@@ -425,6 +425,7 @@ def load_certificate(path: str) -> dict:
 
     Returns a plain dict (the JSON document) with ``constants`` turned
     back into :class:`FrameBounds` under the key "constants_decoded",
+    ``points``, when present, as (k, d) float64 rows under "points_decoded",
     weights decoded to floats, and indices checked to be integers.
     Verification works from this document plus the system file.
     """
@@ -436,6 +437,8 @@ def load_certificate(path: str) -> dict:
         raise ParseError("constants need lower and upper", path=path)
     bounds = _parse_floats([consts["lower"], consts["upper"]], path, None)
     doc["constants_decoded"] = FrameBounds(*bounds)
+    if "points" in doc:
+        doc["points_decoded"] = _point_rows(_parse_points(doc["points"], path))
     indices = doc["point_indices"]
     # exact ints only: int() would turn 1.5 into 1 and true into 1
     if not isinstance(indices, list) or any(type(i) is not int for i in indices):

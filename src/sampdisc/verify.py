@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .discretize import (
     CONDITION_TOL,
     SampledSystem,
+    _point_rows,
     fingerprint_matches,
     recompute_constants,
 )
@@ -47,8 +50,9 @@ def verify_certificate(
     stored constants are not finite, :func:`recompute_constants` rejects
     the indices or weights (they must be distinct integer indices in
     0..m-1 with one finite, nonnegative weight each), the selection is
-    empty, the recomputed constants differ from the stored ones by more
-    than ``tol``, or the lower constant is not strictly positive.  Raises
+    empty, ``m`` or decoded points disagree with the indices, the
+    recomputed constants differ from the stored ones by more than ``tol``,
+    or the lower constant is not strictly positive.  Raises
     :class:`PreconditionError` when ``tol`` is not finite or negative.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -72,8 +76,13 @@ def verify_certificate(
     if len(indices) == 0:
         return report.fail("certificate selects no points")
     m = document.get("m")
-    if m is not None and m != len(indices):
+    # a JSON true equals 1, yet is no count; 1.0 is one
+    if m is not None and (type(m) is bool or m != len(indices)):
         report.fail(f"m={m!r} but {len(indices)} indices stored")
+    points = document.get("points_decoded")  # compared bit for bit
+    rows = _point_rows(system.points)[list(indices)].view(np.int64)
+    if points is not None and not np.array_equal(points.view(np.int64), rows):
+        report.fail("stored points are not the system's points at the indices")
 
     resid = system.orthonormality_residual()
     if resid > CONDITION_TOL:

@@ -29,6 +29,7 @@ from .frame_core import (
     FrameBounds,
     FrameSystem,
     _gram_bounds,
+    _read_only,
     _validated_indices,
     _validated_integer,
     _validated_integers,
@@ -58,12 +59,11 @@ class DuplicationMap:
     anchor: int
 
     def __post_init__(self):
-        counts = _validated_integers(self.counts, "copy counts").copy()
+        counts = _validated_integers(self.counts, "copy counts")
         if counts.size == 0 or (counts < 1).any():
             raise PreconditionError("copy counts must be a non-empty list of integers >= 1")
         anchor = _validated_indices((self.anchor,), counts.size, "copy anchor")
-        counts.setflags(write=False)
-        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_counts", _read_only(counts))
         object.__setattr__(self, "counts", tuple(counts.tolist()))
         object.__setattr__(self, "anchor", int(anchor[0]))
 
@@ -103,8 +103,9 @@ def _scaled_sources(frame: FrameSystem, cap: int) -> tuple[np.ndarray, Duplicati
             f"norm equalization needs {total} copies, cap is {cap}"
         )
 
-    scale = 1.0 / np.sqrt(counts.astype(np.float64))
-    return frame.vectors * scale, DuplicationMap(counts=counts, anchor=anchor)
+    scaled = frame.vectors * (1.0 / np.sqrt(counts.astype(np.float64)))
+    scaled.setflags(write=False)  # fresh, so the frame keeps it as is
+    return scaled, DuplicationMap(counts=counts, anchor=anchor)
 
 
 def duplicate_normalize(

@@ -106,6 +106,37 @@ def test_verify_exit_2_on_tampering(tmp_path, capsys):
         assert "mismatch:" in out
 
 
+def test_verify_exit_2_on_edited_points(tmp_path, capsys):
+    system = str(tmp_path / "sys.csv")
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "gen", "--kind", "trig", "--n", "3", "--m", "64", "--out", system)
+    run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)
+    doc = json.loads(Path(cert).read_text())
+    doc["points"][0] = ["123.0"]
+    Path(cert).write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
+    assert code == 2
+    assert "mismatch: stored points are not the system's points at the indices" in out
+
+
+def test_verify_exit_2_on_a_boolean_count(tmp_path, capsys):
+    # on a one-point certificate "m": true equals 1; 1.0 stays a count
+    system = str(tmp_path / "one.csv")
+    cert = str(tmp_path / "cert.json")
+    run(capsys, "gen", "--kind", "walsh", "--n", "1", "--m", "1", "--out", system)
+    code, _, _ = run(
+        capsys, "select-weighted", "--system", system, "--seed", "0", "--out", cert
+    )
+    doc = json.loads(Path(cert).read_text())
+    assert code == 0 and doc["m"] == 1
+    verify = ("verify", "--system", system, "--certificate", cert)
+    Path(cert).write_text(json.dumps(dict(doc, m=True)))
+    code, out, _ = run(capsys, *verify)
+    assert code == 2 and "mismatch: m=True but 1 indices stored" in out
+    Path(cert).write_text(json.dumps(dict(doc, m=1.0)))
+    assert run(capsys, *verify)[0] == 0
+
+
 def test_nikolskii_frozen_output(capsys):
     code, out, _ = run(capsys, "nikolskii", "--kind", "walsh", "--n", "4", "--m", "16")
     assert code == 0

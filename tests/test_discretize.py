@@ -278,6 +278,84 @@ def test_selection_inputs_measured_once_per_system():
     assert peak <= 1.5 * system.values.nbytes
 
 
+def _arrays(dtype, order):
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((3, 16)) + (1j if dtype == np.complex128 else 0)
+    return np.asarray(values, dtype=dtype, order=order), np.arange(16.0), np.full(16, 1 / 16)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_writable_arrays_are_copied_in_their_memory_order(dtype, order):
+    given = _arrays(dtype, order)
+    system = SampledSystem(*given)
+    frame = FrameSystem(given[0])
+    kept = (system.values, system.points, system.point_weights, frame.vectors)
+    for array, source in zip(kept, given + given[:1]):
+        assert array is not source and not np.shares_memory(array, source)
+        assert not array.flags.writeable and source.flags.writeable
+        assert array.flags.c_contiguous == source.flags.c_contiguous
+        assert array.flags.f_contiguous == source.flags.f_contiguous
+    before = [array.copy() for array in kept]
+    for source in given:
+        source[0] += 1.0
+    for array, old in zip(kept, before):
+        np.testing.assert_array_equal(array, old)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_read_only_arrays_are_kept_as_they_are(dtype):
+    given = _arrays(dtype, "F")
+    for array in given:
+        array.setflags(write=False)
+    system = SampledSystem(*given)
+    kept = (system.values, system.points, system.point_weights)
+    assert all(array is source for array, source in zip(kept, given))
+    assert FrameSystem(given[0]).vectors is given[0]
+    # a conversion makes an array of the package's own, read-only too
+    ints = np.arange(6).reshape(2, 3)
+    ints.setflags(write=False)
+    vectors = FrameSystem(ints).vectors
+    assert vectors.dtype == np.float64 and not vectors.flags.writeable
+    # re-basing an orthonormal system shares its arrays
+    orthonormal = make_system(SystemDescriptor("trig", n=3, m=16))
+    rebased = reorthonormalize(orthonormal)
+    assert rebased.values is orthonormal.values and rebased.points is orthonormal.points
+
+
+def test_frame_keeps_the_product_it_is_built_from():
+    system = make_system(SystemDescriptor("dft", n=8, m=8192))
+    tracemalloc.start()
+    try:
+        frame = build_frame_from_samples(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parent held the product and its copy: 2.06 x values.nbytes
+    assert peak <= 1.25 * system.values.nbytes
+    assert not frame.vectors.flags.writeable
+
+
+def test_pipelines_read_the_system_frame(monkeypatch):
+    builds = []
+    build = discretize.build_frame_from_samples
+    monkeypatch.setattr(
+        discretize, "build_frame_from_samples", lambda s: builds.append(s) or build(s)
+    )
+    system = make_system(SystemDescriptor("random_orthonormal", n=3, m=256, seed=1))
+    first = discretize_weighted(system, OracleConfig(seed=1))
+    discretize_equal_weight(system, OracleConfig(seed=1))
+    assert discretize_weighted(system, OracleConfig(seed=1)) == first
+    assert builds == [system]
+    skew = SampledSystem(system.values * np.array([[1.0], [2.0], [1.0]]), system.points)
+    rebased = reorthonormalize(skew)
+    assert builds == [system, skew]
+    frame = skew._frame.vectors
+    assert frame.tobytes() == (skew.values * np.sqrt(skew.point_weights)).tobytes()
+    assert reorthonormalize(skew).values.tobytes() == rebased.values.tobytes()
+    assert builds == [system, skew]
+
+
 @pytest.mark.parametrize("kind, n, field", [("dft", 8, "complex"), ("trig", 9, "real")])
 def test_reused_system_writes_the_bytes_of_a_fresh_one(tmp_path, kind, n, field):
     desc = SystemDescriptor(kind, n=n, m=8192)

@@ -680,6 +680,21 @@ def test_cache_values_bit_identical_to_parse(tmp_path, monkeypatch, field):
         assert back.fingerprint() == system.fingerprint()
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_loaded_values_are_a_read_only_view_of_the_binary_copy(tmp_path, field):
+    path = str(tmp_path / "edge.csv")
+    save_system(_edge_system(field), path)
+    values = load_system(path).values
+    assert not values.flags.writeable
+    # kept without a copy: the array views the bytes read from the file
+    root = values
+    while isinstance(root, np.ndarray):
+        root = root.base
+    assert isinstance(root, bytes)
+    Path(path + ".f64").unlink()
+    assert not load_system(path).values.flags.writeable
+
+
 def test_cache_ignored_after_csv_edit(tmp_path):
     system = make_system(SystemDescriptor("trig", n=3, m=8))
     path = tmp_path / "sys.csv"
@@ -863,18 +878,30 @@ JUNK = st.one_of(
 # every part of a certificate that verification reads
 CLAIM = st.one_of(
     st.tuples(
-        st.sampled_from(("input_fingerprint", "point_indices", "m", "weights", "constants"))
+        st.sampled_from(
+            ("input_fingerprint", "point_indices", "m", "weights", "constants", "points")
+        )
     ),
-    st.tuples(st.sampled_from(("point_indices", "weights")), st.integers(0, 2**10)),
+    st.tuples(
+        st.sampled_from(("point_indices", "weights", "points")), st.integers(0, 2**10)
+    ),
     st.tuples(st.just("constants"), st.sampled_from(("lower", "upper"))),
 )
+
+
+def _reads_as(value, cell):
+    try:
+        return type(value) is not bool and float(value) == float(cell)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @settings(max_examples=100, deadline=None)
 @given(claim=CLAIM, value=JUNK, drop=st.booleans())
 def test_verify_fails_every_mutated_certificate(weighted_document, claim, value, drop):
     # replacing or dropping any claim ends in a failed report or a typed
-    # error; "m" alone may be absent, since it only repeats the index count
+    # error; "m" and "points" alone may be absent, since they only repeat
+    # the index count and the system's points at the indices
     system, text = weighted_document
     doc = json.loads(text)
     parent = doc
@@ -882,10 +909,13 @@ def test_verify_fails_every_mutated_certificate(weighted_document, claim, value,
         parent = parent[key]
     key = claim[-1] % len(parent) if isinstance(parent, list) else claim[-1]
     if drop:
-        assume(claim != ("m",))
+        assume(claim not in (("m",), ("points",)))
         del parent[key]
     else:
         assume(value != parent[key] and not (claim == ("m",) and value is None))
+        if claim[0] == "points" and len(claim) == 2:
+            # a coordinate that reads as the stored one changes nothing
+            assume(not _reads_as(value, parent[key][0]))
         parent[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         cert = os.path.join(tmp, "cert.json")
@@ -911,6 +941,8 @@ def test_certificate_roundtrip_equal_weight(tmp_path):
     assert tuple(doc["point_indices"]) == cert.point_indices
     assert doc["theta"] == cert.theta
     assert doc["weights"] is None
+    assert doc["points_decoded"].tobytes() == cert.points.tobytes()
+    assert doc["points_decoded"].shape == (cert.m, 1)
     assert doc["settings"] == {"strategy": "randomized", "seed": 0}
     report = verify_certificate(system, doc)
     assert report.passed, report.messages
@@ -1225,8 +1257,23 @@ def test_verify_document_checks():
     assert not report.passed
     assert any("weights for" in msg for msg in report.messages)
 
-    # documents built in memory skip the loader's type checks
+    # decoded points are checked bit for bit against the system's rows;
+    # point 0 is 0.0, so negating the rows changes every one of them
     good = doc_for(system, [0, 1, 2])
+    rows = system.points[[0, 1, 2], None]
+    assert verify_certificate(system, dict(good, points_decoded=rows)).passed
+    for points in (-rows, rows[:2], rows[:, 0], np.hstack([rows, rows])):
+        report = verify_certificate(system, dict(good, points_decoded=points))
+        assert not report.passed
+        assert report.messages == ["stored points are not the system's points at the indices"]
+
+    # a JSON true equals 1 but is no count; 1.0 is one
+    single = make_system(SystemDescriptor("walsh", n=1, m=1))
+    for m, passed in ((True, False), (1.0, True), (1, True)):
+        report = verify_certificate(single, doc_for(single, [0], m=m))
+        assert report.passed is passed, report.messages
+
+    # documents built in memory skip the loader's type checks
     for doc, message in (
         (dict(good, point_indices=[[0, 1], [2, 3]]), "not a flat list"),
         (dict(good, point_indices=[0, 1, 2**70]), "not 64-bit integers"),

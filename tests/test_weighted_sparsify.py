@@ -299,6 +299,11 @@ def test_copy_counts_must_be_positive_integers():
     dup = DuplicationMap(counts=np.array([3, 2], dtype=np.int32), anchor=np.int64(1))
     assert (dup.counts, dup.anchor) == ((3, 2), 1)
     assert type(dup.anchor) is int
+    # a writable int64 array is copied, a read-only one kept as it is
+    counts = np.array([3, 2], dtype=np.int64)
+    assert not np.shares_memory(DuplicationMap(counts, 0)._counts, counts)
+    counts.setflags(write=False)
+    assert DuplicationMap(counts, 0)._counts is counts
 
 
 def _peak_bytes(call):
