@@ -44,6 +44,7 @@ from .frame_core import (
     _read_only,
     _validated_indices,
     _validated_integer,
+    _validated_real,
     _validated_weights,
 )
 from .halving_select import HalvingCertificate, halving_select
@@ -386,7 +387,7 @@ def discretize_equal_weight(
         )
     _checked_residual(system, TIGHTNESS_TOL)
     report = condition_e_constant(system)
-    theta_used = report.t_squared if theta is None else float(theta)
+    theta_used = report.t_squared if theta is None else _validated_real(theta, "theta")
     hcert = halving_select(system._frame, theta_used, config)
     log = (
         {
@@ -440,7 +441,7 @@ class ContinuousSystemSpec:
 def _evaluate_at(spec: ContinuousSystemSpec, pts: np.ndarray) -> np.ndarray:
     cols = []
     for x in pts:
-        row = np.asarray(spec.evaluator(x))
+        row = _float_array(spec.evaluator(x), "evaluator values", complex_ok=True)
         if row.shape != (spec.n,):
             raise PreconditionError(
                 f"evaluator returned shape {row.shape}, expected ({spec.n},)"
@@ -471,6 +472,7 @@ def monte_carlo_refine(
     best deviation achieved.  The spectral condition is equivalent to
     |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the whole span.
     """
+    delta = _validated_real(delta, "delta")
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
     n = _validated_integer(spec.n, 1, "n")
@@ -481,7 +483,7 @@ def monte_carlo_refine(
     rng = np.random.default_rng(_validated_integer(seed, 0, "seed"))
     best = np.inf
     while m <= m_cap:
-        pts = np.asarray(spec.sampler(rng, m))
+        pts = np.atleast_1d(spec.sampler(rng, m))
         if pts.shape[0] != m:
             raise PreconditionError(
                 f"sampler returned {pts.shape[0]} points, expected {m}"
@@ -512,28 +514,26 @@ def reorthonormalize(system: SampledSystem) -> SampledSystem:
     Already-orthonormal input (residual <= 1e-12) is returned unchanged
     with an identity change of basis.
     """
-    if system.orthonormality_residual() <= 1e-12:
-        change = BasisChange(np.eye(system.n), system.fingerprint())
-        return SampledSystem(system.values, system.points, system.point_weights, change)
-    p, s, qh = np.linalg.svd(system._frame.vectors, full_matrices=False)
-    if s[0] <= 0.0:
-        raise PreconditionError("cannot orthonormalize a zero row space")
-    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    b = qh[:rank]
-    t = p[:, :rank] * s[:rank]
-    # make each function's leading significant value real-positive
-    for r in range(rank):
-        row = b[r]
-        lead = np.flatnonzero(np.abs(row) > 1e-8 * np.abs(row).max())[0]
-        phase = row[lead] / abs(row[lead])
-        b[r] = row * np.conj(phase)
-        t[:, r] = t[:, r] * phase
-    new_values = b / np.sqrt(system.point_weights)
-    if np.isrealobj(system.values):
-        new_values = new_values.real
-        t = t.real
+    values, t = system.values, np.eye(system.n)
+    if system.orthonormality_residual() > 1e-12:
+        p, s, qh = np.linalg.svd(system._frame.vectors, full_matrices=False)
+        if s[0] <= 0.0:
+            raise PreconditionError("cannot orthonormalize a zero row space")
+        rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
+        b = qh[:rank]
+        t = p[:, :rank] * s[:rank]
+        # make each function's leading significant value real-positive
+        for r in range(rank):
+            row = b[r]
+            lead = np.flatnonzero(np.abs(row) > 1e-8 * np.abs(row).max())[0]
+            phase = row[lead] / abs(row[lead])
+            b[r] = row * np.conj(phase)
+            t[:, r] = t[:, r] * phase
+        values = b / np.sqrt(system.point_weights)
+        if np.isrealobj(system.values):
+            values, t = values.real, t.real
     change = BasisChange(t, system.fingerprint())
-    return SampledSystem(new_values, system.points, system.point_weights, change)
+    return SampledSystem(values, system.points, system.point_weights, change)
 
 
 def discretize_continuous(
@@ -559,6 +559,7 @@ def discretize_continuous(
     making them valid against the underlying (non-sampled) norm.
     """
     try:
+        mc_delta = _validated_real(mc_delta, "mc_delta")
         refined = monte_carlo_refine(
             spec, mc_delta, seed=seed, m_start=m_start, m_cap=m_cap
         )

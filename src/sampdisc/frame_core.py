@@ -162,6 +162,7 @@ def frame_bounds(frame: FrameSystem) -> FrameBounds:
 
 def verify_tight(frame: FrameSystem, tol: float) -> bool:
     """True when both frame bounds lie within [1 - tol, 1 + tol]."""
+    tol = _validated_real(tol, "tolerance")
     if not tol > 0:
         raise PreconditionError(f"tolerance must be positive, got {tol}")
     b = frame_bounds(frame)
@@ -243,6 +244,23 @@ def _validated_integer(value, minimum: int, what: str) -> int:
     if number < minimum:
         raise PreconditionError(f"{what} must be an integer >= {minimum}: {value!r}")
     return number
+
+
+def _validated_real(value, what: str) -> float:
+    """``value`` as a Python float when it is one real number under the
+    rules of :func:`_float_array`; anything else (a bool, a string, a
+    complex number, a list) raises :class:`PreconditionError` naming it
+    as ``what``.  Range checks are the caller's."""
+    if type(value) is float:  # the common case, and the halving schedule's
+        return value
+    try:
+        number = _float_array(value, what)
+    except PreconditionError:
+        number = np.empty(0)
+    # None is no number, though numpy reads it as NaN
+    if value is None or number.ndim != 0:
+        raise PreconditionError(f"{what} must be one real number: {value!r}")
+    return float(number)
 
 
 def _validated_indices(indices: Iterable[int], m: int, what: str) -> np.ndarray:

@@ -34,6 +34,7 @@ from .frame_core import (
     _operator_bounds,
     _read_only,
     _validated_indices,
+    _validated_real,
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
 from .partition_oracle import (
@@ -65,6 +66,7 @@ class HalvingSchedule:
     steps: tuple = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "delta", _validated_real(self.delta, "delta"))
         if not (0.0 < self.delta < 0.01):
             raise DomainError(f"delta must lie in (0, 1/100), got {self.delta}")
         steps = [(1.0, 1.0)]
@@ -187,6 +189,7 @@ def halving_select(
     Zero vectors never affect bounds and are dropped from J after
     selection.
     """
+    theta = _validated_real(theta, "theta")
     if not theta > 0:
         raise PreconditionError(f"theta must be positive, got {theta}")
     # a plain frame is the multiset that copies each column once

@@ -36,6 +36,7 @@ from .frame_core import (
     _operator_bounds,
     _validated_indices,
     _validated_integer,
+    _validated_real,
     extreme_eigenvalues,
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
@@ -134,6 +135,8 @@ def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, f
     Requires beta >= alpha > delta > 0.  The lower target may be
     negative (vacuous) when delta/alpha is large.
     """
+    alpha, beta = _validated_real(alpha, "alpha"), _validated_real(beta, "beta")
+    delta = _validated_real(delta, "delta")
     if not (delta > 0 and alpha > delta):
         raise PreconditionError(
             f"need alpha > delta > 0, got alpha={alpha} delta={delta}"

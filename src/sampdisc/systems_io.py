@@ -55,25 +55,23 @@ class SystemDescriptor:
     seed: Optional[int] = None
 
 
-def _dft_system(n: int, m: int) -> SampledSystem:
+def _dft_system(n: int, m: int) -> tuple:
     # rows exp(2*pi*i*k*j/m) for k < n on the uniform grid j/m
     j = np.arange(m)
     k = np.arange(n)[:, None]
-    values = np.exp(2j * np.pi * k * j / m)
-    return SampledSystem(values, j / m)
+    return np.exp(2j * np.pi * k * j / m), j / m
 
 
-def _walsh_system(n: int, m: int) -> SampledSystem:
+def _walsh_system(n: int, m: int) -> tuple:
     if m & (m - 1) != 0:
         raise PreconditionError(f"walsh needs m to be a power of 2, got {m}")
     j = np.arange(m)
     k = np.arange(n)[:, None]
     signs = np.bitwise_count(np.bitwise_and(k, j)) & 1
-    values = 1.0 - 2.0 * signs.astype(np.float64)
-    return SampledSystem(values, j.astype(np.float64))
+    return 1.0 - 2.0 * signs.astype(np.float64), j.astype(np.float64)
 
 
-def _trig_system(n: int, m: int) -> SampledSystem:
+def _trig_system(n: int, m: int) -> tuple:
     # 1, sqrt(2) cos kx, sqrt(2) sin kx for k <= (n-1)/2 on 2*pi*j/m
     if n % 2 != 1:
         raise PreconditionError(f"trig needs odd n, got {n}")
@@ -82,10 +80,10 @@ def _trig_system(n: int, m: int) -> SampledSystem:
     for k in range(1, (n - 1) // 2 + 1):
         rows.append(np.sqrt(2.0) * np.cos(k * x))
         rows.append(np.sqrt(2.0) * np.sin(k * x))
-    return SampledSystem(np.stack(rows), x)
+    return np.stack(rows), x
 
 
-def _random_orthonormal_system(n: int, m: int, seed: int, field: str) -> SampledSystem:
+def _random_orthonormal_system(n: int, m: int, seed: int, field: str) -> tuple:
     rng = np.random.default_rng(seed)
     if field == "complex":
         g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -96,8 +94,7 @@ def _random_orthonormal_system(n: int, m: int, seed: int, field: str) -> Sampled
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     q = q * (diag / np.abs(diag)).conj()
-    values = np.sqrt(m) * q.conj().T
-    return SampledSystem(values, np.arange(m, dtype=np.float64))
+    return np.sqrt(m) * q.conj().T, np.arange(m, dtype=np.float64)
 
 
 def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
@@ -120,16 +117,17 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     m = _validated_integer(desc.m, 1, "m")
     if n > m:
         raise PreconditionError(f"{desc.kind} needs n <= m, got n={n}, m={m}")
-    if desc.kind == "dft":
-        return _dft_system(n, m)
-    if desc.kind == "walsh":
-        return _walsh_system(n, m)
-    if desc.kind == "trig":
-        return _trig_system(n, m)
-    if desc.seed is None:
-        raise PreconditionError("random_orthonormal needs a seed")
-    seed = _validated_integer(desc.seed, 0, "seed")
-    return _random_orthonormal_system(n, m, seed, field)
+    if desc.kind == "random_orthonormal":
+        if desc.seed is None:
+            raise PreconditionError("random_orthonormal needs a seed")
+        seed = _validated_integer(desc.seed, 0, "seed")
+        values, points = _random_orthonormal_system(n, m, seed, field)
+    else:
+        generate = {"dft": _dft_system, "walsh": _walsh_system, "trig": _trig_system}
+        values, points = generate[desc.kind](n, m)
+    for fresh in (values, points):
+        fresh.setflags(write=False)  # made just now, so the system keeps it as is
+    return SampledSystem(values, points)
 
 
 def _parse_floats(cells, path: str, row: Optional[int]) -> list:

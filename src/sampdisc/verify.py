@@ -23,7 +23,7 @@ from .discretize import (
     recompute_constants,
 )
 from .errors import PreconditionError
-from .frame_core import FrameBounds
+from .frame_core import FrameBounds, _validated_real
 
 VERIFY_TOL = 1e-10
 
@@ -53,8 +53,10 @@ def verify_certificate(
     empty, ``m`` or decoded points disagree with the indices, the
     recomputed constants differ from the stored ones by more than ``tol``,
     or the lower constant is not strictly positive.  Raises
-    :class:`PreconditionError` when ``tol`` is not finite or negative.
+    :class:`PreconditionError` when ``tol`` is not one real number, or is
+    not finite or negative.
     """
+    tol = _validated_real(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise PreconditionError(f"tol must be finite and nonnegative, got {tol}")
     report = VerifyReport(passed=True)

@@ -130,7 +130,9 @@ def duplicate_normalize(
     if not verify_tight(frame, TIGHTNESS_TOL):
         raise PreconditionError("duplication requires a tight frame (tol 1e-8)")
     scaled, dup = _scaled_sources(frame, cap)
-    return FrameSystem(np.repeat(scaled, dup._counts, axis=1)), dup
+    copies = np.repeat(scaled, dup._counts, axis=1)
+    copies.setflags(write=False)  # fresh, so the frame keeps it as is
+    return FrameSystem(copies), dup
 
 
 @dataclass(frozen=True)

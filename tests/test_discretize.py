@@ -5,6 +5,7 @@ complex-to-real transfer."""
 import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,14 +29,18 @@ from sampdisc import (
     discretize_continuous,
     discretize_equal_weight,
     discretize_weighted,
+    halving_schedule,
+    halving_select,
     make_system,
     monte_carlo_refine,
+    partition_targets,
     recompute_constants,
     reorthonormalize,
     save_certificate,
     spectral_partition,
     transfer_certificate,
     verify_certificate,
+    verify_tight,
     weighted_select,
 )
 
@@ -452,6 +457,14 @@ def test_refine_domain_errors():
     )
     with pytest.raises(PreconditionError, match="sampler returned 63 points, expected 64"):
         monte_carlo_refine(short_draws, 0.5)
+    # callback outputs follow the array rules: a scalar draw is one point,
+    # and text is no basis value
+    one_draw = ContinuousSystemSpec(3, lambda rng, count: 0.5, spec.evaluator)
+    with pytest.raises(PreconditionError, match="sampler returned 1 points, expected 64"):
+        monte_carlo_refine(one_draw, 0.5)
+    text_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: ["1", "0", "0"])
+    with pytest.raises(PreconditionError, match="evaluator values are not numbers"):
+        monte_carlo_refine(text_rows, 0.5)
     for seed in (-1, 1.5, True, "5", 2**63):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             monte_carlo_refine(spec, 0.5, seed=seed)
@@ -463,6 +476,48 @@ def test_refine_domain_errors():
     # the refine stage records a Python int, which JSON can write
     cert = discretize_continuous(spec, seed=np.int64(5))
     assert type(cert.pipeline_log[0]["seed"]) is int
+
+
+def _scalar_entries():
+    frame = FrameSystem(np.eye(2))
+    system = make_system(SystemDescriptor("trig", n=3, m=64))
+    return {
+        "halving_select": lambda x: halving_select(frame, x),
+        "halving_schedule": halving_schedule,
+        "partition_targets": lambda x: partition_targets(x, 1, 0.1),
+        "PartitionRequest": lambda x: PartitionRequest(frame, (0, 1), x, 1.0, 1.0),
+        "monte_carlo_refine": lambda x: monte_carlo_refine(trig_spec(3), x),
+        "discretize_continuous": lambda x: discretize_continuous(trig_spec(3), mc_delta=x),
+        "verify_tight": lambda x: verify_tight(frame, x),
+        "verify_certificate": lambda x: verify_certificate(system, {}, tol=x),
+        "discretize_equal_weight": lambda x: discretize_equal_weight(system, theta=x),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in _scalar_entries()
+        for bad in ("1", True, None, [0.5], 1 + 0j)
+        # theta=None selects the measured level
+        if (entry, bad) != ("discretize_equal_weight", None)
+    ],
+)
+def test_scalar_parameters_are_one_real_number(entry, bad):
+    # the continuous pipeline reports a bad refine input as its stage error
+    error = StageError if entry == "discretize_continuous" else PreconditionError
+    with pytest.raises(error, match="must be one real number"):
+        _scalar_entries()[entry](bad)
+
+
+@pytest.mark.parametrize("mc_delta", [np.float32(0.5), Fraction(1, 2)])
+def test_refine_stage_records_the_validated_target(tmp_path, mc_delta):
+    cert = discretize_continuous(trig_spec(3), mc_delta=mc_delta)
+    assert type(cert.pipeline_log[0]["target"]) is float
+    path = tmp_path / "cert.json"
+    save_certificate(cert, str(path))
+    assert json.loads(path.read_text())["pipeline_log"][0]["target"] == "0.5"
 
 
 def test_default_start_admits_spans_wider_than_64():

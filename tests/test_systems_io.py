@@ -475,6 +475,58 @@ def test_save_peak_memory_stays_a_few_times_the_values(tmp_path):
     assert peak <= 5 * system.values.nbytes
 
 
+@pytest.mark.parametrize(
+    "name, desc, field",
+    [
+        ("_dft_system", SystemDescriptor("dft", n=3, m=8), "real"),
+        ("_walsh_system", SystemDescriptor("walsh", n=3, m=8), "real"),
+        ("_trig_system", SystemDescriptor("trig", n=3, m=8), "real"),
+        (
+            "_random_orthonormal_system",
+            SystemDescriptor("random_orthonormal", n=3, m=8, seed=2),
+            "complex",
+        ),
+    ],
+)
+def test_built_in_systems_keep_the_arrays_their_generator_made(
+    monkeypatch, name, desc, field
+):
+    generator, made = getattr(systems_io, name), []
+
+    def spy(*args):
+        made.append(generator(*args))
+        return made[-1]
+
+    monkeypatch.setattr(systems_io, name, spy)
+    system = make_system(desc, field)
+    values, points = made[0]
+    assert system.values is values and system.points is points
+    assert not values.flags.writeable and not points.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "desc, bound",
+    [
+        (SystemDescriptor("dft", n=16, m=2048), 2.1),
+        (SystemDescriptor("walsh", n=16, m=2048), 2.3),
+        (SystemDescriptor("trig", n=9, m=8192), 2.2),
+        (SystemDescriptor("random_orthonormal", n=8, m=8192, seed=1), 3.2),
+    ],
+    ids=["dft", "walsh", "trig", "random_orthonormal"],
+)
+def test_make_system_peak_memory_in_values(desc, bound):
+    # the generator's arrays are kept, never copied once more; a copy of
+    # the values would add 1 x their bytes
+    make_system(desc)
+    tracemalloc.start()
+    try:
+        system = make_system(desc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * system.values.nbytes
+
+
 # -------------------------------------------------------- the formatting kernel
 
 

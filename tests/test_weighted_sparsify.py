@@ -327,6 +327,23 @@ def test_weighted_select_builds_no_copy_columns():
     assert _peak_bytes(lambda: weighted_select(frame, OracleConfig(seed=3))) < building
 
 
+def test_duplicated_copies_are_kept_as_they_were_made():
+    # the repeated columns are fresh, so the frame of the copies keeps
+    # them read-only instead of copying them a second time
+    frame = build_frame_from_samples(
+        make_system(SystemDescriptor("random_orthonormal", n=8, m=2048, seed=1))
+    )
+    duplicate_normalize(frame)
+    tracemalloc.start()
+    try:
+        copies, dup = duplicate_normalize(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dup.m_prime == 23246 and not copies.vectors.flags.writeable
+    assert peak <= 1.3 * copies.vectors.nbytes
+
+
 def test_weighted_select_peak_per_copy():
     # halving holds few arrays with one entry per copy at once: the
     # candidate permutation, its side mask, side 1's positions and
