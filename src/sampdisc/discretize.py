@@ -441,13 +441,13 @@ class ContinuousSystemSpec:
 def _evaluate_at(spec: ContinuousSystemSpec, pts: np.ndarray) -> np.ndarray:
     cols = []
     for x in pts:
-        row = _float_array(spec.evaluator(x), "evaluator values", complex_ok=True)
+        row = np.asarray(spec.evaluator(x))
         if row.shape != (spec.n,):
             raise PreconditionError(
                 f"evaluator returned shape {row.shape}, expected ({spec.n},)"
             )
         cols.append(row)
-    values = np.stack(cols, axis=1)
+    values = _float_array(np.stack(cols, axis=1), "evaluator values", complex_ok=True)
     if not np.isfinite(values).all():
         bad = int(np.flatnonzero(~np.isfinite(values).all(axis=0))[0])
         raise PreconditionError(

@@ -180,11 +180,14 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
     """``values`` as float64, or complex128 when complex and ``complex_ok``,
-    copied only to convert; anything else (bools, strings, bytes and
-    overflow too) raises :class:`PreconditionError` naming it ``what``."""
+    copied only to convert; anything else (bools, strings, bytes, None
+    and overflow too) raises :class:`PreconditionError` naming it ``what``."""
     try:
         v = np.asarray(values)
-        if v.dtype.kind in "bUS":
+        # numpy would read None as NaN
+        if v.dtype.kind in "bUS" or (
+            v.dtype.kind == "O" and any(x is None for x in v.flat)
+        ):
             raise TypeError
         v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
@@ -251,14 +254,11 @@ def _validated_real(value, what: str) -> float:
     rules of :func:`_float_array`; anything else (a bool, a string, a
     complex number, a list) raises :class:`PreconditionError` naming it
     as ``what``.  Range checks are the caller's."""
-    if type(value) is float:  # the common case, and the halving schedule's
-        return value
     try:
         number = _float_array(value, what)
     except PreconditionError:
         number = np.empty(0)
-    # None is no number, though numpy reads it as NaN
-    if value is None or number.ndim != 0:
+    if number.ndim != 0:
         raise PreconditionError(f"{what} must be one real number: {value!r}")
     return float(number)
 

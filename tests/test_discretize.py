@@ -178,10 +178,16 @@ def test_points_must_be_finite_numbers(points, message):
 
 
 def test_bools_strings_and_bytes_are_no_numbers():
-    # as for indices: numpy would read these as 1.0, 0.0 and 0.25
+    # as for indices: numpy would read these as 1.0, 0.0, 0.25 and NaN
     trig = make_system(SystemDescriptor("trig", n=3, m=8))
     for build, message in (
         (lambda: FrameSystem([[True, False]]), "frame vectors are not numbers"),
+        (lambda: FrameSystem([[None, 1.0]]), "frame vectors are not numbers"),
+        (lambda: SampledSystem(np.eye(2), [None, None]), "points are not numbers"),
+        (
+            lambda: SampledSystem(np.eye(2), [0.0, 1.0], point_weights=[None, 1.0]),
+            "point weights are not numbers",
+        ),
         (lambda: FrameSystem([[b"1", b"0"]]), "frame vectors are not numbers"),
         (lambda: SampledSystem([["1", "1"]], ["0", "1"]), "sampled values are not numbers"),
         (lambda: SampledSystem(np.eye(2), [False, True]), "points are not numbers"),
@@ -465,6 +471,9 @@ def test_refine_domain_errors():
     text_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: ["1", "0", "0"])
     with pytest.raises(PreconditionError, match="evaluator values are not numbers"):
         monte_carlo_refine(text_rows, 0.5)
+    none_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: [None, 0.0, 0.0])
+    with pytest.raises(PreconditionError, match="evaluator values are not numbers"):
+        monte_carlo_refine(none_rows, 0.5)
     for seed in (-1, 1.5, True, "5", 2**63):
         with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
             monte_carlo_refine(spec, 0.5, seed=seed)
