@@ -38,6 +38,7 @@ from .frame_core import (
     FrameSystem,
     _column_norms_squared,
     _float_array,
+    _frozen,
     _frozen_matrix,
     _gram,
     _gram_bounds,
@@ -119,7 +120,8 @@ class SampledSystem:
         object.__setattr__(self, "points", _read_only(pts))
 
         m = v.shape[1]
-        w = np.full(m, 1.0 / m) if self.point_weights is None else self.point_weights
+        w = self.point_weights
+        w = _frozen(np.full(m, 1.0 / m)) if w is None else w
         w = _validated_weights(w, m, "point weights")
         if (w == 0).any():
             raise PreconditionError("point weights must be positive")
@@ -306,9 +308,7 @@ def build_frame_from_samples(system: SampledSystem) -> FrameSystem:
     tight exactly when the system is orthonormal.  With uniform weights
     this is the usual 1/sqrt(m) scaling.  Each call builds a new frame.
     """
-    vectors = system.values * np.sqrt(system.point_weights)
-    vectors.setflags(write=False)
-    return FrameSystem(vectors)
+    return FrameSystem(_frozen(system.values * np.sqrt(system.point_weights)))
 
 
 @dataclass(frozen=True)
@@ -348,7 +348,7 @@ def _certificate(
     return DiscretizationCertificate(
         kind=kind,
         point_indices=tuple(indices.tolist()),
-        points=system.points[indices],
+        points=_frozen(system.points[indices]),
         m=int(indices.size),
         weights=None if weights is None else tuple(np.asarray(weights).tolist()),
         constants=recompute_constants(system, indices, weights),
@@ -488,8 +488,7 @@ def monte_carlo_refine(
             raise PreconditionError(
                 f"sampler returned {pts.shape[0]} points, expected {m}"
             )
-        values = _evaluate_at(spec, pts)
-        system = SampledSystem(values, pts)
+        system = SampledSystem(_frozen(_evaluate_at(spec, pts)), pts)
         dev = system.orthonormality_residual()
         if dev <= delta:
             return system
@@ -532,7 +531,8 @@ def reorthonormalize(system: SampledSystem) -> SampledSystem:
         values = b / np.sqrt(system.point_weights)
         if np.isrealobj(system.values):
             values, t = values.real, t.real
-    change = BasisChange(t, system.fingerprint())
+        values = _frozen(values)
+    change = BasisChange(_frozen(t), system.fingerprint())
     return SampledSystem(values, system.points, system.point_weights, change)
 
 
@@ -617,7 +617,8 @@ def discretize_weighted(
     _checked_residual(system, TIGHTNESS_TOL)
     frame = system._frame
     keep = np.flatnonzero(frame.norms_squared() > 0.0)
-    frame = frame if keep.size == frame.m else FrameSystem(frame.vectors[:, keep])
+    if keep.size < frame.m:
+        frame = FrameSystem(_frozen(frame.vectors[:, keep]))
     wcert = weighted_select(frame, config, cap=cap)
 
     frame_weights = np.asarray(wcert.weights)
@@ -667,7 +668,7 @@ def complexify_via_real(system: SampledSystem) -> tuple[SampledSystem, ComplexRe
     if rows.shape[0] == 0:
         raise PreconditionError("system values are identically zero")
     companion = reorthonormalize(
-        SampledSystem(rows, system.points, system.point_weights)
+        SampledSystem(_frozen(rows), system.points, system.point_weights)
     )
     mapping = ComplexRealMap(
         source_fingerprint=system.fingerprint(),

@@ -80,16 +80,12 @@ class FrameSystem:
     def _operator(self) -> np.ndarray:
         """Read-only frame operator, measured once per frame: halving
         starts from it, and :func:`frame_operator` returns a copy."""
-        operator = _gram(self.vectors)
-        operator.setflags(write=False)
-        return operator
+        return _frozen(_gram(self.vectors))
 
 
 def _column_norms_squared(matrix: np.ndarray) -> np.ndarray:
     """Read-only sum_i |a_ij|^2 of each column j of ``matrix``."""
-    norms = np.einsum("ij,ij->j", matrix, matrix.conj()).real
-    norms.setflags(write=False)
-    return norms
+    return _frozen(np.einsum("ij,ij->j", matrix, matrix.conj()).real)
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -172,9 +168,13 @@ def verify_tight(frame: FrameSystem, tol: float) -> bool:
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array`` if read-only, else a read-only copy in its own memory order:
     the one copy rule for every array the package keeps."""
-    if array.flags.writeable:
-        array = array.copy(order="K")
-        array.setflags(write=False)
+    return _frozen(array.copy(order="K")) if array.flags.writeable else array
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, which its caller has just made and shares with no one,
+    marked read-only, so that :func:`_read_only` keeps it as is."""
+    array.setflags(write=False)
     return array
 
 

@@ -29,11 +29,13 @@ from .frame_core import (
     TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
+    _frozen,
     _gram,
     _gram_bounds,
     _operator_bounds,
     _read_only,
     _validated_indices,
+    _validated_integers,
     _validated_real,
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
 )
@@ -100,9 +102,10 @@ def halving_schedule(delta: float) -> HalvingSchedule:
 class HalvingRound:
     """Diagnostics for one executed round.
 
-    ``kept_indices`` is the kept side as a sorted read-only int64 array;
-    ``kept``, the same indices as a tuple of ints, is built on first
-    read.  Rounds compare equal when their scalars and kept sides do.
+    ``kept_indices`` is the kept side as a sorted read-only int64 array,
+    read under the rules of ``frame_core._validated_integers``; ``kept``,
+    the same indices as a tuple of ints, is built on first read.  Rounds
+    compare equal when their scalars and kept sides do.
     """
 
     index: int
@@ -113,7 +116,7 @@ class HalvingRound:
     candidates_tried: int
 
     def __post_init__(self):
-        kept = _read_only(np.asarray(self.kept_indices, dtype=np.int64))
+        kept = _read_only(_validated_integers(self.kept_indices, "kept indices"))
         object.__setattr__(self, "kept_indices", kept)
 
     @cached_property
@@ -229,8 +232,7 @@ def halving_select(
             kept, measured, _, tried, operator, kept_src = _randomized(
                 frame, kept, kept_src, operator, lo_t, up_t, cfg.budget, cfg.seed + j
             )
-            kept.setflags(write=False)
-            log.append(HalvingRound(j, kept, measured, lo_t, up_t, tried))
+            log.append(HalvingRound(j, _frozen(kept), measured, lo_t, up_t, tried))
     # zero vectors never affect bounds and are dropped from J
     nonzero = frame.norms_squared()[kept_src] > 0.0
     kept = np.flatnonzero(nonzero) if kept is None else kept[nonzero]

@@ -36,6 +36,7 @@ from .frame_core import (
     _operator_bounds,
     _validated_indices,
     _validated_integer,
+    _validated_integers,
     _validated_real,
     extreme_eigenvalues,
     subset_bounds,  # bound for bench/test_smoke.py::test_tracer_wraps_every_binding_and_restores_them
@@ -109,8 +110,8 @@ class PartitionRequest:
 class PartitionResult:
     """A verified split.  Bounds are eigensolve-measured, not inferred.
 
-    ``s1`` and ``s2`` may be any integer array-like; they are kept as
-    tuples of ints.
+    ``s1`` and ``s2`` may be any integer array-like under the rules of
+    ``frame_core._validated_integers``; they are kept as tuples of ints.
     """
 
     s1: tuple
@@ -123,7 +124,8 @@ class PartitionResult:
 
     def __post_init__(self):
         for name in ("s1", "s2"):
-            object.__setattr__(self, name, tuple(int(j) for j in getattr(self, name)))
+            side = _validated_integers(getattr(self, name), name)
+            object.__setattr__(self, name, tuple(side.tolist()))
 
 
 def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from .discretize import (
     fingerprint_matches,
 )
 from .errors import ParseError, PreconditionError
-from .frame_core import FrameBounds, _validated_integer
+from .frame_core import FrameBounds, _frozen, _validated_integer
 
 SYSTEM_KINDS = ("trig", "dft", "walsh", "random_orthonormal")
 SCHEMA_VERSION = "1"
@@ -125,9 +125,7 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     else:
         generate = {"dft": _dft_system, "walsh": _walsh_system, "trig": _trig_system}
         values, points = generate[desc.kind](n, m)
-    for fresh in (values, points):
-        fresh.setflags(write=False)  # made just now, so the system keeps it as is
-    return SampledSystem(values, points)
+    return SampledSystem(_frozen(values), _frozen(points))
 
 
 def _parse_floats(cells, path: str, row: Optional[int]) -> list:
@@ -297,7 +295,7 @@ def _parsed_values(csv_bytes: bytes, path: str, n: int, width: int) -> np.ndarra
         raise ParseError(f"invalid CSV: {exc}", path=path) from None
     if len(rows) != n:
         raise ParseError(f"expected {n} rows, found {len(rows)}", path=path)
-    return np.asarray(rows, dtype=np.float64)
+    return _frozen(np.asarray(rows, dtype=np.float64))
 
 
 def _parse_points(raw, side: str) -> np.ndarray:
@@ -367,8 +365,8 @@ def load_system(path: str) -> SampledSystem:
         # reinterpret (re, im) pairs; arithmetic would turn -0.0 into 0.0
         values = values.view(np.complex128)
 
-    points = _parse_points(meta["points"], side)
-    weights = np.asarray(_parse_floats(meta["point_weights"], side, None))
+    points = _frozen(_parse_points(meta["points"], side))
+    weights = _frozen(np.array(_parse_floats(meta["point_weights"], side, None)))
     system = SampledSystem(values, points, weights)
     if stored is not None and not fingerprint_matches(system, stored):
         raise ParseError("fingerprint mismatch: file contents were altered", path=path)

@@ -28,6 +28,7 @@ from .frame_core import (
     TIGHTNESS_TOL,
     FrameBounds,
     FrameSystem,
+    _frozen,
     _gram_bounds,
     _read_only,
     _validated_indices,
@@ -73,9 +74,7 @@ class DuplicationMap:
 
     @cached_property
     def _copy_to_source(self) -> np.ndarray:
-        src = np.repeat(np.arange(self._counts.size, dtype=np.int64), self._counts)
-        src.setflags(write=False)
-        return src
+        return _frozen(np.arange(self._counts.size, dtype=np.int64).repeat(self._counts))
 
     @cached_property
     def copy_to_source(self) -> tuple:
@@ -96,15 +95,14 @@ def _scaled_sources(frame: FrameSystem, cap: int) -> tuple[np.ndarray, Duplicati
         )
     anchor = int(np.argmin(norms))
     base = float(norms[anchor])
-    counts = np.floor(norms / base).astype(np.int64)
+    counts = _frozen(np.floor(norms / base).astype(np.int64))
     total = int(counts.sum())
     if total > cap:
         raise DuplicationOverflowError(
             f"norm equalization needs {total} copies, cap is {cap}"
         )
 
-    scaled = frame.vectors * (1.0 / np.sqrt(counts.astype(np.float64)))
-    scaled.setflags(write=False)  # fresh, so the frame keeps it as is
+    scaled = _frozen(frame.vectors * (1.0 / np.sqrt(counts.astype(np.float64))))
     return scaled, DuplicationMap(counts=counts, anchor=anchor)
 
 
@@ -130,9 +128,7 @@ def duplicate_normalize(
     if not verify_tight(frame, TIGHTNESS_TOL):
         raise PreconditionError("duplication requires a tight frame (tol 1e-8)")
     scaled, dup = _scaled_sources(frame, cap)
-    copies = np.repeat(scaled, dup._counts, axis=1)
-    copies.setflags(write=False)  # fresh, so the frame keeps it as is
-    return FrameSystem(copies), dup
+    return FrameSystem(_frozen(np.repeat(scaled, dup._counts, axis=1))), dup
 
 
 @dataclass(frozen=True)

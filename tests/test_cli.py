@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from sampdisc import (
     make_system,
     save_system,
 )
+from sampdisc import cli
 from sampdisc.cli import build_parser, main
 from sampdisc.partition_oracle import DEFAULT_BUDGET
 from sampdisc.verify import VERIFY_TOL
@@ -56,6 +59,26 @@ def test_gen_select_verify_happy_path(tmp_path, capsys):
     assert code == 0
     assert "verification passed" in out
     assert "stored:" in out and "recomputed:" in out
+
+
+def test_module_entry_point_exits_with_each_command_code(tmp_path):
+    # ``python -m sampdisc.cli`` in a fresh interpreter: the code main()
+    # returns is the process's exit status
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    system, cert = str(tmp_path / "walsh.csv"), str(tmp_path / "cert.json")
+
+    def status(*argv):
+        argv = [sys.executable, "-m", "sampdisc.cli", *argv]
+        return subprocess.run(argv, capture_output=True, env=env).returncode
+
+    assert status("gen", "--kind", "walsh", "--n", "4", "--m", "64", "--out", system) == 0
+    assert status("select", "--system", system, "--seed", "0", "--out", cert) == 0
+    assert status("verify", "--system", system, "--certificate", cert) == 0
+    doc = json.loads(Path(cert).read_text())
+    doc["constants"]["lower"] = repr(float(doc["constants"]["lower"]) / 2)
+    Path(cert).write_text(json.dumps(doc))
+    assert status("verify", "--system", system, "--certificate", cert) == 2
+    assert status("select", "--system", system, "--out", cert) == 1
 
 
 def test_eigensolver_failure_exits_1_without_a_certificate(tmp_path, capsys, monkeypatch):

@@ -347,6 +347,37 @@ def test_frame_keeps_the_product_it_is_built_from():
     assert not frame.vectors.flags.writeable
 
 
+def second_call_peak(call, system):
+    """Peak traced bytes of the second ``call(system)`` in units of
+    ``system.values.nbytes``; the first call pays for lazy imports."""
+    call(system)
+    tracemalloc.start()
+    try:
+        call(system)
+        return tracemalloc.get_traced_memory()[1] / system.values.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_reorthonormalize_keeps_the_arrays_it_makes():
+    rng = np.random.default_rng(0)
+    system = SampledSystem(rng.standard_normal((8, 8192)), np.arange(8192.0))
+    # copying the new values into the system again took 3.02 x values.nbytes
+    assert second_call_peak(reorthonormalize, system) <= 2.5
+    assert not reorthonormalize(system).basis_change.matrix.flags.writeable
+
+
+def test_complexify_via_real_keeps_the_rows_it_stacks():
+    system = make_system(SystemDescriptor("dft", n=8, m=8192))
+    # copying the stacked rows and the new values again took 6.64 x values.nbytes
+    assert second_call_peak(complexify_via_real, system) <= 5.5
+
+
+def test_certificate_points_are_read_only():
+    system = make_system(SystemDescriptor("walsh", n=4, m=64))
+    assert not discretize_equal_weight(system).points.flags.writeable
+
+
 def test_pipelines_read_the_system_frame(monkeypatch):
     builds = []
     build = discretize.build_frame_from_samples

@@ -1,5 +1,8 @@
 """Frame operators, bounds, and their eigensolve plumbing."""
 
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from sampdisc import (
     FrameSystem,
     HalvingCertificate,
     PartitionRequest,
+    PartitionResult,
     PreconditionError,
     SampledSystem,
     check_cardinality_sandwich,
@@ -21,7 +25,9 @@ from sampdisc import (
     verify_tight,
     weighted_bounds,
 )
+from sampdisc import frame_core
 from sampdisc.frame_core import hermitian_part
+from sampdisc.halving_select import HalvingRound
 
 from helpers import (
     failing_eigvalsh,
@@ -258,6 +264,36 @@ def test_every_entry_rejects_the_same_bad_input(indices, weights):
     assert report.messages == [str(rejected.value)]
 
 
+# the integer cases of BAD_INPUTS, and lists the result types once
+# truncated, parsed or kept nested
+BAD_INTEGERS = [
+    case[:2]
+    for case in BAD_INPUTS
+    if case[0] in ("float indices", "bool indices", "bool among ints", "index 2**70")
+] + [
+    ("floats and a bool", [1.5, 2.7, True]),
+    ("string", ["x"]),
+    ("nested list", [[1, 2]]),
+    ("numeric string", ["1"]),
+    ("float and bool", [1.5, True]),
+]
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [case[1] for case in BAD_INTEGERS],
+    ids=[case[0] for case in BAD_INTEGERS],
+)
+def test_result_types_read_indices_under_the_integer_rule(indices):
+    bounds = FrameBounds(0.4, 0.6)
+    with pytest.raises(PreconditionError):
+        HalvingRound(0, indices, bounds, 0.3, 0.7, 1)
+    with pytest.raises(PreconditionError):
+        PartitionResult(indices, (0,), bounds, bounds, 0.3, 0.7, 1)
+    with pytest.raises(PreconditionError):
+        PartitionResult((0,), indices, bounds, bounds, 0.3, 0.7, 1)
+
+
 def _clamped(matrix):
     lo, hi = extreme_eigenvalues(matrix)
     return FrameBounds(max(lo, 0.0), max(hi, 0.0))
@@ -312,3 +348,16 @@ def test_hermitian_part():
     h = hermitian_part(m)
     assert np.array_equal(h, h.conj().T)
     assert np.allclose(h, [[1.0, 1.0], [1.0, 1.0]])
+
+
+def test_only_the_copy_rule_sets_array_flags():
+    # every array the package keeps is frozen by _frozen or copied by
+    # _read_only, so no other code marks an array read-only by hand
+    rule = [inspect.getsource(f) for f in (frame_core._read_only, frame_core._frozen)]
+    for path in sorted(Path(frame_core.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        if path.name == "frame_core.py":
+            assert all(part in text for part in rule)
+            for part in rule:
+                text = text.replace(part, "")
+        assert "setflags(" not in text, path.name
