@@ -180,21 +180,25 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
     """``values`` as float64, or complex128 when complex and ``complex_ok``,
-    copied only to convert; anything else (bools, strings, bytes, None
-    and overflow too) raises :class:`PreconditionError` naming it ``what``."""
+    copied only to convert, and the converted array frozen, so that
+    :func:`_read_only` keeps it; anything else (bools, strings, bytes,
+    None and overflow too) raises :class:`PreconditionError` naming it
+    ``what``."""
     try:
-        v = np.asarray(values)
+        given = np.asarray(values)
         # numpy would read None as NaN
-        if v.dtype.kind in "bUS" or (
-            v.dtype.kind == "O" and any(x is None for x in v.flat)
+        if given.dtype.kind in "bUS" or (
+            given.dtype.kind == "O" and any(x is None for x in given.flat)
         ):
             raise TypeError
-        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64, copy=False)
+        dtype = np.complex128 if np.iscomplexobj(given) else np.float64
+        v = given.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise PreconditionError(f"{what} are not numbers") from None
     if v.dtype == np.complex128 and not complex_ok:
         raise PreconditionError(f"{what} must be real, got complex numbers")
-    return v
+    # a memoryview or an __array__ object may be viewed, never frozen
+    return _frozen(v) if v is not given or isinstance(values, (list, tuple)) else v
 
 
 def _frozen_matrix(values, what: str) -> np.ndarray:
@@ -218,12 +222,13 @@ def _validated_integers(values: Iterable[int], what: str) -> np.ndarray:
     strings, values outside int64 and nested lists raise
     :class:`PreconditionError`; ``what`` names the input in its message.
     """
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-        types = set(map(type, values))
-        if bool in types or np.bool_ in types:
-            raise PreconditionError(f"{what} entries are not 64-bit integers")
+    listed = not isinstance(values, np.ndarray)
     try:
+        if listed:
+            values = list(values)
+            types = set(map(type, values))
+            if bool in types or np.bool_ in types:
+                raise PreconditionError(f"{what} entries are not 64-bit integers")
         ints = np.asarray(values)
     except (TypeError, ValueError):
         raise PreconditionError(f"{what} is not a flat list") from None
@@ -233,7 +238,8 @@ def _validated_integers(values: Iterable[int], what: str) -> np.ndarray:
         ints.dtype.kind not in "iu" or ints.max() > np.iinfo(np.int64).max
     ):
         raise PreconditionError(f"{what} entries are not 64-bit integers")
-    return ints.astype(np.int64, copy=False)
+    converted = ints.astype(np.int64, copy=False)
+    return _frozen(converted) if listed or converted is not ints else converted
 
 
 def _validated_integer(value, minimum: int, what: str) -> int:

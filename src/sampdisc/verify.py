@@ -23,7 +23,7 @@ from .discretize import (
     recompute_constants,
 )
 from .errors import PreconditionError
-from .frame_core import FrameBounds, _validated_real
+from .frame_core import FrameBounds, _float_array, _validated_real
 
 VERIFY_TOL = 1e-10
 
@@ -47,10 +47,11 @@ def verify_certificate(
     """Check a loaded certificate document against a system.
 
     Fails (without raising) when the fingerprint does not match, the
-    stored constants are not finite, :func:`recompute_constants` rejects
-    the indices or weights (they must be distinct integer indices in
-    0..m-1 with one finite, nonnegative weight each), the selection is
-    empty, ``m`` or decoded points disagree with the indices, the
+    stored constants are not two finite real numbers,
+    :func:`recompute_constants` rejects the indices or weights (they must
+    be distinct integer indices in 0..m-1 with one finite, nonnegative
+    weight each), the selection is empty, ``m`` or decoded points (real
+    numbers, compared bit for bit) disagree with the indices, the
     recomputed constants differ from the stored ones by more than ``tol``,
     or the lower constant is not strictly positive.  Raises
     :class:`PreconditionError` when ``tol`` is not one real number, or is
@@ -63,6 +64,10 @@ def verify_certificate(
     stored = document.get("constants_decoded")
     if stored is None:
         return report.fail("document has no decoded constants")
+    try:
+        stored = FrameBounds(*(_validated_real(c, "stored constant") for c in stored))
+    except (TypeError, PreconditionError):
+        return report.fail("stored constants are not two real numbers")
     report.stored = stored
     if not all(map(math.isfinite, stored)):
         return report.fail("stored constants are not finite")
@@ -83,8 +88,14 @@ def verify_certificate(
         report.fail(f"m={m!r} but {len(indices)} indices stored")
     points = document.get("points_decoded")  # compared bit for bit
     rows = _point_rows(system.points)[list(indices)].view(np.int64)
-    if points is not None and not np.array_equal(points.view(np.int64), rows):
-        report.fail("stored points are not the system's points at the indices")
+    if points is not None:
+        try:
+            points = _float_array(points, "stored points").view(np.int64)
+        except PreconditionError as exc:
+            report.fail(str(exc))
+        else:
+            if not np.array_equal(points, rows):
+                report.fail("stored points are not the system's points at the indices")
 
     resid = system.orthonormality_residual()
     if resid > CONDITION_TOL:

@@ -6,6 +6,8 @@ assembled operators), operators are accumulated with a plain Python
 loop, and quadratic forms are evaluated pointwise.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from sampdisc import FrameSystem
@@ -67,6 +69,15 @@ def point_quad_mean(values, indices, point_weights, coeffs):
     """sum_nu lambda_nu |f(x_nu)|^2 for f with the given coefficients."""
     f_at = coeffs @ values[:, np.asarray(indices, dtype=np.int64)]
     return float(np.sum(np.asarray(point_weights) * np.abs(f_at) ** 2))
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def failing_eigvalsh(matrix):

@@ -1,30 +1,18 @@
 """End-to-end runs of the command line interface (in process)."""
 
-import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sampdisc import (
-    FrameBounds,
-    SampledSystem,
-    SystemDescriptor,
-    load_certificate,
-    load_system,
-    make_system,
-    save_system,
-)
+from sampdisc import FrameBounds, SampledSystem, load_certificate, save_system
 from sampdisc import cli
 from sampdisc.cli import build_parser, main
+from sampdisc.frame_core import TIGHTNESS_TOL
 from sampdisc.partition_oracle import DEFAULT_BUDGET
 from sampdisc.verify import VERIFY_TOL
 from sampdisc.weighted_sparsify import COPY_CAP
@@ -36,29 +24,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_gen_select_verify_happy_path(tmp_path, capsys):
-    system = str(tmp_path / "dft.csv")
-    cert = str(tmp_path / "cert.json")
-
-    code, out, _ = run(
-        capsys, "gen", "--kind", "dft", "--n", "2", "--m", "64", "--out", system
-    )
-    assert code == 0
-    assert out.startswith(f"wrote {system} (n=2 m=64 field=complex")
-
-    code, out, _ = run(
-        capsys, "select", "--system", system, "--seed", "0", "--out", cert
-    )
-    assert code == 0
-    assert "kind=equal_weight selected=64" in out
-    assert f"wrote {cert}" in out
-
-    code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
-    assert code == 0
-    assert "verification passed" in out
-    assert "stored:" in out and "recomputed:" in out
 
 
 def test_module_entry_point_exits_with_each_command_code(tmp_path):
@@ -95,12 +60,18 @@ def test_eigensolver_failure_exits_1_without_a_certificate(tmp_path, capsys, mon
     assert not cert.exists()
 
 
-def test_verify_exits_1_on_boolean_constants(tmp_path, capsys):
-    system = str(tmp_path / "dft.csv")
-    cert = str(tmp_path / "cert.json")
-    assert run(capsys, "gen", "--kind", "dft", "--n", "2", "--m", "64", "--out", system)[0] == 0
+@pytest.fixture
+def selected(tmp_path, capsys):
+    """Paths of a trig 3 x 64 system written by ``gen`` and of ``select``'s
+    certificate of it, and the certificate's document."""
+    system, cert = str(tmp_path / "sys.csv"), str(tmp_path / "cert.json")
+    assert run(capsys, "gen", "--kind", "trig", "--n", "3", "--m", "64", "--out", system)[0] == 0
     assert run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)[0] == 0
-    doc = json.loads(Path(cert).read_text())
+    return system, cert, json.loads(Path(cert).read_text())
+
+
+def test_verify_exits_1_on_boolean_constants(selected, capsys):
+    system, cert, doc = selected
     doc["constants"] = {"lower": True, "upper": True}
     Path(cert).write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--system", system, "--certificate", cert)
@@ -108,33 +79,19 @@ def test_verify_exits_1_on_boolean_constants(tmp_path, capsys):
     assert err.startswith("error: ") and "bad number True" in err
 
 
-def test_verify_exit_2_on_tampering(tmp_path, capsys):
-    system = str(tmp_path / "sys.csv")
-    cert = str(tmp_path / "cert.json")
-    run(capsys, "gen", "--kind", "trig", "--n", "3", "--m", "30", "--out", system)
-    run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)
-
-    original = json.loads(Path(cert).read_text())
-    dropped = dict(original, point_indices=original["point_indices"][:-1])
-    dropped["m"] -= 1
-    # a non-integer count and an index beyond int64 fail, never crash
-    bad_m = dict(original, m="x")
-    huge = dict(original, point_indices=original["point_indices"][:-1] + [2**70])
-    for doc in (dropped, bad_m, huge):
-        with open(cert, "w") as fh:
-            json.dump(doc, fh)
-        code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
-        assert code == 2
-        assert "verification FAILED" in out
-        assert "mismatch:" in out
+def test_verify_exit_2_on_tampering(selected, capsys):
+    # a non-integer count fails, never crashes; mutated indices and weights
+    # are part of tests/test_selector_contract.py
+    system, cert, doc = selected
+    Path(cert).write_text(json.dumps(dict(doc, m="x")))
+    code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
+    assert code == 2
+    assert "verification FAILED" in out
+    assert "mismatch:" in out
 
 
-def test_verify_exit_2_on_edited_points(tmp_path, capsys):
-    system = str(tmp_path / "sys.csv")
-    cert = str(tmp_path / "cert.json")
-    run(capsys, "gen", "--kind", "trig", "--n", "3", "--m", "64", "--out", system)
-    run(capsys, "select", "--system", system, "--seed", "0", "--out", cert)
-    doc = json.loads(Path(cert).read_text())
+def test_verify_exit_2_on_edited_points(selected, capsys):
+    system, cert, doc = selected
     doc["points"][0] = ["123.0"]
     Path(cert).write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
@@ -169,25 +126,6 @@ def test_nikolskii_frozen_output(capsys):
     ]
 
 
-def test_select_weighted_and_verify(tmp_path, capsys):
-    system = str(tmp_path / "rnd.csv")
-    cert = str(tmp_path / "wcert.json")
-    run(
-        capsys,
-        "gen", "--kind", "random_orthonormal", "--n", "2", "--m", "20",
-        "--gen-seed", "5", "--out", system,
-    )
-    code, out, _ = run(
-        capsys, "select-weighted", "--system", system, "--seed", "1", "--out", cert
-    )
-    assert code == 0
-    assert out.startswith("kind=weighted")
-
-    code, out, _ = run(capsys, "verify", "--system", system, "--certificate", cert)
-    assert code == 0, out
-    assert "verification passed" in out
-
-
 def test_select_theta_override_lands_in_certificate(tmp_path, capsys):
     cert = str(tmp_path / "cert.json")
     code, _, _ = run(
@@ -199,70 +137,18 @@ def test_select_theta_override_lands_in_certificate(tmp_path, capsys):
     assert load_certificate(cert)["theta"] == 1.5
 
 
-def test_select_rebases_skewed_system(tmp_path, capsys):
-    # redundant rows: not orthonormal, needs re-basing before selection
-    skew = SampledSystem(
-        np.array([[1.0, 1.0, 1.0, 1.0], [1.1, 0.9, 1.05, 0.95]]), np.arange(4.0)
-    )
-    src = str(tmp_path / "skew.csv")
-    save_system(skew, src)
-    cert = str(tmp_path / "cert.json")
-    rebased = str(tmp_path / "rebased.csv")
-
-    code, _, err = run(capsys, "select", "--system", src, "--seed", "0", "--out", cert)
-    assert code == 1
-    assert "pass --out-system" in err
-
-    code, out, _ = run(
-        capsys,
-        "select", "--system", src, "--seed", "0", "--out", cert,
-        "--out-system", rebased,
-    )
-    assert code == 0
-    assert f"re-based system written to {rebased}" in out
-
-    code, out, _ = run(capsys, "verify", "--system", rebased, "--certificate", cert)
-    assert code == 0, out
-    assert "verification passed" in out
-
-
-def test_select_weighted_rebases_skewed_system(tmp_path, capsys):
-    base = make_system(SystemDescriptor("random_orthonormal", n=3, m=2000, seed=4))
-    values = base.values.copy()
-    values[0] *= np.sqrt(1.08)  # orthonormality residual 0.08
-    src = str(tmp_path / "skew.csv")
-    save_system(SampledSystem(values, base.points), src)
-    cert = str(tmp_path / "wcert.json")
-    rebased = str(tmp_path / "rebased.csv")
-    argv = ("select-weighted", "--system", src, "--seed", "1", "--out", cert)
-
-    code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert "pass --out-system" in err
-    assert not os.path.exists(cert)
-
-    # no residual threshold to raise: any residual the library would
-    # re-base on its own must be re-based here, onto a file
-    code, _, err = run(capsys, *argv, "--delta", "0.1")
-    assert code == 1
-    assert "unrecognized arguments: --delta" in err
-    assert not os.path.exists(cert)
-    # select re-bases at the same residual and has no --delta either
-    code, _, err = run(capsys, "select", *argv[1:], "--delta", "0.1")
-    assert code == 1
-    assert "unrecognized arguments: --delta" in err
-    assert not os.path.exists(cert)
-
-    code, out, _ = run(capsys, *argv, "--out-system", rebased)
-    assert code == 0
-    assert f"re-based system written to {rebased}" in out
-    assert "delta" not in load_certificate(cert)["settings"]
-
-    code, out, _ = run(capsys, "verify", "--system", rebased, "--certificate", cert)
-    assert code == 0, out
-    assert "verification passed" in out
-    code, out, _ = run(capsys, "verify", "--system", src, "--certificate", cert)
-    assert code == 2
+def test_selection_commands_take_no_residual_threshold(tmp_path, capsys):
+    # any residual the library would refuse is re-based onto a file instead;
+    # select records the residual re-basing starts above, for readers
+    cert = tmp_path / "c.json"
+    argv = ("--kind", "dft", "--n", "2", "--m", "16", "--seed", "1", "--out", str(cert))
+    for command, delta in (("select", TIGHTNESS_TOL), ("select-weighted", None)):
+        code, _, err = run(capsys, command, *argv, "--delta", "0.1")
+        assert code == 1 and "unrecognized arguments: --delta" in err
+        assert not cert.exists()
+        assert run(capsys, command, *argv)[0] == 0
+        assert load_certificate(str(cert))["settings"].get("delta") == delta
+        cert.unlink()
 
 
 def test_unwritable_destination_fails_before_any_work(tmp_path, capsys, monkeypatch):
@@ -347,64 +233,6 @@ def test_unwritable_destination_fails_before_any_work(tmp_path, capsys, monkeypa
         "sweep", "--kind", "trig", "--n-list", "3", "--m-list", "64",
         "--seed", "0", "--out", somedir,
     )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    command=st.sampled_from(("select", "select-weighted")),
-    kind=st.sampled_from(("trig", "dft", "walsh", "random_orthonormal")),
-    field=st.sampled_from(("real", "complex")),
-    n=st.integers(1, 4),
-    m=st.sampled_from((8, 32, 128, 512)),
-    seed=st.integers(0, 2**16),
-    data=st.data(),
-)
-def test_cli_certificates_reverify_and_reject_mutations(
-    command, kind, field, n, m, seed, data
-):
-    # save -> load -> verify passes for every certificate the CLI writes;
-    # a mutated index or weight fails verification with exit 2
-    if kind == "trig":
-        n |= 1
-    with tempfile.TemporaryDirectory() as tmp:
-        system = os.path.join(tmp, "sys.csv")
-        cert = os.path.join(tmp, "cert.json")
-        gen = ("--kind", kind, "--n", str(n), "--m", str(m), "--field", field)
-        assert main(["gen", *gen, "--gen-seed", str(seed), "--out", system]) == 0
-        argv = [command, "--system", system, "--seed", str(seed), "--out", cert]
-        if command == "select-weighted":
-            argv += ["--cap", "20000"]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
-        if code == 1:
-            # skewed random systems can need more copies than the cap
-            assert kind == "random_orthonormal" and "cap is 20000" in err.getvalue()
-            assert not os.path.exists(cert)
-            return
-        assert code == 0
-        verify = ["verify", "--system", system, "--certificate", cert]
-        assert main(verify) == 0
-
-        with open(cert) as fh:
-            doc = json.load(fh)
-        k = len(doc["point_indices"])
-        i = data.draw(st.integers(0, k - 1), label="position")
-        targets = ["index"] + (["weight"] if doc["weights"] is not None else [])
-        if data.draw(st.sampled_from(targets), label="target") == "weight":
-            # adding lambda with lambda |u(x)|^2 >= C to one weight lifts the
-            # upper constant past c + C, whatever the system
-            values = load_system(system).values[:, doc["point_indices"][i]]
-            upper = float(doc["constants"]["upper"])
-            bump = 2.0 * upper / float(np.vdot(values, values).real)
-            doc["weights"][i] = repr(float(doc["weights"][i]) + bump)
-        elif k > 1 and data.draw(st.booleans(), label="duplicate"):
-            doc["point_indices"][i] = doc["point_indices"][(i + 1) % k]
-        else:
-            doc["point_indices"][i] = m + data.draw(st.integers(0, 3), label="past")
-        with open(cert, "w") as fh:
-            json.dump(doc, fh)
-        assert main(verify) == 2
 
 
 def test_sweep_header_rows_and_determinism(tmp_path, capsys):
@@ -533,13 +361,17 @@ def test_runtime_error_exit_1(tmp_path, capsys):
     assert code == 1
     assert "error:" in err and "missing metadata sidecar" in err
 
-    code, _, err = run(
-        capsys, "select-weighted", "--kind", "dft", "--n", "2", "--m", "16",
-        "--seed", "0", "--cap", "0", "--out", str(tmp_path / "c.json"),
-    )
-    assert code == 1
-    assert "error: cap must be an integer >= 1: 0" in err
-    assert not (tmp_path / "c.json").exists()
+    for cap, message in (
+        ("0", "cap must be an integer >= 1: 0"),
+        ("15", "norm equalization needs 16 copies, cap is 15"),
+    ):
+        code, _, err = run(
+            capsys, "select-weighted", "--kind", "dft", "--n", "2", "--m", "16",
+            "--seed", "0", "--cap", cap, "--out", str(tmp_path / "c.json"),
+        )
+        assert code == 1
+        assert f"error: {message}" in err
+        assert not (tmp_path / "c.json").exists()
 
 
 @pytest.mark.parametrize(

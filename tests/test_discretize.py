@@ -4,7 +4,6 @@ complex-to-real transfer."""
 
 import dataclasses
 import json
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +46,7 @@ from sampdisc import (
 from sampdisc import discretize
 from sampdisc.discretize import _legacy_fingerprint, fingerprint_matches
 
-from helpers import loop_frame_operator
+from helpers import loop_frame_operator, traced_peak
 
 
 def trig_eval(n):
@@ -280,12 +279,7 @@ def test_selection_inputs_measured_once_per_system():
     assert not system._frame._operator.flags.writeable
     # a second selection reuses the frame, its norms and its operator,
     # so it allocates about one half-frame gather, not the n x m copies
-    tracemalloc.start()
-    try:
-        discretize_equal_weight(system, OracleConfig(seed=4))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: discretize_equal_weight(system, OracleConfig(seed=4)))
     assert peak <= 1.5 * system.values.nbytes
 
 
@@ -336,12 +330,7 @@ def test_read_only_arrays_are_kept_as_they_are(dtype):
 
 def test_frame_keeps_the_product_it_is_built_from():
     system = make_system(SystemDescriptor("dft", n=8, m=8192))
-    tracemalloc.start()
-    try:
-        frame = build_frame_from_samples(system)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    frame, peak = traced_peak(lambda: build_frame_from_samples(system))
     # the parent held the product and its copy: 2.06 x values.nbytes
     assert peak <= 1.25 * system.values.nbytes
     assert not frame.vectors.flags.writeable
@@ -351,12 +340,7 @@ def second_call_peak(call, system):
     """Peak traced bytes of the second ``call(system)`` in units of
     ``system.values.nbytes``; the first call pays for lazy imports."""
     call(system)
-    tracemalloc.start()
-    try:
-        call(system)
-        return tracemalloc.get_traced_memory()[1] / system.values.nbytes
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: call(system))[1] / system.values.nbytes
 
 
 def test_reorthonormalize_keeps_the_arrays_it_makes():
@@ -646,9 +630,7 @@ def test_equal_weight_canonical_trig():
     system = make_system(SystemDescriptor("trig", n=3, m=24))
     cert = discretize_equal_weight(system)
     # delta = 3/24 >= 1/100: every point is kept and the mean is the Gram
-    assert cert.kind == "equal_weight"
     assert cert.point_indices == tuple(range(24))
-    assert cert.m == 24
     assert cert.weights is None
     assert abs(cert.theta - 1.0) < 1e-12
     assert abs(cert.constants.lower - 1.0) < 1e-12
@@ -674,9 +656,6 @@ def test_equal_weight_iterative_dft():
     assert abs(cert.constants.upper - 2.0 * halving["actual_upper"]) < 1e-12
     assert cert.constants.lower >= 2.0 * 0.2790291308792039 - 1e-9
     assert cert.constants.upper <= 2.0 * 0.7209708691207961 + 1e-9
-    redone = recompute_constants(system, cert.point_indices)
-    assert abs(redone.lower - cert.constants.lower) < 1e-12
-    assert abs(redone.upper - cert.constants.upper) < 1e-12
 
 
 def test_equal_weight_theta_override():
@@ -693,12 +672,6 @@ def test_equal_weight_requires_uniform_weights():
     w = np.array([0.5, 0.25, 0.25])
     system = SampledSystem(np.array([[1.0, 1.0, 1.0]]), np.arange(3.0), point_weights=w)
     with pytest.raises(PreconditionError, match="uniform"):
-        discretize_equal_weight(system)
-
-
-def test_equal_weight_requires_orthonormality():
-    system = SampledSystem(np.array([[1.2, 1.2, 1.2]]), np.arange(3.0))
-    with pytest.raises(PreconditionError, match="not orthonormal"):
         discretize_equal_weight(system)
 
 
@@ -779,37 +752,16 @@ def test_weighted_support_leaner_than_equal_weight():
     cert = discretize_weighted(system, OracleConfig(seed=2))
     assert cert.m < m
     assert cert.m >= 2
-    weights = np.asarray(cert.weights)
-    assert (weights >= 0).all()
-    # iterative guarantee at theta = 2: lower constant at least 25
-    assert cert.constants.lower >= 25.0 - 1e-8
     assert cert.constants.upper <= 160.0
-    redone = recompute_constants(system, cert.point_indices, cert.weights)
-    assert abs(redone.lower - cert.constants.lower) < 1e-10
-    assert abs(redone.upper - cert.constants.upper) < 1e-10
 
 
 def test_weighted_reorthonormalizes_first():
-    # non-orthonormal input is refused, not silently re-based: a certificate
-    # measured on a re-based basis would not verify against the input
+    # that the certificate verifies against the re-based system and not
+    # against the input is part of tests/test_selector_contract.py
     system = SampledSystem(np.array([[2.0, 1.0, 1.0, 1.0]]), np.arange(4.0))
-    with pytest.raises(PreconditionError, match="not orthonormal"):
-        discretize_weighted(system)
-    rebased = reorthonormalize(system)
-    cert = discretize_weighted(rebased)
+    cert = discretize_weighted(reorthonormalize(system))
     stages = [entry["stage"] for entry in cert.pipeline_log]
     assert stages == ["weighted", "halving"]
-    assert cert.input_fingerprint == rebased.fingerprint()
-    document = {
-        "input_fingerprint": cert.input_fingerprint,
-        "point_indices": list(cert.point_indices),
-        "m": cert.m,
-        "weights": list(cert.weights),
-        "constants_decoded": cert.constants,
-    }
-    report = verify_certificate(rebased, document)
-    assert report.passed, report.messages
-    assert not verify_certificate(system, document).passed
     # certificate speaks about the normalized span u/||u||
     scale = np.sqrt(7.0 / 4.0)
     u = system.values[0] / scale
@@ -920,25 +872,19 @@ def test_transfer_rejects_indices_it_would_truncate():
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["trig", "dft", "walsh", "random_orthonormal"])
 def test_pipelines_measure_constants_with_the_shared_kernel(kind, field):
-    # every pipeline's constants are exactly what verification recomputes
+    # a transferred certificate's constants are exactly what verification
+    # recomputes, as the selector contract checks for each selector
     n = 3 if kind == "trig" else 2
     system = make_system(SystemDescriptor(kind, n=n, m=512, seed=3), field=field)
     tagged = SampledSystem(np.array(system.values, dtype=complex), system.points)
     companion, mapping = complexify_via_real(tagged)
-    certs = (
-        (system, discretize_equal_weight(system, OracleConfig(seed=1))),
-        (system, discretize_weighted(system, OracleConfig(seed=1))),
-        (tagged, transfer_certificate(discretize_equal_weight(companion), tagged, mapping)),
-        (
-            tagged,
-            transfer_certificate(
-                discretize_weighted(companion, OracleConfig(seed=2)), tagged, mapping
-            ),
-        ),
-    )
-    for source, cert in certs:
+    for real_cert in (
+        discretize_equal_weight(companion),
+        discretize_weighted(companion, OracleConfig(seed=2)),
+    ):
+        cert = transfer_certificate(real_cert, tagged, mapping)
         assert cert.constants == recompute_constants(
-            source, cert.point_indices, cert.weights
+            tagged, cert.point_indices, cert.weights
         )
 
 
@@ -979,14 +925,6 @@ def test_result_index_and_weight_fields_are_python_scalars():
     _assert_plain(req.active, int)
     _assert_plain(part.s1, int)
     _assert_plain(part.s2, int)
-
-    weighted = discretize_weighted(system, OracleConfig(seed=5))
-    _assert_plain(weighted.point_indices, int)
-    _assert_plain(weighted.weights, float)
-    trig = make_system(SystemDescriptor("trig", n=3, m=1024))
-    equal = discretize_equal_weight(trig, OracleConfig(seed=5))
-    assert not equal.pipeline_log[-1]["fast_path"]
-    _assert_plain(equal.point_indices, int)
 
 
 # ------------------------------------------------------------ fault detectors

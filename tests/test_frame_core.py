@@ -1,12 +1,14 @@
 """Frame operators, bounds, and their eigensolve plumbing."""
 
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sampdisc import (
+    DuplicationMap,
     EigensolverError,
     FrameBounds,
     FrameSystem,
@@ -35,6 +37,7 @@ from helpers import (
     quad_form,
     random_tight_frame,
     svd_subset_bounds,
+    traced_peak,
 )
 
 R2 = 1.0 / np.sqrt(2.0)
@@ -203,6 +206,9 @@ BAD_INPUTS = [
     ("index m", [0, 3], None),
     ("duplicate index", [0, 0, 1], None),
     ("index 2**70", [0, 2**70], None),
+    ("int", 5, None),
+    ("numpy int", np.int64(3), None),
+    ("None", None, None),
     ("weight count", [0, 1, 2], [0.5, 0.5]),
     ("negative weight", [0, 1, 2], [0.5, -1.0, 0.5]),
     ("nan weight", [0, 1, 2], [0.5, np.nan, 0.5]),
@@ -223,7 +229,7 @@ def test_every_entry_rejects_the_same_bad_input(indices, weights):
     system = SampledSystem(np.sqrt(3.0) * np.eye(3), np.arange(3.0))
     if weights is None:
         cert = HalvingCertificate(
-            J=tuple(indices),
+            J=indices,
             theta=1.0,
             delta=1.0,
             schedule=None,
@@ -270,6 +276,7 @@ BAD_INTEGERS = [
     case[:2]
     for case in BAD_INPUTS
     if case[0] in ("float indices", "bool indices", "bool among ints", "index 2**70")
+    or case[0] in ("int", "numpy int", "None")
 ] + [
     ("floats and a bool", [1.5, 2.7, True]),
     ("string", ["x"]),
@@ -292,6 +299,25 @@ def test_result_types_read_indices_under_the_integer_rule(indices):
         PartitionResult(indices, (0,), bounds, bounds, 0.3, 0.7, 1)
     with pytest.raises(PreconditionError):
         PartitionResult((0,), indices, bounds, bounds, 0.3, 0.7, 1)
+    with pytest.raises(PreconditionError):
+        DuplicationMap(indices, 0)
+
+
+def test_converted_inputs_are_allocated_once():
+    # the copy rule copied each conversion once more: 2.0 x the kept bytes;
+    # each first call pays for lazy imports
+    values = np.random.default_rng(0).standard_normal((8, 8192)).astype(np.float32)
+    for given in (values, values.tolist()):
+        SampledSystem(given, np.arange(8192.0))
+        system, peak = traced_peak(lambda: SampledSystem(given, np.arange(8192.0)))
+        assert peak <= 1.5 * system.values.nbytes
+    indices, bounds = np.arange(0, 131072, 2, dtype=np.int32), FrameBounds(0.4, 0.6)
+    kept, peak = traced_peak(lambda: HalvingRound(0, indices, bounds, 0.3, 0.7, 1))
+    assert peak <= 1.5 * kept.kept_indices.nbytes
+    # the counts are also kept as a tuple of ints, built through a list
+    counts = np.full(65536, 3, dtype=np.int32)
+    dup, peak = traced_peak(lambda: DuplicationMap(counts, 0))
+    assert peak <= 1.5 * dup._counts.nbytes + 2 * sys.getsizeof(dup.counts)
 
 
 def _clamped(matrix):

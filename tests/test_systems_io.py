@@ -7,7 +7,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,8 @@ from sampdisc import (
 from sampdisc import _reprs, systems_io
 from sampdisc.cli import main
 from sampdisc.discretize import _legacy_fingerprint
+
+from helpers import traced_peak
 
 
 # ------------------------------------------------------------------ generators
@@ -466,12 +467,7 @@ def test_save_peak_memory_stays_a_few_times_the_values(tmp_path):
     system = make_system(SystemDescriptor("dft", n=16, m=2048), field="complex")
     path = str(tmp_path / "dft.csv")
     save_system(system, path)
-    tracemalloc.start()
-    try:
-        save_system(system, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: save_system(system, path))[1]
     assert peak <= 5 * system.values.nbytes
 
 
@@ -518,12 +514,7 @@ def test_make_system_peak_memory_in_values(desc, bound):
     # the generator's arrays are kept, never copied once more; a copy of
     # the values would add 1 x their bytes
     make_system(desc)
-    tracemalloc.start()
-    try:
-        system = make_system(desc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    system, peak = traced_peak(lambda: make_system(desc))
     assert peak <= bound * system.values.nbytes
 
 
@@ -988,38 +979,24 @@ def test_certificate_roundtrip_equal_weight(tmp_path):
     path = str(tmp_path / "cert.json")
     save_certificate(cert, path, settings={"strategy": "randomized", "seed": 0})
     doc = load_certificate(path)
-    assert doc["kind"] == "equal_weight"
+    # kind, indices, weights, verification and bytes: tests/test_selector_contract.py
     assert doc["constants_decoded"] == cert.constants
-    assert tuple(doc["point_indices"]) == cert.point_indices
     assert doc["theta"] == cert.theta
-    assert doc["weights"] is None
     assert doc["points_decoded"].tobytes() == cert.points.tobytes()
     assert doc["points_decoded"].shape == (cert.m, 1)
     assert doc["settings"] == {"strategy": "randomized", "seed": 0}
-    report = verify_certificate(system, doc)
-    assert report.passed, report.messages
-    assert report.recomputed == cert.constants
-
-    # identical bytes on re-save
-    other = str(tmp_path / "cert2.json")
-    save_certificate(cert, other, settings={"strategy": "randomized", "seed": 0})
-    with open(path, "rb") as fh:
-        one = fh.read()
-    with open(other, "rb") as fh:
-        two = fh.read()
-    assert one == two
 
 
 def test_certificate_roundtrip_weighted(tmp_path):
     system = make_system(SystemDescriptor("random_orthonormal", n=2, m=20, seed=5))
     cert = discretize_weighted(system, OracleConfig(seed=1))
-    path = str(tmp_path / "wcert.json")
-    save_certificate(cert, path)
-    doc = load_certificate(path)
-    assert doc["kind"] == "weighted"
-    assert tuple(doc["weights"]) == cert.weights
-    report = verify_certificate(system, doc)
-    assert report.passed, report.messages
+    save_certificate(cert, str(tmp_path / "wcert.json"))
+    doc = load_certificate(str(tmp_path / "wcert.json"))
+    # kind, indices, weights and verification: tests/test_selector_contract.py
+    assert doc["constants_decoded"] == cert.constants
+    assert doc["theta"] == cert.theta
+    assert doc["points_decoded"].tobytes() == cert.points.tobytes()
+    assert doc["settings"] == {}
 
 
 def test_certificate_missing_keys(tmp_path):
@@ -1255,13 +1232,7 @@ def test_verify_detects_tampering(tmp_path):
     assert not report.passed
     assert any("fingerprint" in msg for msg in report.messages)
 
-    # 2. dropped index: m disagrees and the constants move
-    doc2 = load_certificate(path)
-    doc2["point_indices"] = doc2["point_indices"][:-1]
-    report = verify_certificate(system, doc2)
-    assert not report.passed
-
-    # 3. inflated constants
+    # 2. inflated constants
     doc3 = load_certificate(path)
     doc3["constants_decoded"] = FrameBounds(
         doc3["constants_decoded"].lower + 1e-6, doc3["constants_decoded"].upper
@@ -1270,7 +1241,7 @@ def test_verify_detects_tampering(tmp_path):
     assert not report.passed
     assert any("lower constant mismatch" in msg for msg in report.messages)
 
-    # 4. non-finite constants: nan and inf compare within any tolerance
+    # 3. non-finite constants: nan and inf compare within any tolerance
     for lower, upper in ((np.nan, np.nan), (doc3["constants_decoded"].lower, np.inf)):
         doc4 = load_certificate(path)
         doc4["constants_decoded"] = FrameBounds(lower, upper)
@@ -1328,12 +1299,21 @@ def test_verify_document_checks():
     # documents built in memory skip the loader's type checks
     for doc, message in (
         (dict(good, point_indices=[[0, 1], [2, 3]]), "not a flat list"),
+        (dict(good, point_indices=5), "not a flat list"),
         (dict(good, point_indices=[0, 1, 2**70]), "not 64-bit integers"),
         (dict(good, weights=["a", "b", "c"]), "not numbers"),
+        (dict(good, constants_decoded=FrameBounds("a", 1.0)), "not two real numbers"),
+        (dict(good, points_decoded=[[0.0], [1.0]]), "not the system's points"),
+        (dict(good, points_decoded=[["a"]] * 3), "not numbers"),
     ):
         report = verify_certificate(system, doc)
         assert not report.passed
         assert any(message in msg for msg in report.messages)
+    # a plain pair of constants and plain lists of points are read as numbers
+    plain = dict(good, constants_decoded=tuple(good["constants_decoded"]))
+    plain["points_decoded"] = rows.tolist()
+    report = verify_certificate(system, plain)
+    assert report.passed and type(report.stored) is FrameBounds
 
 
 def test_verify_rejects_rank_loss_and_skew():
