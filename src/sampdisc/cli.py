@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -213,6 +214,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser :func:`main` uses, built once per process: parsing keeps
+    nothing in the parser, each call gets a fresh namespace."""
+    return build_parser()
+
+
 def _cmd_gen(args) -> int:
     if args.system:
         raise UsageError("gen builds a system, pass --kind rather than --system")
@@ -338,7 +346,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if not args.command:

@@ -206,14 +206,23 @@ def _json_floats(cells: np.ndarray) -> str:
     return f"[{pad[1]}{head}{body}{tail}{pad[0]}]" if nested else head + body + tail
 
 
+def _exact_ints(value) -> bool:
+    """Whether ``value`` is a list or tuple of Python ints, none of them a
+    bool or a subclass: ``str`` of each is the number JSON writes."""
+    return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+
+
 def _json_text(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus "\n", but with each
-    float64 array value written by :func:`_json_floats`.  Any other value is
-    dumped alone and indented a level: JSON escapes each newline in a string."""
+    float64 array value written by :func:`_json_floats` and each list or
+    tuple of exact ints by one join.  Any other value is dumped alone and
+    indented a level: JSON escapes each newline in a string."""
     items = []
     for key, value in sorted(doc.items()):
         if isinstance(value, np.ndarray) and value.dtype == np.float64:
             text = _json_floats(value)
+        elif _exact_ints(value) and value:  # json.dumps writes [] on one line
+            text = "[\n    " + ",\n    ".join(map(str, value)) + "\n  ]"
         else:
             text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
         items.append(f"{json.dumps(key)}: {text}")
@@ -402,7 +411,6 @@ def save_certificate(
             "kind": cert.kind,
             "input_fingerprint": cert.input_fingerprint,
             "m": cert.m,
-            "point_indices": cert.point_indices,
             "points": points,
             "constants": cert.constants._asdict(),
             "theta": cert.theta,
@@ -410,6 +418,10 @@ def save_certificate(
             "pipeline_log": cert.pipeline_log,
         }
     )
+    # exact int indices skip the encoding, one call per item: _json_text
+    # writes them with one join
+    indices = cert.point_indices
+    doc["point_indices"] = indices if _exact_ints(indices) else _encoded(indices)
     # settings stay unencoded: a threshold such as 1e-08 is a JSON number
     doc["settings"] = settings or {}
     with open(path, "w") as fh:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sampdisc import FrameBounds, SampledSystem, load_certificate, save_system
-from sampdisc import cli
+from sampdisc import cli, discretize
 from sampdisc.cli import build_parser, main
 from sampdisc.frame_core import TIGHTNESS_TOL
 from sampdisc.partition_oracle import DEFAULT_BUDGET
@@ -417,3 +417,57 @@ def test_parser_defaults_are_the_library_constants():
         (["verify", "--system", "s.csv", "--certificate", "c.json"], "tol", VERIFY_TOL),
     ]:
         assert getattr(parser.parse_args(argv), name) == value
+
+
+def test_main_reuses_one_parser_that_keeps_no_state(tmp_path, capsys):
+    # main() parses with one parser per process; build_parser() still
+    # returns a new parser on every call
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+    cert = tmp_path / "c.json"
+    argv = ["select", "--kind", "trig", "--n", "3", "--m", "64", "--seed", "0",
+            "--out", str(cert)]
+    fresh = vars(build_parser().parse_args(argv))
+    assert run(capsys, *argv)[0] == 0
+    plain = cert.read_bytes()
+    assert run(capsys, *argv, "--theta", "1.5")[0] == 0
+    assert load_certificate(str(cert))["theta"] == 1.5
+    assert run(capsys, *argv)[0] == 0
+    assert cert.read_bytes() == plain
+    assert load_certificate(str(cert))["theta"] != 1.5
+    # a usage error part way through a subcommand's flags leaves nothing behind
+    code, _, err = run(capsys, *argv, "--theta", "x", "--budget", "3")
+    assert code == 1 and "invalid float value" in err
+    assert run(capsys, "select", "--nope")[0] == 1
+    assert run(capsys, *argv)[0] == 0
+    assert cert.read_bytes() == plain
+    assert vars(cli._parser().parse_args(argv)) == fresh
+
+
+def test_sidecar_fingerprint_is_checked_and_verify_hashes_again(
+    selected, capsys, monkeypatch
+):
+    system, cert, _ = selected
+    calls = []
+    hashed = discretize.system_fingerprint
+
+    def counting_fingerprint(sampled):
+        calls.append(sampled)
+        return hashed(sampled)
+
+    monkeypatch.setattr(discretize, "system_fingerprint", counting_fingerprint)
+    # verify hashes the arrays in hand once more after load_system's check
+    assert run(capsys, "verify", "--system", system, "--certificate", cert)[0] == 0
+    assert len(calls) == 2 and calls[0] is calls[1]
+    side = Path(system + ".json")
+    meta = json.loads(side.read_text())
+    digest = meta["fingerprint"]
+    meta["fingerprint"] = digest[:-1] + ("0" if digest[-1] != "0" else "1")
+    side.write_text(json.dumps(meta))
+    out = Path(cert).with_name("again.json")
+    for argv in (["select", "--system", system, "--seed", "0", "--out", str(out)],
+                 ["verify", "--system", system, "--certificate", cert]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and "fingerprint mismatch" in err
+    assert not out.exists()

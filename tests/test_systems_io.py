@@ -1199,6 +1199,67 @@ def test_save_certificate_as_the_per_value_writer(tmp_path, points, weights):
         assert path.read_bytes() == _reference_certificate_bytes(cert, settings)
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[], (), [7], (0,), list(range(0, 3000, 3)), [2**31, -(2**31) - 1, 2**63, 2**70, 0]],
+    ids=["empty-list", "empty-tuple", "one", "one-tuple", "many", "wide"],
+)
+def test_json_text_joins_exact_ints_as_json_dumps(indices):
+    doc = {"point_indices": indices, "a": 1, "z": np.array([0.5, -0.0])}
+    expected = json.dumps(_quoted(doc), sort_keys=True, indent=2) + "\n"
+    assert systems_io._json_text(doc) == expected
+    assert systems_io._json_text({"point_indices": indices}) == (
+        json.dumps({"point_indices": indices}, indent=2) + "\n"
+    )
+
+
+def _outcome(write):
+    """The bytes ``write()`` returns, or the type and text of what it raises."""
+    try:
+        return write()
+    except Exception as exc:  # compared, never swallowed: both sides must match
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [
+        (),
+        (3,),
+        tuple(range(1024)),
+        (2**31, 2**63 + 5),
+        [4, 1],
+        (1.5, 2),
+        (True, 2),
+        (np.int64(1), np.int64(2)),
+        (1, np.int32(2)),
+        "12",
+    ],
+    ids=["empty", "one", "many", "wide", "list", "float", "bool", "numpy", "mixed", "str"],
+)
+def test_save_certificate_indices_as_the_per_value_writer(tmp_path, indices):
+    # exact ints are joined; anything else takes the per-value path, with
+    # the same bytes or the same error as that writer
+    cert = DiscretizationCertificate(
+        kind="equal_weight",
+        point_indices=indices,
+        points=np.array([0.5, 0.25]),
+        m=2,
+        weights=None,
+        constants=FrameBounds(0.5, 2.0),
+        theta=None,
+        input_fingerprint="sha256v2:0",
+        pipeline_log=(),
+    )
+    path = tmp_path / "cert.json"
+
+    def saved():
+        save_certificate(cert, str(path))
+        return path.read_bytes()
+
+    assert _outcome(saved) == _outcome(lambda: _reference_certificate_bytes(cert))
+
+
 # ---------------------------------------------------------------- verification
 
 
