@@ -199,9 +199,9 @@ def halving_select(
     if copies is None:
         src, counts = np.arange(frame.m, dtype=np.int64), None
     else:
-        if len(copies.counts) != frame.m:
+        if copies._counts.size != frame.m:
             raise PreconditionError(
-                f"{len(copies.counts)} copy counts for {frame.m} vectors"
+                f"{copies._counts.size} copy counts for {frame.m} vectors"
             )
         src, counts = copies._copy_to_source, copies._counts
     m = src.size

@@ -5,10 +5,12 @@ Systems travel as a CSV of values plus a JSON sidecar with the metadata
 travel as standalone JSON.  Floats are written as their exact ``repr``,
 so files round-trip bit for bit and a rerun reproduces identical bytes.
 Each distinct value of an array is formatted once, by a vectorized
-``repr`` (:mod:`sampdisc._reprs`), and each CSV row or JSON list is one
-join.  One writer, :func:`_json_text`, lays out both JSON files.  Beside
-the CSV, a binary copy of its cells bound to the CSV bytes by their
-sha256 lets loading skip the text parse.
+``repr`` (:mod:`sampdisc._reprs`), and rows of text are gathered from
+those reprs in blocks, through one buffer per call.  One writer,
+:func:`_json_text`, lays out both JSON files.  Beside the CSV, a binary
+copy of its cells bound to the CSV bytes by their sha256 lets loading
+skip the text parse; loading then hashes the CSV in blocks and never
+holds its text.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ SCHEMA_VERSION = "1"
 # the binary copy: sha256 of the CSV bytes, then the cells as "<f8"
 CACHE_SUFFIX = ".f64"
 _DIGEST_SIZE = 32
+# bytes of the CSV hashed per read, below glibc's default mmap threshold
+_HASH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,10 @@ def _dft_system(n: int, m: int) -> tuple:
     # rows exp(2*pi*i*k*j/m) for k < n on the uniform grid j/m
     j = np.arange(m)
     k = np.arange(n)[:, None]
-    return np.exp(2j * np.pi * k * j / m), j / m
+    # exp(2j * np.pi * k * j / m), evaluated in the one array it returns
+    values = 2j * np.pi * k * j
+    values /= m
+    return np.exp(values, out=values), j / m
 
 
 def _walsh_system(n: int, m: int) -> tuple:
@@ -150,14 +157,16 @@ def _parse_floats(cells, path: str, row: Optional[int]) -> list:
                 raise ParseError(f"bad number {cell!r}", path=path, row=row) from None
 
 
-def _repr_rows(cells: np.ndarray, sep: bytes):
-    """``sep.join`` of the ``repr`` of the cells of each row of the 2-d
-    float64 array ``cells``, which has at least one column, as ASCII
-    bytes, one row at a time.
+def _repr_rows(cells: np.ndarray, sep: bytes, end: bytes):
+    """The rows of the 2-d float64 array ``cells``, which has at least
+    one column, as ASCII text: the ``repr`` of each row's cells joined
+    by ``sep``, and ``end`` after each row.  The text comes in blocks of
+    whole rows, about 4096 cells each, as bytearrays; joined, they are
+    the text.
 
     Each distinct bit pattern (so -0.0 apart from 0.0) is formatted once,
     by :func:`sampdisc._reprs.repr_table`, and the rows are gathered from
-    that table.
+    that table into one buffer that every block reuses.
     """
     # imported here: only a save compiles the kernel and builds its tables
     from ._reprs import repr_table
@@ -173,36 +182,55 @@ def _repr_rows(cells: np.ndarray, sep: bytes):
     # each cell's rank among the distinct values, in the smallest
     # integer type that holds them
     index = np.empty(bits.size, dtype=np.min_scalar_type(keys.size))
-    index[order] = np.cumsum(first, dtype=index.dtype) - 1
-    del order, first
-    table = repr_table(keys.view(np.float64))
+    rank = np.cumsum(first, dtype=index.dtype)
+    rank -= 1
+    index[order] = rank
+    del order, first, rank
+    table = repr_table(keys.view(np.float64)).view(np.uint8).reshape(-1, 24)
     del keys
-    rows = index.reshape(cells.shape)
-    # gather about 4096 cells per numpy call: one call per row would
-    # dominate on short rows, such as the sidecar's points
-    step = max(1, 4096 // rows.shape[1])
-    for start in range(0, rows.shape[0], step):
-        for row in table[rows[start : start + step]].tolist():
-            yield sep.join(row)
+    index = index.reshape(cells.shape)
+    # a block of about 4096 cells: one block per row would dominate on
+    # short rows, such as the sidecar's points
+    height, width = index.shape
+    block = min(height, max(1, 4096 // width))
+    reprs = np.empty((block, width, 24), dtype=np.uint8)
+    # each cell's repr, NUL-padded to 24 bytes, then its separator (end
+    # after a row's last cell), NUL-padded alike: without the NULs, that
+    # is the text
+    pad = max(len(sep), len(end))
+    buffer = bytearray(block * width * (24 + pad))
+    text = np.frombuffer(buffer, dtype=np.uint8).reshape(block, width, 24 + pad)
+    text[:, :, 24 : 24 + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+    text[:, -1, 24:] = np.frombuffer(end.ljust(pad, b"\0"), dtype=np.uint8)
+    for start in range(0, height, block):
+        rows = min(block, height - start)
+        np.take(table, index[start : start + rows], axis=0, out=reprs[:rows], mode="clip")
+        text[:rows, :, :24] = reprs[:rows]
+        text[rows:] = 0  # only the last block has fewer rows
+        yield buffer.translate(None, b"\0")
 
 
 def _json_floats(cells: np.ndarray) -> str:
     """The 1-d float64 array ``cells`` as a JSON list of the quoted
     ``repr`` of its cells, or the 2-d one as a list of such lists, laid
     out as ``json.dump(..., indent=2)`` lays out a top-level key's value.
-    One join writes every row: its separator closes one row's list and
-    opens the next.  A float's repr holds no character JSON escapes."""
+    Every row's text ends in the separator that closes its list and
+    opens the next, and the last row's is cut.  A float's repr holds no
+    character JSON escapes."""
     if not len(cells):
         return "[]"
     pad = ["\n" + "  " * k for k in (1, 2, 3)]
     nested = cells.ndim - 1  # 1 when each row is a list of its own
     rows = cells if nested else cells[None, :]
     head, tail = f'[{pad[nested + 1]}"', f'"{pad[nested]}]'
+    if not rows.shape[1]:  # a row with no cells is written "[]"
+        head, tail = "[", "]"
+    end = f"{tail},{pad[1]}{head}".encode()
     if rows.shape[1]:
-        texts = _repr_rows(rows, f'",{pad[nested + 1]}"'.encode())
-    else:  # a row with no cells is written "[]"
-        head, tail, texts = "[", "]", [b""] * len(rows)
-    body = f"{tail},{pad[1]}{head}".encode().join(texts).decode()
+        texts = _repr_rows(rows, f'",{pad[nested + 1]}"'.encode(), end)
+    else:
+        texts = [end] * len(rows)
+    body = b"".join(texts)[: -len(end)].decode()
     return f"[{pad[1]}{head}{body}{tail}{pad[0]}]" if nested else head + body + tail
 
 
@@ -240,22 +268,22 @@ def save_system(system: SampledSystem, path: str) -> None:
     Complex values occupy two adjacent columns per point (re, im).
     Floats are exact decimal strings, so loading reproduces the arrays
     bit for bit; each distinct value is formatted once, by a vectorized
-    ``repr`` that writes the same bytes, and the text is streamed row by
-    row, never held whole.  ``path + ".f64"`` gets the sha256 of the CSV
-    bytes followed by the same cells as row-major little-endian float64.
+    ``repr`` that writes the same bytes, and the text is streamed in
+    blocks of rows, never held whole.  ``path + ".f64"`` gets the sha256
+    of the CSV bytes followed by the same cells as row-major little-endian
+    float64, written from the array's own buffer.
     """
     # csv.writer's rows: no cell needs quoting, and "\r\n" ends each row
     flat = np.ascontiguousarray(system.values).view(np.float64)
     _, side, cache = _system_files(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for row in _repr_rows(flat, b","):
-            line = row + b"\r\n"
-            digest.update(line)
-            fh.write(line)
+        for text in _repr_rows(flat, b",", b"\r\n"):
+            digest.update(text)
+            fh.write(text)
     with open(cache, "wb") as fh:
         fh.write(digest.digest())
-        fh.write(flat.astype("<f8", copy=False).tobytes())
+        fh.write(flat.astype("<f8", copy=False))
     meta = {
         "field": system.field,
         "fingerprint": system.fingerprint(),
@@ -269,10 +297,11 @@ def save_system(system: SampledSystem, path: str) -> None:
         fh.write(_json_text(meta))
 
 
-def _cached_values(path: str, csv_bytes: bytes, n: int, width: int):
+def _cached_values(path: str, csv_file, n: int, width: int):
     """The (n, width) cells stored in ``path``, or None unless the file
     holds exactly n * width of them after a digest that is the sha256
-    of ``csv_bytes``."""
+    of the bytes of the open binary file ``csv_file``; that file is read
+    to its end only when the sizes agree."""
     if n < 1 or width < 1:
         return None
     size = _DIGEST_SIZE + 8 * n * width
@@ -281,10 +310,21 @@ def _cached_values(path: str, csv_bytes: bytes, n: int, width: int):
             data = fh.read(size + 1)
     except OSError:
         return None
-    if len(data) != size or data[:_DIGEST_SIZE] != hashlib.sha256(csv_bytes).digest():
+    if len(data) != size or data[:_DIGEST_SIZE] != _file_sha256(csv_file):
         return None
     cells = np.frombuffer(data, "<f8", offset=_DIGEST_SIZE)
     return cells.astype(np.float64, copy=False).reshape(n, width)
+
+
+def _file_sha256(fh) -> bytes:
+    """The sha256 of the rest of the open binary file ``fh``, read in
+    blocks of _HASH_BLOCK bytes through one buffer."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_HASH_BLOCK)
+    view = memoryview(buffer)
+    while size := fh.readinto(buffer):
+        digest.update(view[:size])
+    return digest.digest()
 
 
 def _parsed_values(csv_bytes: bytes, path: str, n: int, width: int) -> np.ndarray:
@@ -345,8 +385,9 @@ def load_system(path: str) -> SampledSystem:
 
     The values come from ``path + ".f64"`` when the sidecar has a
     fingerprint to check them against and that file is the binary copy
-    of exactly these CSV bytes; otherwise the CSV text is parsed.
-    Loading never writes a file.
+    of exactly these CSV bytes, which are then hashed in blocks and never
+    held whole; otherwise the CSV text is read and parsed.  Loading never
+    writes a file.
     """
     _, side, cache = _system_files(path)
     meta = _read_object(side, "metadata", ("field", "n", "m", "points", "point_weights"))
@@ -360,14 +401,16 @@ def load_system(path: str) -> SampledSystem:
     width = 2 * m if field == "complex" else m
     stored = meta.get("fingerprint")
 
+    values = None
     try:
         with open(path, "rb") as fh:
-            csv_bytes = fh.read()
+            if stored is not None:
+                values = _cached_values(cache, fh, n, width)
+            if values is None:
+                fh.seek(0)
+                csv_bytes = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read values: {exc.strerror}", path=path) from None
-    values = None
-    if stored is not None:
-        values = _cached_values(cache, csv_bytes, n, width)
     if values is None:
         values = _parsed_values(csv_bytes, path, n, width)
     if field == "complex":

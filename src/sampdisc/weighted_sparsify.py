@@ -49,11 +49,12 @@ class DuplicationMap:
     Source j has ``counts[j]`` >= 1 copies; copies of one source are
     contiguous and sources ascend, so copy i is a copy of source
     ``copy_to_source[i]``; ``anchor`` is a source index.  ``counts`` may
-    be given as any integer array-like; it is kept as a tuple of ints
-    and as a private int64 array ``_counts``.  Counts and anchor follow
-    the integer rules of ``frame_core._validated_integers``.
-    ``copy_to_source`` (a tuple of m' ints) and its int64 array
-    ``_copy_to_source`` are derived from the counts on first read.
+    be given as any integer array-like; it is kept once, as the private
+    read-only int64 array ``_counts``, and read back as a tuple of ints
+    built on first read.  Counts and anchor follow the integer rules of
+    ``frame_core._validated_integers``.  ``copy_to_source`` (a tuple of
+    m' ints) and its int64 array ``_copy_to_source`` are derived from
+    the counts on first read.
     """
 
     counts: tuple
@@ -65,8 +66,17 @@ class DuplicationMap:
             raise PreconditionError("copy counts must be a non-empty list of integers >= 1")
         anchor = _validated_indices((self.anchor,), counts.size, "copy anchor")
         object.__setattr__(self, "_counts", _read_only(counts))
-        object.__setattr__(self, "counts", tuple(counts.tolist()))
         object.__setattr__(self, "anchor", int(anchor[0]))
+        # the tuple is built by __getattr__ when it is first read
+        object.__delattr__(self, "counts")
+
+    def __getattr__(self, name):
+        # only called for an attribute the instance lacks
+        if name != "counts":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        counts = tuple(self._counts.tolist())
+        object.__setattr__(self, "counts", counts)
+        return counts
 
     @property
     def m_prime(self) -> int:

@@ -1,7 +1,6 @@
 """Frame operators, bounds, and their eigensolve plumbing."""
 
 import inspect
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -314,10 +313,13 @@ def test_converted_inputs_are_allocated_once():
     indices, bounds = np.arange(0, 131072, 2, dtype=np.int32), FrameBounds(0.4, 0.6)
     kept, peak = traced_peak(lambda: HalvingRound(0, indices, bounds, 0.3, 0.7, 1))
     assert peak <= 1.5 * kept.kept_indices.nbytes
-    # the counts are also kept as a tuple of ints, built through a list
-    counts = np.full(65536, 3, dtype=np.int32)
-    dup, peak = traced_peak(lambda: DuplicationMap(counts, 0))
-    assert peak <= 1.5 * dup._counts.nbytes + 2 * sys.getsizeof(dup.counts)
+    # the counts are kept once, as an array (1.13 x); the tuple of ints
+    # that construction built through a list added 2 to 6 x more
+    for copies in (3, 300):
+        counts = np.full(65536, copies, dtype=np.int32)
+        dup, peak = traced_peak(lambda: DuplicationMap(counts, 0))
+        assert peak <= 1.2 * dup._counts.nbytes
+        assert "counts" not in vars(dup) and len(dup.counts) == counts.size
 
 
 def _clamped(matrix):

@@ -268,7 +268,7 @@ def test_multiset_norm_check_names_the_copy():
 def test_copy_map_and_round_tuples_are_built_when_read():
     wcert = weighted_select(_multiset_case(11, "real"), OracleConfig(seed=3))
     dup = wcert.duplication
-    assert "copy_to_source" not in vars(dup)
+    assert "copy_to_source" not in vars(dup) and "counts" not in vars(dup)
     assert dup.m_prime == sum(dup.counts)
     assert dup.copy_to_source == tuple(np.repeat(np.arange(len(dup.counts)), dup.counts))
     for rnd in wcert.halving.rounds:
@@ -287,7 +287,11 @@ def test_copy_counts_must_be_positive_integers():
         with pytest.raises(PreconditionError):
             DuplicationMap(counts=[3, 2], anchor=anchor)
     dup = DuplicationMap(counts=np.array([3, 2], dtype=np.int32), anchor=np.int64(1))
+    assert dup == DuplicationMap(counts=(3, 2), anchor=1) != DuplicationMap([2, 3], 1)
     assert (dup.counts, dup.anchor) == ((3, 2), 1)
+    assert repr(dup) == "DuplicationMap(counts=(3, 2), anchor=1)"
+    with pytest.raises(AttributeError):
+        dup.count
     assert type(dup.anchor) is int
     # a writable int64 array is copied, a read-only one kept as it is
     counts = np.array([3, 2], dtype=np.int64)
