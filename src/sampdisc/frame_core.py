@@ -8,6 +8,7 @@ eigensolve; nothing is certified by estimation.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -91,7 +92,7 @@ def _column_norms_squared(matrix: np.ndarray) -> np.ndarray:
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     """Explicitly symmetrize a nominally Hermitian matrix, or each matrix
     of a stack of shape (..., k, k)."""
-    return (matrix + np.swapaxes(matrix.conj(), -1, -2)) / 2
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
 def extreme_eigenvalues(matrix: np.ndarray):
@@ -100,17 +101,37 @@ def extreme_eigenvalues(matrix: np.ndarray):
     The input is symmetrized before the solve so roundoff in its
     assembly cannot leak into complex eigenvalues.  A stack of shape
     (..., k, k) gives two arrays of shape (...) instead of two floats.
+    Input that is not a float64 or complex128 array is read under the
+    rules of :func:`_float_array`; a matrix that is empty, not square or
+    not finite raises :class:`PreconditionError`.
     """
-    h = hermitian_part(np.asarray(matrix))
+    # float64 ('d') and complex128 ('D') arrays, all the package makes,
+    # pay no conversion
+    if type(matrix) is not np.ndarray or matrix.dtype.char not in "dD":
+        matrix = _float_array(matrix, "matrix entries", complex_ok=True)
+    shape = matrix.shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or not shape[-1]:
+        raise PreconditionError(f"matrix must be square and non-empty, got shape {shape}")
+    h = hermitian_part(matrix)
     try:
         ev = np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(h).all():
+            raise PreconditionError("matrix contains non-finite entries") from None
         raise EigensolverError(
             f"dense eigensolver failed on a {h.shape[-2]}x{h.shape[-1]} matrix: {exc}"
         ) from exc
-    if ev.ndim > 1:
-        return ev[..., 0], ev[..., -1]
-    return float(ev[0]), float(ev[-1])
+    # a non-finite entry gives non-finite extremes or, on the diagonal,
+    # finite ones beside a non-finite trace
+    if len(shape) > 2:
+        lo, hi = ev[..., 0], ev[..., -1]
+        finite = np.isfinite(lo + hi + h.trace(axis1=-2, axis2=-1).real).all()
+    else:
+        lo, hi = float(ev[0]), float(ev[-1])
+        finite = cmath.isfinite(lo + hi + sum(h.diagonal().tolist()))
+    if not finite:
+        raise PreconditionError("matrix contains non-finite entries")
+    return lo, hi
 
 
 def _gram(vectors: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -178,17 +199,37 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _holds_bool_or_none(values) -> bool:
+    """Whether a Python or numpy bool, or None, sits at any depth of
+    ``values`` (a list, a tuple or an array) and of the lists, tuples
+    and arrays it holds."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "O":
+            return values.dtype.kind == "b"
+        values = values.ravel().tolist()
+    types = set(map(type, values))
+    if bool in types or np.bool_ in types or type(None) in types:
+        return True
+    nested = (list, tuple, np.ndarray)
+    return any(issubclass(t, nested) for t in types) and any(
+        _holds_bool_or_none(x) for x in values if isinstance(x, nested)
+    )
+
+
 def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
     """``values`` as float64, or complex128 when complex and ``complex_ok``,
     copied only to convert, and the converted array frozen, so that
-    :func:`_read_only` keeps it; anything else (bools, strings, bytes,
-    None and overflow too) raises :class:`PreconditionError` naming it
-    ``what``."""
+    :func:`_read_only` keeps it; anything else (bools, also among
+    numbers, strings, bytes, None and overflow too) raises
+    :class:`PreconditionError` naming it ``what``."""
+    listed = isinstance(values, (list, tuple))
     try:
         given = np.asarray(values)
-        # numpy would read None as NaN
+        # numpy would read a bool among numbers as 0 or 1 and None as NaN;
+        # an array of numbers holds neither
         if given.dtype.kind in "bUS" or (
-            given.dtype.kind == "O" and any(x is None for x in given.flat)
+            (listed or given.dtype.kind == "O")
+            and _holds_bool_or_none(values if listed else given)
         ):
             raise TypeError
         dtype = np.complex128 if np.iscomplexobj(given) else np.float64
@@ -198,7 +239,7 @@ def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:
     if v.dtype == np.complex128 and not complex_ok:
         raise PreconditionError(f"{what} must be real, got complex numbers")
     # a memoryview or an __array__ object may be viewed, never frozen
-    return _frozen(v) if v is not given or isinstance(values, (list, tuple)) else v
+    return _frozen(v) if v is not given or listed else v
 
 
 def _frozen_matrix(values, what: str) -> np.ndarray:

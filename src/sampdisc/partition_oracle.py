@@ -68,7 +68,7 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self, strategy):
-        if strategy != "randomized":
+        if not isinstance(strategy, str) or strategy != "randomized":
             raise PreconditionError(
                 f"unknown strategy {strategy!r}; halving rounds run "
                 "only the 'randomized' search"
@@ -337,7 +337,7 @@ def spectral_partition(
         active operator minus side 1's operator, and both are
         eigensolved.
     """
-    if strategy not in ("exhaustive", "randomized"):
+    if not isinstance(strategy, str) or strategy not in ("exhaustive", "randomized"):
         raise PreconditionError(f"unknown strategy {strategy!r}")
     config = OracleConfig(budget=budget, seed=seed)
     active = np.array(req.active, dtype=np.int64)

@@ -114,11 +114,11 @@ def make_system(desc: SystemDescriptor, field: str = "real") -> SampledSystem:
     random_orthonormal: dft is always complex, walsh and trig are always
     real.  random_orthonormal needs an integer seed >= 0.
     """
-    if desc.kind not in SYSTEM_KINDS:
+    if not isinstance(desc.kind, str) or desc.kind not in SYSTEM_KINDS:
         raise PreconditionError(
             f"unknown system kind {desc.kind!r}, expected one of {SYSTEM_KINDS}"
         )
-    if field not in ("real", "complex"):
+    if not isinstance(field, str) or field not in ("real", "complex"):
         raise PreconditionError(f"field must be 'real' or 'complex', got {field!r}")
     n = _validated_integer(desc.n, 1, "n")
     m = _validated_integer(desc.m, 1, "m")

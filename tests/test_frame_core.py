@@ -11,12 +11,8 @@ from sampdisc import (
     EigensolverError,
     FrameBounds,
     FrameSystem,
-    HalvingCertificate,
-    PartitionRequest,
-    PartitionResult,
     PreconditionError,
     SampledSystem,
-    check_cardinality_sandwich,
     extreme_eigenvalues,
     frame_bounds,
     frame_operator,
@@ -62,15 +58,7 @@ def test_eigensolver_failure_is_a_typed_error(monkeypatch):
 
 
 def test_frame_system_validation():
-    with pytest.raises(PreconditionError):
-        FrameSystem(np.array([1.0, 2.0]))
-    with pytest.raises(PreconditionError):
-        FrameSystem(np.zeros((2, 0)))
-    with pytest.raises(PreconditionError):
-        FrameSystem(np.array([[np.nan, 1.0]]))
-    for vectors in ([["a", "b"]], [[10**400, 1.0]]):
-        with pytest.raises(PreconditionError, match="frame vectors are not numbers"):
-            FrameSystem(vectors)
+    # bad vectors are refused in tests/test_input_contract.py
     frame = FrameSystem(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         frame.vectors[0, 0] = 5.0  # stored read-only
@@ -147,18 +135,6 @@ def test_psd_clamping():
     assert b.lower == 0.0
 
 
-def test_index_validation():
-    frame = FrameSystem(np.eye(3))
-    with pytest.raises(PreconditionError):
-        subset_bounds(frame, [0, 3])
-    with pytest.raises(PreconditionError):
-        subset_bounds(frame, [-1])
-    with pytest.raises(PreconditionError):
-        subset_bounds(frame, [1, 1])
-    with pytest.raises(PreconditionError, match="index set is not a flat list"):
-        subset_bounds(frame, [[1, 2], [0]])
-
-
 @pytest.mark.parametrize(
     "subset, message",
     [
@@ -176,22 +152,9 @@ def test_index_errors_same_for_arrays(subset, message):
             subset_bounds(frame, given)
 
 
-def test_subset_bounds_accept_arrays():
-    rng = np.random.default_rng(17)
-    frame = random_tight_frame(rng, 3, 9, field="complex")
-    for subset in ((0, 4, 8, 2), (1, 2, 3, 5, 7)):
-        assert subset_bounds(frame, np.array(subset)) == subset_bounds(frame, subset)
-    assert subset_bounds(frame, np.array([], dtype=np.int64)) == (0.0, 0.0)
-
-
 def test_weight_validation():
+    # bad weights are refused in tests/test_input_contract.py
     frame = FrameSystem(np.eye(3))
-    with pytest.raises(PreconditionError):
-        weighted_bounds(frame, [1.0, -0.5, 1.0])
-    with pytest.raises(PreconditionError):
-        weighted_bounds(frame, [1.0, 1.0])
-    with pytest.raises(PreconditionError):
-        weighted_bounds(frame, [1.0, np.inf, 1.0])
     lo, hi = weighted_bounds(frame, [2.0, 3.0, 4.0])
     assert abs(lo - 2.0) < 1e-14 and abs(hi - 4.0) < 1e-14
 
@@ -222,40 +185,11 @@ BAD_INPUTS = [
     ids=[case[0] for case in BAD_INPUTS],
 )
 def test_every_entry_rejects_the_same_bad_input(indices, weights):
-    # m = 3 everywhere: the system is orthonormal under uniform weights
-    # and its frame is the identity
-    frame = FrameSystem(np.eye(3))
+    # the entries that raise are crossed with these in
+    # tests/test_input_contract.py; verification reports what
+    # recompute_constants raises.  The system is orthonormal under
+    # uniform weights
     system = SampledSystem(np.sqrt(3.0) * np.eye(3), np.arange(3.0))
-    if weights is None:
-        cert = HalvingCertificate(
-            J=indices,
-            theta=1.0,
-            delta=1.0,
-            schedule=None,
-            theoretical_lower=1.0,
-            theoretical_upper=1.0,
-            actual=FrameBounds(1.0, 1.0),
-            rescale=1.0,
-            fast_path=True,
-            rounds=(),
-        )
-        entries = [
-            lambda: subset_bounds(frame, indices),
-            lambda: recompute_constants(system, indices),
-            lambda: PartitionRequest(
-                frame=frame, active=indices, delta=0.1, alpha=1.0, beta=1.0
-            ),
-            lambda: check_cardinality_sandwich(cert, frame),
-        ]
-    else:
-        entries = [
-            lambda: recompute_constants(system, indices, weights),
-            lambda: weighted_bounds(frame, weights),
-        ]
-    for entry in entries:
-        with pytest.raises(PreconditionError):
-            entry()
-
     with pytest.raises(PreconditionError) as rejected:
         recompute_constants(system, indices, weights)
     document = {
@@ -291,15 +225,9 @@ BAD_INTEGERS = [
     ids=[case[0] for case in BAD_INTEGERS],
 )
 def test_result_types_read_indices_under_the_integer_rule(indices):
-    bounds = FrameBounds(0.4, 0.6)
-    with pytest.raises(PreconditionError):
-        HalvingRound(0, indices, bounds, 0.3, 0.7, 1)
-    with pytest.raises(PreconditionError):
-        PartitionResult(indices, (0,), bounds, bounds, 0.3, 0.7, 1)
-    with pytest.raises(PreconditionError):
-        PartitionResult((0,), indices, bounds, bounds, 0.3, 0.7, 1)
-    with pytest.raises(PreconditionError):
-        DuplicationMap(indices, 0)
+    # the public result types are in tests/test_input_contract.py
+    with pytest.raises(PreconditionError, match="kept indices"):
+        HalvingRound(0, indices, FrameBounds(0.4, 0.6), 0.3, 0.7, 1)
 
 
 def test_converted_inputs_are_allocated_once():

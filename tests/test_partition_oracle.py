@@ -67,27 +67,9 @@ def test_targets_scale_with_beta():
     assert lo == 0.375 and up == 1.25
 
 
-def test_targets_validation():
-    with pytest.raises(PreconditionError):
-        partition_targets(0.5, 1.0, 0.5)
-    with pytest.raises(PreconditionError):
-        partition_targets(1.0, 0.5, 0.1)
-    with pytest.raises(PreconditionError):
-        partition_targets(1.0, 1.0, 0.0)
-
-
 def test_request_validation():
+    # bad requests are refused in tests/test_input_contract.py
     frame = FrameSystem(np.eye(2))
-    with pytest.raises(PreconditionError):
-        PartitionRequest(frame=frame, active=(), delta=0.1, alpha=1.0, beta=1.0)
-    with pytest.raises(PreconditionError):
-        PartitionRequest(frame=frame, active=(0, 0), delta=0.1, alpha=1.0, beta=1.0)
-    with pytest.raises(PreconditionError):
-        PartitionRequest(frame=frame, active=(0, 2), delta=0.1, alpha=1.0, beta=1.0)
-    with pytest.raises(PreconditionError):
-        PartitionRequest(frame=frame, active=(0, 1), delta=0.1, alpha=0.05, beta=1.0)
-    with pytest.raises(PreconditionError):
-        PartitionRequest(frame=frame, active=(0, 1), delta=0.1, alpha=1.0, beta=0.5)
     req = PartitionRequest(frame=frame, active=(1, 0), delta=1.1, alpha=1.2, beta=1.2)
     assert req.active == (0, 1)  # normalized to sorted
 
@@ -296,31 +278,12 @@ def test_norm_precondition_names_offender():
 
 
 def test_strategy_and_budget_validation():
-    frame = FrameSystem(np.array([[R2, R2]]))
-    req = PartitionRequest(frame=frame, active=(0, 1), delta=0.6, alpha=1.0, beta=1.0)
-    with pytest.raises(PreconditionError):
-        spectral_partition(req, strategy="greedy")
-    with pytest.raises(PreconditionError):
-        spectral_partition(req, strategy="randomized", budget=0)
-    # budgets are integers >= 1 and seeds integers >= 0, under the
-    # integer rules of the index checks; numpy integers count
-    for name, minimum, bad in [
-        ("budget", 1, [0, -1, 1.5, 2.0, True, "3", None, 2**63]),
-        ("seed", 0, [-1, 1.5, 0.0, True, "0", None, 2**63]),
-    ]:
-        message = f"{name} must be an integer >= {minimum}"
-        for value in bad:
-            with pytest.raises(PreconditionError, match=message):
-                OracleConfig(**{name: value})
-            for strategy in ("randomized", "exhaustive"):
-                with pytest.raises(PreconditionError, match=message):
-                    spectral_partition(req, strategy=strategy, **{name: value})
-    # kept as Python ints, so that round j's seed + j cannot wrap
+    # bad strategies, budgets and seeds are refused, and numpy integers
+    # taken, in tests/test_input_contract.py; they are kept as Python
+    # ints, so that round j's seed + j cannot wrap
     config = OracleConfig(budget=np.int64(5), seed=np.uint8(255))
     assert (config.budget, config.seed + 1) == (5, 256)
     assert type(config.budget) is type(config.seed) is int
-    res = spectral_partition(req, budget=np.int32(5), seed=np.int64(3))
-    assert res == spectral_partition(req, budget=5, seed=3)
 
 
 def _equal_weight_case(kind, n, m, field="real"):

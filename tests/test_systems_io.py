@@ -66,41 +66,6 @@ def test_generators_orthonormal_and_deterministic():
     assert c.orthonormality_residual() < 1e-12
 
 
-def test_generator_validation():
-    with pytest.raises(PreconditionError, match="power of 2"):
-        make_system(SystemDescriptor("walsh", n=3, m=12))
-    with pytest.raises(PreconditionError, match="odd n"):
-        make_system(SystemDescriptor("trig", n=4, m=16))
-    with pytest.raises(PreconditionError, match="trig needs n <= m"):
-        make_system(SystemDescriptor("trig", n=5, m=3))
-    with pytest.raises(PreconditionError, match="n <= m"):
-        make_system(SystemDescriptor("dft", n=9, m=8))
-    with pytest.raises(PreconditionError, match="needs a seed"):
-        make_system(SystemDescriptor("random_orthonormal", n=2, m=8))
-    with pytest.raises(PreconditionError, match="unknown system kind"):
-        make_system(SystemDescriptor("fourier", n=2, m=8))
-    with pytest.raises(PreconditionError, match="must be an integer >= 1"):
-        make_system(SystemDescriptor("dft", n=0, m=8))
-    # dimensions are integers: a float or bool is never rounded or counted
-    for kind in ("dft", "trig"):
-        for n, m, name in ((2.5, 8, "n"), (3.0, 8, "n"), (True, 8, "n"), (3, 8.0, "m")):
-            with pytest.raises(PreconditionError, match=f"^{name} must be an integer >= 1"):
-                make_system(SystemDescriptor(kind, n=n, m=m))
-    with pytest.raises(PreconditionError, match="unknown system kind"):
-        make_system(SystemDescriptor("file"))
-    for seed in (-2, 1.5, 3.0, True, "3", 2**63):
-        with pytest.raises(PreconditionError, match="seed must be an integer >= 0"):
-            make_system(SystemDescriptor("random_orthonormal", n=2, m=8, seed=seed))
-    # field is "real" or "complex" for every kind, also where it is unused
-    for kind in systems_io.SYSTEM_KINDS:
-        for field in ("Complex", "", None):
-            with pytest.raises(PreconditionError, match="field must be 'real' or 'complex'"):
-                make_system(SystemDescriptor(kind, n=3, m=8, seed=0), field=field)
-    by_numpy_int = make_system(SystemDescriptor("random_orthonormal", 2, 8, np.int64(3)))
-    by_int = make_system(SystemDescriptor("random_orthonormal", 2, 8, 3))
-    assert by_numpy_int.fingerprint() == by_int.fingerprint()
-
-
 # ----------------------------------------------------------------- round trips
 
 
