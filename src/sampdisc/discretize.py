@@ -220,9 +220,7 @@ def _legacy_fingerprint(system: SampledSystem) -> str:
         h.update(b"\n")
     for row in system.values:
         if np.iscomplexobj(system.values):
-            h.update(
-                " ".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in row).encode()
-            )
+            h.update(" ".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in row).encode())
         else:
             h.update(" ".join(_fmt(z) for z in row).encode())
         h.update(b"\n")
@@ -382,9 +380,7 @@ def discretize_equal_weight(
         eigenvalues of (1/m) sum_{j in J} u(x_j) u(x_j)*.
     """
     if np.max(np.abs(system.point_weights - 1.0 / system.m)) > 1e-14:
-        raise PreconditionError(
-            "equal-weight selection requires uniform point weights"
-        )
+        raise PreconditionError("equal-weight selection requires uniform point weights")
     _checked_residual(system, TIGHTNESS_TOL)
     report = condition_e_constant(system)
     theta_used = report.t_squared if theta is None else _validated_real(theta, "theta")
@@ -438,22 +434,12 @@ class ContinuousSystemSpec:
     name: str = "continuous"
 
 
-def _evaluate_at(spec: ContinuousSystemSpec, pts: np.ndarray) -> np.ndarray:
-    cols = []
-    for x in pts:
-        row = np.asarray(spec.evaluator(x))
-        if row.shape != (spec.n,):
-            raise PreconditionError(
-                f"evaluator returned shape {row.shape}, expected ({spec.n},)"
-            )
-        cols.append(row)
-    values = _float_array(np.stack(cols, axis=1), "evaluator values", complex_ok=True)
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values).all(axis=0))[0])
-        raise PreconditionError(
-            f"evaluator returned non-finite values at sampled point index {bad}"
-        )
-    return values
+def _deviation_target(value, what: str) -> float:
+    """``value`` as a float in (0, 1), the range of a refinement target."""
+    value = _validated_real(value, what)
+    if not 0.0 < value < 1.0:
+        raise PreconditionError(f"{what} must lie in (0, 1), got {value}")
+    return value
 
 
 def monte_carlo_refine(
@@ -472,10 +458,11 @@ def monte_carlo_refine(
     best deviation achieved.  The spectral condition is equivalent to
     |  ||f||_sampled^2 - ||f||^2 | <= delta ||f||^2 on the whole span.
     """
-    delta = _validated_real(delta, "delta")
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError(f"delta must lie in (0, 1), got {delta}")
+    delta = _deviation_target(delta, "delta")
     n = _validated_integer(spec.n, 1, "n")
+    for name in ("sampler", "evaluator"):
+        if not callable(getattr(spec, name)):
+            raise PreconditionError(f"{name} is not callable: {getattr(spec, name)!r}")
     m = _validated_integer(max(64, n) if m_start is None else m_start, n, "m_start")
     m_cap = _validated_integer(m_cap, 1, "m_cap")
     if m_cap < m:
@@ -483,12 +470,24 @@ def monte_carlo_refine(
     rng = np.random.default_rng(_validated_integer(seed, 0, "seed"))
     best = np.inf
     while m <= m_cap:
-        pts = np.atleast_1d(spec.sampler(rng, m))
-        if pts.shape[0] != m:
+        pts = np.atleast_1d(_float_array(spec.sampler(rng, m), "sampler points"))
+        if pts.shape[0] != m or not np.isfinite(pts).all():
             raise PreconditionError(
-                f"sampler returned {pts.shape[0]} points, expected {m}"
+                f"sampler returned {pts.shape[0]} points, expected {m} finite ones"
             )
-        system = SampledSystem(_frozen(_evaluate_at(spec, pts)), pts)
+        rows = _float_array(
+            [spec.evaluator(x) for x in pts], "evaluator values", complex_ok=True
+        )
+        if rows.shape != (m, n):
+            raise PreconditionError(
+                f"evaluator returned shape {rows.shape[1:]}, expected ({n},)"
+            )
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise PreconditionError(
+                f"evaluator returned non-finite values at sampled point index {bad[0]}"
+            )
+        system = SampledSystem(_frozen(np.ascontiguousarray(rows.T)), pts)
         dev = system.orthonormality_residual()
         if dev <= delta:
             return system
@@ -559,7 +558,7 @@ def discretize_continuous(
     making them valid against the underlying (non-sampled) norm.
     """
     try:
-        mc_delta = _validated_real(mc_delta, "mc_delta")
+        mc_delta = _deviation_target(mc_delta, "mc_delta")
         refined = monte_carlo_refine(
             spec, mc_delta, seed=seed, m_start=m_start, m_cap=m_cap
         )

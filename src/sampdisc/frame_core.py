@@ -178,10 +178,10 @@ def frame_bounds(frame: FrameSystem) -> FrameBounds:
 
 
 def verify_tight(frame: FrameSystem, tol: float) -> bool:
-    """True when both frame bounds lie within [1 - tol, 1 + tol]."""
+    """True when both frame bounds lie within [1 - tol, 1 + tol], 0 < tol < inf."""
     tol = _validated_real(tol, "tolerance")
-    if not tol > 0:
-        raise PreconditionError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise PreconditionError(f"tolerance must be positive and finite, got {tol}")
     b = frame_bounds(frame)
     return b.lower >= 1.0 - tol and b.upper <= 1.0 + tol
 

@@ -134,7 +134,7 @@ def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, f
     lower = alpha * (1 - 5 sqrt(delta/alpha)) / 2
     upper = beta  * (1 + 5 sqrt(delta/alpha)) / 2
 
-    Requires beta >= alpha > delta > 0.  The lower target may be
+    Requires finite beta >= alpha > delta > 0.  The lower target may be
     negative (vacuous) when delta/alpha is large.
     """
     alpha, beta = _validated_real(alpha, "alpha"), _validated_real(beta, "beta")
@@ -143,8 +143,8 @@ def partition_targets(alpha: float, beta: float, delta: float) -> tuple[float, f
         raise PreconditionError(
             f"need alpha > delta > 0, got alpha={alpha} delta={delta}"
         )
-    if not (beta >= alpha):
-        raise PreconditionError(f"need beta >= alpha, got {beta} < {alpha}")
+    if not (alpha <= beta < math.inf):
+        raise PreconditionError(f"need finite beta >= alpha, got {beta} vs {alpha}")
     r = 5.0 * math.sqrt(delta / alpha)
     return alpha * (1.0 - r) / 2.0, beta * (1.0 + r) / 2.0
 

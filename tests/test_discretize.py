@@ -395,30 +395,12 @@ def test_refine_success_and_determinism():
 
 
 def test_refine_domain_errors():
-    # the domain of each argument is in tests/test_input_contract.py
+    # the domain of each argument, and of what each callback returns, is
+    # in tests/test_input_contract.py
     spec = trig_spec(3)
     assert monte_carlo_refine(spec, 0.5, m_start=64, m_cap=64).m == 64
     with pytest.raises(StageError, match=r"\[refine\] m_cap=32 is below m_start=64"):
         discretize_continuous(spec, m_start=64, m_cap=32)
-    short_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: spec.evaluator(x)[:2])
-    with pytest.raises(PreconditionError, match=r"returned shape \(2,\), expected \(3,\)"):
-        monte_carlo_refine(short_rows, 0.5)
-    short_draws = ContinuousSystemSpec(
-        3, lambda rng, count: spec.sampler(rng, count)[:-1], spec.evaluator
-    )
-    with pytest.raises(PreconditionError, match="sampler returned 63 points, expected 64"):
-        monte_carlo_refine(short_draws, 0.5)
-    # callback outputs follow the array rules: a scalar draw is one point,
-    # and text is no basis value
-    one_draw = ContinuousSystemSpec(3, lambda rng, count: 0.5, spec.evaluator)
-    with pytest.raises(PreconditionError, match="sampler returned 1 points, expected 64"):
-        monte_carlo_refine(one_draw, 0.5)
-    text_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: ["1", "0", "0"])
-    with pytest.raises(PreconditionError, match="evaluator values are not numbers"):
-        monte_carlo_refine(text_rows, 0.5)
-    none_rows = ContinuousSystemSpec(3, spec.sampler, lambda x: [None, 0.0, 0.0])
-    with pytest.raises(PreconditionError, match="evaluator values are not numbers"):
-        monte_carlo_refine(none_rows, 0.5)
     # the refine stage records a Python int, which JSON can write
     cert = discretize_continuous(spec, seed=np.int64(5))
     assert type(cert.pipeline_log[0]["seed"]) is int
@@ -477,16 +459,6 @@ def test_default_start_admits_spans_wider_than_64():
     assert 0.0 < cert.constants.lower <= cert.constants.upper
     # a narrow span still starts at 64
     assert monte_carlo_refine(trig_spec(3), 0.5, m_cap=64).m == 64
-
-
-def test_refine_nonfinite_evaluator_names_point():
-    spec = ContinuousSystemSpec(
-        n=2,
-        sampler=lambda rng, count: rng.uniform(0, 1, count),
-        evaluator=lambda x: np.array([np.inf, 0.0]),
-    )
-    with pytest.raises(PreconditionError, match="point index 0"):
-        monte_carlo_refine(spec, 0.5, seed=1)
 
 
 def test_refine_failure_carries_best_deviation():
@@ -595,6 +567,29 @@ def test_equal_weight_requires_uniform_weights():
     system = SampledSystem(np.array([[1.0, 1.0, 1.0]]), np.arange(3.0), point_weights=w)
     with pytest.raises(PreconditionError, match="uniform"):
         discretize_equal_weight(system)
+
+
+# The shape of the paper's bound |J| <= C t^2 n: at the default level and
+# search seed 0, halving keeps about 128 t^2 n points.  Each row is a
+# system, its t^2, the points kept and C/c to 3 decimals.
+PINNED_SUPPORT = [
+    (SystemDescriptor("walsh", 8, 8192), 1.0, 1024, 1.309),
+    (SystemDescriptor("dft", 8, 8192), 1.0, 1024, 1.233),
+    (SystemDescriptor("trig", 9, 16384), 1.0, 1024, 1.238),
+    (SystemDescriptor("random_orthonormal", 8, 8192, 1), 4.3906, 4096, 1.119),
+]
+
+
+@pytest.mark.parametrize(
+    "desc, t_squared, support, ratio", PINNED_SUPPORT, ids=[r[0].kind for r in PINNED_SUPPORT]
+)
+def test_support_is_pinned_at_the_default_level(desc, t_squared, support, ratio):
+    cert = discretize_equal_weight(make_system(desc), OracleConfig(seed=0))
+    stages = {stage["stage"]: stage for stage in cert.pipeline_log}
+    assert round(stages["concentration"]["t_squared"], 4) == t_squared
+    assert cert.m == desc.m // 2 ** stages["halving"]["rounds"] == support
+    c, C = cert.constants
+    assert round(C / c, 3) == ratio
 
 
 # ------------------------------------------------------------------ continuous

@@ -3,7 +3,8 @@ input, in one table.
 
 A row of ``ENTRIES`` names a public callable and the argument slot it
 fills: the slot's class, the name its error message must give, an
-accepted value and the slot's own out-of-range values.  ``CATALOGUES``
+accepted value and the slot's own out-of-range values.  A callback's
+slot is filled by what the callback returns.  ``CATALOGUES``
 holds, per class, the bad inputs made from a row's accepted value.
 Three tests read the table:
 
@@ -128,12 +129,57 @@ class Entry:
         return f"{self.entry}.{self.slot}"
 
 
-def _refine(**given):
-    return monte_carlo_refine(_spec(given.pop("n", 3)), given.pop("delta", 0.5), **given)
+def _refine(spec=None, n=3, delta=0.5, **given):
+    return monte_carlo_refine(spec or _spec(n), delta, **given)
 
 
-def _continuous(**given):
-    return discretize_continuous(_spec(given.pop("n", 3)), **given)
+def _continuous(spec=None, n=3, **given):
+    return discretize_continuous(spec or _spec(n), **given)
+
+
+# the first draw for n = 3, which starts at 64 points
+GRID = np.arange(64.0)
+
+
+def _circle(x):
+    """1, sqrt2 cos and sqrt2 sin at x/64 turns: orthonormal on GRID."""
+    turn = np.pi * x / 32.0
+    return np.array([1.0, np.sqrt(2.0) * np.cos(turn), np.sqrt(2.0) * np.sin(turn)])
+
+
+@dataclasses.dataclass(frozen=True)
+class Callback:
+    """An own value of a callback's slot: the callback itself, not what
+    it returns."""
+
+    function: object
+
+
+def _callback(value, returning):
+    """``returning``, or the callback that ``value`` stands for."""
+    return value.function if isinstance(value, Callback) else returning
+
+
+def _draw(value):
+    """A spec whose sampler returns ``value`` and whose evaluator is
+    :func:`_circle`."""
+    return ContinuousSystemSpec(3, _callback(value, lambda rng, count: value), _circle)
+
+
+def _row(value):
+    """A spec that draws GRID and whose evaluator returns ``value`` at
+    point 5 and the circle elsewhere."""
+    return ContinuousSystemSpec(
+        3,
+        lambda rng, count: GRID,
+        _callback(value, lambda x: value if x == 5.0 else _circle(x)),
+    )
+
+
+# a draw of 63 points, a draw of one, and a sampler that is no function
+_DRAW_OWN = (GRID[:-1], 0.5, Callback(None))
+# rows of two entries at every point, and an evaluator that is no function
+_ROW_OWN = (Callback(lambda x: _circle(x)[:2]), Callback(None))
 
 
 def _system(kind="dft", n=2, m=4, seed=None, field="real"):
@@ -151,7 +197,7 @@ ENTRIES = [
     Entry("weighted_bounds", "weights", "weights", lambda v: weighted_bounds(_fx().eye3, v),
           "weights", [2.0, 3.0, 4.0]),
     Entry("verify_tight", "tol", "real", lambda v: verify_tight(_fx().eye3, v), "tolerance",
-          0.5, own=(0.0, -1.0, NAN)),
+          0.5, own=(0.0, -1.0, NAN, INF)),
     # partition_oracle
     Entry("OracleConfig", "strategy", "choice", lambda v: OracleConfig(strategy=v),
           "strategy", "randomized", own=("exhaustive",)),
@@ -170,7 +216,7 @@ ENTRIES = [
           own=(0.05, NAN)),
     Entry("PartitionRequest", "beta", "real",
           lambda v: PartitionRequest(_fx().eye3, (0, 1), 0.1, 1.0, v), "beta", 1.0,
-          own=(0.5, NAN)),
+          own=(0.5, NAN, INF)),
     Entry("PartitionResult", "s1", "index set",
           lambda v: PartitionResult(v, (1,), None, None, 0.0, 1.0, 1), "s1", [3, 0]),
     Entry("PartitionResult", "s2", "index set",
@@ -178,7 +224,7 @@ ENTRIES = [
     Entry("partition_targets", "alpha", "real", lambda v: partition_targets(v, 1.0, 0.1),
           "alpha", 1.0, own=(0.05, 0.1, NAN)),
     Entry("partition_targets", "beta", "real", lambda v: partition_targets(1.0, v, 0.1),
-          "beta", 1.0, own=(0.5, NAN)),
+          "beta", 1.0, own=(0.5, NAN, INF)),
     Entry("partition_targets", "delta", "real", lambda v: partition_targets(1.0, 1.0, v),
           "delta", 0.1, own=(0.0, -1e-3, 1.0, NAN)),
     Entry("spectral_partition", "strategy", "choice",
@@ -248,9 +294,12 @@ ENTRIES = [
           "m_cap", 64, own=(0, 32)),
     Entry("monte_carlo_refine", "spec.n", "integer", lambda v: _refine(n=v).fingerprint(), "n",
           3, own=(0,)),
-    # its range is monte_carlo_refine's delta
+    Entry("monte_carlo_refine", "spec.sampler", "real array",
+          lambda v: _refine(_draw(v)).fingerprint(), "sampler", GRID, own=_DRAW_OWN),
+    Entry("monte_carlo_refine", "spec.evaluator", "row",
+          lambda v: _refine(_row(v)).fingerprint(), "evaluator", _circle(5.0), own=_ROW_OWN),
     Entry("discretize_continuous", "mc_delta", "real", lambda v: _continuous(mc_delta=v),
-          "mc_delta", 0.5, error=StageError),
+          "mc_delta", 0.5, own=(0.0, 1.0, NAN), error=StageError),
     Entry("discretize_continuous", "seed", "integer", lambda v: _continuous(seed=v), "seed", 5,
           own=(-1,), error=StageError),
     Entry("discretize_continuous", "m_start", "integer", lambda v: _continuous(m_start=v),
@@ -259,6 +308,10 @@ ENTRIES = [
           "m_cap", 64, own=(32,), error=StageError),
     Entry("discretize_continuous", "spec.n", "integer", lambda v: _continuous(n=v), "n", 3,
           own=(0,), error=StageError),
+    Entry("discretize_continuous", "spec.sampler", "real array",
+          lambda v: _continuous(_draw(v)), "sampler", GRID, own=_DRAW_OWN, error=StageError),
+    Entry("discretize_continuous", "spec.evaluator", "row", lambda v: _continuous(_row(v)),
+          "evaluator", _circle(5.0), own=_ROW_OWN, error=StageError),
     # verify
     Entry("verify_certificate", "tol", "real", _verified, "tol", 1e-10,
           own=(-1.0, INF, NAN)),
@@ -322,6 +375,8 @@ CATALOGUES = {
         "empty": lambda g: np.asarray(g)[:, :0],
     },
     "real array": _REAL_NUMBERS,
+    # an evaluator's row: 1-d, real or complex
+    "row": _NUMBERS,
     "weights": {
         **_REAL_NUMBERS,
         "negative": lambda g: _first(g, -1.0),
@@ -439,6 +494,28 @@ def test_every_form_of_an_accepted_value_gives_the_same_result(row):
     want = row.call(canonical)
     for form in forms:
         assert _same(row.call(form), want), repr(form)
+
+
+_CONTINUOUS = {"monte_carlo_refine": _refine, "discretize_continuous": _continuous}
+
+
+@pytest.mark.parametrize("entry", _CONTINUOUS)
+def test_a_non_finite_row_is_reported_at_its_point(entry):
+    with pytest.raises((PreconditionError, StageError), match="sampled point index 5$"):
+        _CONTINUOUS[entry](_row(_first(_circle(5.0), NAN)))
+
+
+@pytest.mark.parametrize("slot", ["sampler", "evaluator"])
+@pytest.mark.parametrize("entry", _CONTINUOUS)
+def test_an_error_a_callback_raises_reaches_the_caller_unchanged(entry, slot):
+    error = TypeError("the caller's own")
+
+    def raising(*args):
+        raise error
+
+    with pytest.raises(TypeError) as caught:
+        _CONTINUOUS[entry](dataclasses.replace(_spec(3), **{slot: raising}))
+    assert caught.value is error
 
 
 # public callables that take no number, array, index set or choice
