@@ -178,6 +178,9 @@ class SampledSystem:
 
 _PREFIX = "sha256v2:"
 _LEGACY_PREFIX = "sha256:"
+# bytes of a non-C-ordered array copied per hash update, below glibc's
+# default mmap threshold
+_HASH_BLOCK = 1 << 16
 
 
 def _point_rows(points: np.ndarray) -> np.ndarray:
@@ -198,10 +201,25 @@ def system_fingerprint(system: SampledSystem) -> str:
     h.update(b"sampled-system/2\n")
     h.update(f"{system.n} {system.m} {pts.shape[1]} {system.field}\n".encode())
     for array in (system.point_weights, pts, system.values):
-        # complex entries become (re, im) pairs
-        flat = np.ascontiguousarray(array).view(np.float64)
-        h.update(flat.astype("<f8", copy=False))
+        _hash_in_c_order(h, array)
     return _PREFIX + h.hexdigest()
+
+
+def _hash_in_c_order(h, array: np.ndarray) -> None:
+    """Feed ``h`` the little-endian float64 bytes of ``array`` in C order,
+    complex entries as (re, im) pairs.  An array that is not C-ordered,
+    such as random_orthonormal's F-ordered values, is copied through one
+    buffer of ``_HASH_BLOCK`` bytes, never whole; the buffer is released
+    on return."""
+    chunks = (array,) if array.flags.c_contiguous else np.nditer(
+        array,
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_flags=[["readonly", "contig"]],
+        order="C",
+        buffersize=_HASH_BLOCK // array.itemsize,
+    )
+    for chunk in chunks:
+        h.update(chunk.view(np.float64).astype("<f8", copy=False))
 
 
 def _legacy_fingerprint(system: SampledSystem) -> str:
@@ -620,10 +638,9 @@ def discretize_weighted(
         frame = FrameSystem(_frozen(frame.vectors[:, keep]))
     wcert = weighted_select(frame, config, cap=cap)
 
-    frame_weights = np.asarray(wcert.weights)
     support_local = np.asarray(wcert.support, dtype=np.int64)
     support = keep[support_local]
-    point_weights = frame_weights[support_local] * system.point_weights[support]
+    point_weights = wcert._weights[support_local] * system.point_weights[support]
 
     log = (
         {

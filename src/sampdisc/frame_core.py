@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -134,13 +136,20 @@ def extreme_eigenvalues(matrix: np.ndarray):
     return lo, hi
 
 
-def _gram(vectors: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+def _gram(
+    vectors: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Hermitian part of sum_j w_j v_j v_j* over the columns v_j of
     ``vectors``; w_j = 1 when ``weights`` is None.
 
     Every Gram matrix and frame operator in the package is built here.
+    ``scratch``, an array of the shape and memory order of ``vectors``,
+    receives the weighted columns instead of a fresh array; the product
+    and the BLAS call that reads it are the same.
     """
-    scaled = vectors if weights is None else vectors * weights
+    scaled = vectors if weights is None else np.multiply(vectors, weights, out=scratch)
     return hermitian_part(scaled @ vectors.conj().T)
 
 
@@ -202,18 +211,32 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _holds_bool_or_none(values) -> bool:
     """Whether a Python or numpy bool, or None, sits at any depth of
     ``values`` (a list, a tuple or an array) and of the lists, tuples
-    and arrays it holds."""
+    and arrays it holds.
+
+    Scanned one level of nesting at a time, not row by row: the arrays
+    of a level are judged by their dtypes, and the items of its lists,
+    tuples and object arrays together form the next level."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind != "O":
             return values.dtype.kind == "b"
         values = values.ravel().tolist()
-    types = set(map(type, values))
-    if bool in types or np.bool_ in types or type(None) in types:
-        return True
-    nested = (list, tuple, np.ndarray)
-    return any(issubclass(t, nested) for t in types) and any(
-        _holds_bool_or_none(x) for x in values if isinstance(x, nested)
-    )
+    level, items = [values], chain.from_iterable
+    while level:
+        types = set(map(type, items(level)))
+        if bool in types or np.bool_ in types or type(None) in types:
+            return True
+        inner = []
+        if any(issubclass(t, np.ndarray) for t in types):
+            arrays = [x for x in items(level) if isinstance(x, np.ndarray)]
+            kinds = {dtype.kind for dtype in set(map(attrgetter("dtype"), arrays))}
+            if "b" in kinds:
+                return True
+            if "O" in kinds:
+                inner += [x.ravel().tolist() for x in arrays if x.dtype.kind == "O"]
+        if any(issubclass(t, (list, tuple)) for t in types):
+            inner += [x for x in items(level) if isinstance(x, (list, tuple))]
+        level = inner
+    return False
 
 
 def _float_array(values, what: str, complex_ok: bool = False) -> np.ndarray:

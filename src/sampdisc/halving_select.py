@@ -225,14 +225,21 @@ def halving_select(
     else:
         schedule = halving_schedule(delta)
         t_lo, t_up = schedule.steps[-1]
+        # on the multiset path, side 1's Gram operands are made for round
+        # 0's first candidate and rewritten by every later one; a plain
+        # frame's sides gather afresh, as they always have
+        scratch = None if counts is None else []
         # round j aims at the schedule's step j + 1; ``kept`` (None for
         # all copies) repeats the columns ``kept_src``, and ``operator`` is
         # its frame operator: all copies', then the kept side's before
         for j, (lo_t, up_t) in enumerate(schedule.steps[1:]):
             kept, measured, _, tried, operator, kept_src = _randomized(
-                frame, kept, kept_src, operator, lo_t, up_t, cfg.budget, cfg.seed + j
+                frame, kept, kept_src, operator, lo_t, up_t, cfg.budget, cfg.seed + j,
+                scratch,
             )
             log.append(HalvingRound(j, _frozen(kept), measured, lo_t, up_t, tried))
+        # released before the final measurement
+        scratch = None
     # zero vectors never affect bounds and are dropped from J
     nonzero = frame.norms_squared()[kept_src] > 0.0
     kept = np.flatnonzero(nonzero) if kept is None else kept[nonzero]

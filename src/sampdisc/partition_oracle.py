@@ -191,6 +191,30 @@ def _side_bounds(frame, op, columns, lo_t, up_t) -> FrameBounds:
     return b
 
 
+def _side_gram(vectors, columns, weights, scratch) -> np.ndarray:
+    """``_gram(vectors[:, columns], weights)``, bit for bit.
+
+    ``scratch`` is None or a list, empty before a run's first side.  With
+    F-ordered ``vectors`` (as weighted_select's scaled random frames
+    are) it keeps two C-ordered (d, n) arrays, made at first use and
+    remade only for a side of more than d columns; the side's gathered
+    columns and their weighted product are written to their leading
+    rows, whose transposes have the F-ordered layout that
+    ``vectors[:, columns]`` has, so every operand and BLAS call stays as
+    it was.  Gathering rows of ``vectors.T`` copies only the side, and
+    ``mode="clip"`` keeps ``take`` from buffering its output; on other
+    layouts either would first copy the whole frame, so they gather
+    afresh.
+    """
+    if scratch is None or not vectors.flags.f_contiguous:
+        return _gram(vectors[:, columns], weights)
+    d = columns.size
+    if not scratch or scratch[0].shape[0] < d:
+        scratch[:] = [np.empty((d, vectors.shape[0]), vectors.dtype) for _ in range(2)]
+    gathered = np.take(vectors.T, columns, axis=0, out=scratch[0][:d], mode="clip").T
+    return _gram(gathered, weights, scratch[1][:d].T)
+
+
 def _exhaustive(frame: FrameSystem, active: np.ndarray, lo_t: float, up_t: float):
     """Best split of ``active`` as ``(s1, bounds_s1, bounds_s2,
     candidates_tried)``, ``s1`` a sorted tuple of ints."""
@@ -254,6 +278,7 @@ def _randomized(
     up_t: float,
     budget: int,
     seed: int,
+    scratch=None,
 ):
     """First seeded balanced split of the active copies whose sides both
     meet [lo_t, up_t], as ``(s1, bounds_s1, bounds_s2, candidates_tried,
@@ -268,7 +293,9 @@ def _randomized(
     ``op_s1`` is ``_gram`` of the distinct columns it copies, weighted by
     how often unless it copies none twice; it and side 1's columns
     ``src_s1`` are returned for the next round.  Side 2's operator is
-    ``active_op - op_s1``; :func:`_side_bounds` measures both sides."""
+    ``active_op - op_s1``; :func:`_side_bounds` measures both sides.
+    ``scratch`` holds side 1's Gram operands across calls; see
+    :func:`_side_gram`."""
     k = active_src.size
     if k < 2:
         raise SearchFailureError(
@@ -288,11 +315,15 @@ def _randomized(
         # gives: for real frames numpy forms it by a symmetric product
         starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
         weights = None if starts.size == half else np.diff(starts, append=half)
-        op1 = _gram(frame.vectors[:, cols[starts]], weights)
+        op1 = _side_gram(frame.vectors, cols[starts], weights, scratch)
         b1 = _side_bounds(frame, op1, lambda: cols, lo_t, up_t)
         b2 = _side_bounds(frame, active_op - op1, lambda: active_src[~side], lo_t, up_t)
         if _split_ok(b1, b2, lo_t, up_t):
-            return (pos if active is None else active[pos]), b1, b2, attempt, op1, cols
+            # side 1's copies overwrite its positions: a third array of
+            # half the copies, beside ``cols`` and the Gram operands that
+            # halving keeps across rounds, was a weighted run's peak
+            s1 = pos if active is None else np.take(active, pos, out=pos, mode="clip")
+            return s1, b1, b2, attempt, op1, cols
         gap = max(
             lo_t - min(b1.lower, b2.lower), max(b1.upper, b2.upper) - up_t, 0.0
         )

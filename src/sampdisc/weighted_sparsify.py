@@ -147,7 +147,10 @@ class WeightedCertificate:
 
     ``bounds`` are the extreme eigenvalues of sum_j lambda_j v_j v_j*,
     recomputed by a dense eigensolve.  ``support_budget`` is the copy
-    cardinality bound the inner halving run guarantees.
+    cardinality bound the inner halving run guarantees.  ``weights`` may
+    be given as any float array-like; it is kept once, as the private
+    read-only float64 array ``_weights``, and read back as a tuple of
+    floats built on first read, like ``DuplicationMap.counts``.
     """
 
     weights: tuple
@@ -156,6 +159,21 @@ class WeightedCertificate:
     support_budget: int
     duplication: DuplicationMap
     halving: HalvingCertificate
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = _read_only(weights) if weights is self.weights else _frozen(weights)
+        object.__setattr__(self, "_weights", weights)
+        # the tuple is built by __getattr__ when it is first read
+        object.__delattr__(self, "weights")
+
+    def __getattr__(self, name):
+        # only called for an attribute the instance lacks
+        if name != "weights":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = tuple(self._weights.tolist())
+        object.__setattr__(self, "weights", weights)
+        return weights
 
 
 def weighted_select(
@@ -184,7 +202,7 @@ def weighted_select(
 
     selected = dup._copy_to_source[np.asarray(hcert.J, dtype=np.int64)]
     selected_counts = np.bincount(selected, minlength=frame.m)
-    weights = scale * selected_counts / dup._counts
+    weights = _frozen(scale * selected_counts / dup._counts)
     support = tuple(np.flatnonzero(selected_counts).tolist())
     bounds = _gram_bounds(frame.vectors, weights)
     if hcert.schedule is not None and bounds.lower < 25.0 - 1e-8:
@@ -192,7 +210,7 @@ def weighted_select(
             f"weighted lower bound {bounds.lower} below the guaranteed 25"
         )
     return WeightedCertificate(
-        weights=tuple(weights.tolist()),
+        weights=weights,
         support=support,
         bounds=bounds,
         support_budget=int(dup.m_prime / 2 ** len(hcert.rounds)),

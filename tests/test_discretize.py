@@ -44,7 +44,11 @@ from sampdisc import (
 )
 
 from sampdisc import discretize
-from sampdisc.discretize import _legacy_fingerprint, fingerprint_matches
+from sampdisc.discretize import (
+    _legacy_fingerprint,
+    fingerprint_matches,
+    system_fingerprint,
+)
 
 from helpers import loop_frame_operator, traced_peak
 
@@ -357,6 +361,47 @@ def test_reused_system_writes_the_bytes_of_a_fresh_one(tmp_path, kind, n, field)
         fresh = make_system(desc, field=field)
         assert reused == saved(discretize_equal_weight(fresh, OracleConfig(seed=seed)))
     assert weighted() == before
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_fingerprint_is_the_same_in_either_memory_order(field):
+    # random_orthonormal values are F-ordered; they and 2-d points in F
+    # order are hashed through a buffer, and the digest is that of the
+    # C-ordered bytes
+    system = make_system(
+        SystemDescriptor("random_orthonormal", n=8, m=8192, seed=1), field=field
+    )
+    planar = np.column_stack((system.points, -system.points))
+    digests = {
+        order: (
+            SampledSystem(np.array(system.values, order=order), system.points),
+            SampledSystem(system.values, np.array(planar, order=order)),
+        )
+        for order in "CF"
+    }
+    assert digests["F"][0].values.flags.f_contiguous
+    assert digests["F"][1].points.flags.f_contiguous
+    for kind in range(2):
+        assert digests["C"][kind].fingerprint() == digests["F"][kind].fingerprint()
+    assert digests["F"][0].fingerprint() == system.fingerprint()
+    # shapes that do not fill the buffer evenly
+    rng = np.random.default_rng(0)
+    odd = rng.standard_normal((3, 10001)) * (1j if field == "complex" else 1.0)
+    points = rng.standard_normal((10001, 3))
+    found = {
+        SampledSystem(np.array(odd, order=a), np.array(points, order=b)).fingerprint()
+        for a in "CF"
+        for b in "CF"
+    }
+    assert len(found) == 1
+
+
+def test_fingerprint_of_f_ordered_values_copies_a_block_at_a_time():
+    system = make_system(SystemDescriptor("random_orthonormal", n=8, m=8192, seed=1))
+    assert system.values.flags.f_contiguous
+    system_fingerprint(system)
+    _, peak = traced_peak(lambda: system_fingerprint(system))
+    assert peak <= 0.25 * system.values.nbytes
 
 
 def test_fingerprint_hashed_once_but_matches_hash_again(monkeypatch):

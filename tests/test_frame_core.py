@@ -230,6 +230,31 @@ def test_result_types_read_indices_under_the_integer_rule(indices):
         HalvingRound(0, indices, FrameBounds(0.4, 0.6), 0.3, 0.7, 1)
 
 
+def test_bool_scan_reads_array_rows_by_dtype_in_one_call(monkeypatch):
+    # many short rows used to cost one Python call each
+    calls = []
+    scan = frame_core._holds_bool_or_none
+
+    def counting_scan(values):
+        calls.append(values)
+        return scan(values)
+
+    monkeypatch.setattr(frame_core, "_holds_bool_or_none", counting_scan)
+    rows = list(np.random.default_rng(0).standard_normal((65536, 9)))
+    assert frame_core._float_array(rows, "rows").shape == (65536, 9)
+    assert 1 <= len(calls) <= 4
+    lists = [row.tolist() for row in rows]
+    assert frame_core._float_array(lists, "rows").shape == (65536, 9)
+    assert len(calls) <= 8
+    # a bool row, and a bool or None at any depth, are still found
+    bool_row = rows[:7] + [np.zeros(9, dtype=bool)] + rows[8:]
+    holder = np.empty(1, dtype=object)
+    holder[0] = [0.5, (1.0, np.True_)]
+    for bad in (bool_row, [[[1.0, None]]], [rows[0], holder], [(0.5, [1.0, [True]])]):
+        assert scan(bad)
+    assert not scan([rows[0], [1.0, (2.0, 3.0)], np.array([4.0], dtype=object)])
+
+
 def test_converted_inputs_are_allocated_once():
     # the copy rule copied each conversion once more: 2.0 x the kept bytes;
     # each first call pays for lazy imports

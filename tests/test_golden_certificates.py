@@ -1,8 +1,8 @@
 """Golden certificate bytes.
 
-Pins the sha256 of the ``save_certificate`` output for two weighted
-selections and two equal-weight selections, one real and one complex
-each.
+Pins the sha256 of the ``save_certificate`` output for three weighted
+selections (two real, one complex) and two equal-weight selections (one
+real, one complex).
 Refactors of the selection pipelines must keep these bytes; a change
 here means selections, weights or measured constants moved.  The
 digests were recorded with numpy 2.4 on x86-64 OpenBLAS; another BLAS
@@ -39,6 +39,15 @@ CASES = {
             OracleConfig(seed=3),
         ),
         "c58fb237a740c5fa792a3107f7328635bd34811da62ca652c38d5d18368693cd",
+    ),
+    # about 1.7e5 copies over six rounds: later rounds reuse the arrays
+    # that round 0 makes for side 1's Gram operands
+    "weighted-random_orthonormal-8x8192": (
+        lambda: discretize_weighted(
+            make_system(SystemDescriptor("random_orthonormal", n=8, m=8192, seed=1)),
+            OracleConfig(seed=3),
+        ),
+        "fc4e6a44a6e1f1265ef3d94554606f08f1bcf3c084712e0294a4eceea4b0e730",
     ),
     "equal_weight-trig-5x2048": (
         lambda: discretize_equal_weight(

@@ -335,6 +335,32 @@ def test_side_two_by_subtraction_matches_direct(case):
         active, active_src, active_op = s1, src1, op1
 
 
+def test_kept_operands_match_fresh_ones_bit_for_bit():
+    # replay halving on copies of F-ordered columns: side 1's Gram
+    # operands written into the arrays round 0 made give every result a
+    # fresh gather gives, and no later round makes them again
+    system = make_system(SystemDescriptor("random_orthonormal", n=4, m=1024, seed=11))
+    scaled, dup = _scaled_sources(build_frame_from_samples(system), COPY_CAP)
+    frame = FrameSystem(scaled)
+    assert frame.vectors.flags.f_contiguous
+    cfg = OracleConfig(seed=3)
+    cert = halving_select(frame, min(2.0, dup.m_prime / frame.n), cfg, copies=dup)
+    assert len(cert.rounds) >= 3
+    active, src, op = None, dup._copy_to_source, _gram(frame.vectors, dup._counts)
+    scratch, made = [], []
+    for j, rnd in enumerate(cert.rounds):
+        args = (frame, active, src, op, rnd.target_lower, rnd.target_upper)
+        fresh = _randomized(*args, cfg.budget, cfg.seed + j)
+        kept = _randomized(*args, cfg.budget, cfg.seed + j, scratch)
+        for a, b in zip(fresh, kept):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        assert tuple(kept[0].tolist()) == rnd.kept
+        made.append(list(map(id, scratch)))
+        active, src, op = kept[0], kept[5], kept[4]
+    assert [array.shape[1] for array in scratch] == [frame.n, frame.n]
+    assert all(ids == made[0] for ids in made)
+
+
 def test_side_two_near_a_target_takes_the_direct_verdict():
     # a target within rounding of side 2's bound is judged on a direct
     # measurement of side 2, so subtraction rounding cannot flip a verdict

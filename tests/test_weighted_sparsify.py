@@ -1,5 +1,7 @@
 """Norm-equalizing duplication and weighted selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -317,17 +319,40 @@ def test_duplicated_copies_are_kept_as_they_were_made():
     assert peak <= 1.3 * copies.vectors.nbytes
 
 
-def test_weighted_select_peak_per_copy():
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_weighted_select_peak_per_copy(order):
     # halving holds few arrays with one entry per copy at once: the
-    # candidate permutation, its side mask, side 1's positions and
-    # columns, and the copy-to-source map; each round's kept side is
-    # logged without a second copy
+    # candidate permutation, its side mask, side 1's positions (which
+    # its kept copies overwrite) and columns, and the copy-to-source map;
+    # each round's kept side is logged without a second copy.  The frame
+    # of a random_orthonormal system is F-ordered, and its halving keeps
+    # side 1's Gram operands from round 0; a C-ordered copy gathers them
+    # afresh
     frame = build_frame_from_samples(
         make_system(SystemDescriptor("random_orthonormal", n=8, m=8192, seed=1))
     )
+    frame = FrameSystem(np.array(frame.vectors, order=order))
+    assert frame.vectors.flags[f"{order}_CONTIGUOUS"]
     m_prime = _scaled_sources(frame, COPY_CAP)[1].m_prime
     peak = traced_peak(lambda: weighted_select(frame, OracleConfig(seed=3)))[1]
     assert peak < 37 * m_prime
+
+
+def test_weights_are_kept_as_an_array_and_read_as_a_tuple():
+    system = make_system(SystemDescriptor("random_orthonormal", n=2, m=512, seed=7))
+    cert = weighted_select(build_frame_from_samples(system), OracleConfig(seed=5))
+    kept = cert._weights
+    assert kept.dtype == np.float64 and not kept.flags.writeable
+    assert "weights" not in vars(cert)
+    assert cert.weights == tuple(kept.tolist())
+    assert cert.weights is cert.weights and cert._weights is kept
+    # given as a tuple or a writable array, the weights are kept as a
+    # read-only copy; a read-only array is kept as it is
+    for given in (cert.weights, np.array(kept)):
+        again = dataclasses.replace(cert, weights=given)
+        assert again == cert and again._weights is not given
+        assert not again._weights.flags.writeable
+    assert dataclasses.replace(cert, weights=kept)._weights is kept
 
 
 def test_weighted_lower_bound_below_25_is_refused(monkeypatch):
